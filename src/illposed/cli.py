@@ -15,7 +15,8 @@ Three subcommands operate on a JSON config (flags override config fields):
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 Outputs are written atomically (temp file, then rename) and are byte-for-byte
-reproducible for a fixed config and seed.
+reproducible for a fixed config, seed, machine and BLAS thread count; the
+pass/fail verdicts are identical across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .discretize import (
     SchemeKind,
     build_system,
     estimate_epsilon,
+    factor_system,
     load_matrix,
     project_data,
 )
@@ -163,7 +165,12 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
     merged.update({k: v for k, v in config_data.items() if v is not None})
     env_ref = os.environ.get(REF_POINTS_ENV)
     if env_ref is not None:
-        merged["ref_points"] = int(env_ref)
+        try:
+            merged["ref_points"] = int(env_ref)
+        except ValueError:
+            raise ConfigError(
+                f"{REF_POINTS_ENV}={env_ref!r} is not an integer"
+            ) from None
     for key in ("problem", "scheme", "n", "alpha", "delta", "seed", "out",
                 "ref_points", "inner_factor"):
         flag = getattr(args, key, None)
@@ -213,19 +220,9 @@ def _build_cell(problem, scheme, n, config: RunConfig):
 
     system = build_system(problem.kernel, scheme, n)
     if config.matrix_dump is not None:
-        # debugging hook: replay a dumped matrix in place of the assembly
-        from .linalg import min_positive_singular
-
-        replacement = load_matrix(config.matrix_dump)
-        if replacement.shape != system.matrix.shape:
-            raise NumericalError(
-                f"matrix dump shape {replacement.shape} does not match "
-                f"system {system.matrix.shape}"
-            )
-        system.matrix = replacement
-        system.sym_matrix = system.space.symmetrize(replacement)
-        system.sigma_min = float(np.sqrt(min_positive_singular(system.sym_matrix,
-                                                               system.rel_tol)))
+        # debugging hook: replay a dumped matrix in place of the assembly,
+        # validated and factored exactly like an assembled one
+        factor_system(system, load_matrix(config.matrix_dump))
     eps_rule = gauss_legendre(max(config.ref_points, 4 * n), problem.kernel.domain)
     estimate_epsilon(system, eps_rule)
     return system

@@ -35,13 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    NumericalError,
-    WeightedSpace,
-    eigh_symmetric,
-    min_positive_singular,
-    spectral_norm,
-)
+from .linalg import NumericalError, WeightedSpace, eigh_symmetric, spectral_norm
 from .problems import Kernel
 from .quadrature import (
     Domain,
@@ -56,6 +50,7 @@ __all__ = [
     "SchemeKind",
     "DiscreteSystem",
     "build_system",
+    "factor_system",
     "project_data",
     "apply_adjoint",
     "estimate_epsilon",
@@ -117,6 +112,9 @@ class DiscreteSystem:
     sym_matrix : ndarray
         ``M^(1/2) A M^(-1/2)``, symmetric PSD; its eigenvalues are the
         squared singular values of the discretized operator.
+    eigvals, eigvecs : ndarray
+        Eigendecomposition of ``sym_matrix`` (values non-increasing), the
+        one factorization every solve of the system filters.
     sigma_min : float
         Smallest positive singular value of the discretized operator.
     inner_rule : QuadratureRule
@@ -134,6 +132,8 @@ class DiscreteSystem:
     matrix: np.ndarray
     slice_gram: np.ndarray
     sym_matrix: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     sigma_min: float
     inner_rule: QuadratureRule
     rel_tol: float
@@ -160,6 +160,14 @@ class DiscreteSystem:
             )
         self._epsilon = value
         return value
+
+    def kept(self, rel_tol: float | None = None) -> np.ndarray:
+        """Mask of the eigenvalues above ``rel_tol * max|lambda|``, the
+        numerical rank of the system."""
+        if rel_tol is None:
+            rel_tol = self.rel_tol
+        mags = np.abs(self.eigvals)
+        return mags > rel_tol * mags.max()
 
     # -- scheme geometry ----------------------------------------------------
 
@@ -316,7 +324,8 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
     system = DiscreteSystem(
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
         matrix=np.empty(0), slice_gram=np.empty(0), sym_matrix=np.empty(0),
-        sigma_min=0.0, inner_rule=rule, rel_tol=float(rel_tol),
+        eigvals=np.empty(0), eigvecs=np.empty(0), sigma_min=0.0,
+        inner_rule=rule, rel_tol=float(rel_tol),
     )
 
     if inner_rule is None:
@@ -332,34 +341,60 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         raise NumericalError("kernel produced non-finite slice samples")
     slice_gram = (gv * inner_rule.weights) @ gv.T
     slice_gram = 0.5 * (slice_gram + slice_gram.T)
-    matrix = slice_gram @ space.metric_dense()
+    factor_system(system, slice_gram @ space.metric_dense(), slice_gram)
+    return system
 
+
+def factor_system(system: DiscreteSystem, matrix, slice_gram=None) -> None:
+    """Install ``matrix`` as the system's normal matrix and factor it once.
+
+    Checks that ``M A`` is symmetric and that the symmetrized matrix is
+    positive semidefinite, then stores the matrix, its symmetrization, the
+    eigendecomposition and ``sigma_min`` on the system.  ``slice_gram``
+    defaults to ``A M^(-1)``, for matrices that come from outside the
+    assembly (a replayed dump).
+
+    Raises
+    ------
+    NumericalError
+        If the matrix has the wrong shape or is not self-adjoint PSD in the
+        data-space metric.
+    """
+    matrix = as_matrix(matrix, "matrix")
+    if matrix.shape != (system.n, system.n):
+        raise NumericalError(
+            f"matrix shape {matrix.shape} does not match the system "
+            f"({system.n}, {system.n})"
+        )
+    space = system.space
     metric_a = space.metric_dense() @ matrix
     scale = float(np.max(np.abs(metric_a))) or 1.0
     asym = float(np.max(np.abs(metric_a - metric_a.T)))
     if asym > _SYMMETRY_RTOL * scale:
         raise NumericalError(
-            f"assembled matrix is not self-adjoint in the data metric "
+            f"matrix is not self-adjoint in the data metric "
             f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
         )
 
     sym = space.symmetrize(matrix)
     sym = 0.5 * (sym + sym.T)
-    vals, _ = eigh_symmetric(sym)
-    if vals[0] > 0 and vals[-1] < -_PSD_RTOL * vals[0]:
+    vals, vecs = eigh_symmetric(sym)
+    if vals[-1] < -_PSD_RTOL * np.max(np.abs(vals)):
         raise NumericalError(
-            f"assembled matrix is not PSD (min eigenvalue {vals[-1]:.3e} "
+            f"matrix is not PSD (min eigenvalue {vals[-1]:.3e} "
             f"vs max {vals[0]:.3e})"
         )
 
+    if slice_gram is None:
+        slice_gram = space.isqrt_apply(space.isqrt_apply(matrix.T)).T
     system.matrix = matrix
     system.slice_gram = slice_gram
     system.sym_matrix = sym
-    if vals[0] <= 0.0:
-        system.sigma_min = 0.0  # numerically zero operator
-    else:
-        system.sigma_min = float(np.sqrt(min_positive_singular(sym, rel_tol)))
-    return system
+    system.eigvals = vals
+    system.eigvecs = vecs
+    kept = system.kept()
+    # an all-zero spectrum is a numerically zero operator
+    system.sigma_min = float(np.sqrt(np.abs(vals[kept]).min())) if kept.any() else 0.0
 
 
 def project_data(system: DiscreteSystem, f) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Dense real linear algebra over plain and weighted inner-product spaces.
 
-Everything in this package reduces to small dense problems (n below ~1000),
-so the implementations favour transparency and testable contracts over
-asymptotics: the SVD is a one-sided Jacobi iteration with a round-robin
-pairing that vectorizes across column pairs, symmetric eigenproblems use the
-two-sided Jacobi analogue, and shifted solves use an explicit Cholesky
-factorization of the metric-symmetrized system.
+Everything in this package reduces to small dense problems (n below ~1000).
+The decompositions are LAPACK's, through ``numpy.linalg``: the SVD is
+``svd``, symmetric eigenproblems use ``eigh``/``eigvalsh``, and the
+standalone shifted solve factors its metric-symmetrized system by
+Cholesky.  The functions here add the contracts the rest of the package
+relies on: validated input, non-increasing ordering, and
+:class:`NumericalError` for matrices that break their preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space: a diagonal metric of quadrature weights, or a dense SPD Gram matrix
@@ -34,18 +35,9 @@ __all__ = [
     "min_positive_singular",
 ]
 
-# Pair-wise rotation threshold for the Jacobi sweeps.  Relative to the local
-# column scale, so rank-deficient matrices converge too.
-_JACOBI_TOL = 1e-15
-_MAX_SWEEPS = 64
-
-# Jacobi is quadratic in the dimension per sweep; above this size the
-# spectral norm falls back to a deterministic block power iteration.
-_JACOBI_NORM_CUTOFF = 160
-
 
 class NumericalError(RuntimeError):
-    """An iteration failed to converge or a matrix violated its contract."""
+    """A matrix violated its contract (asymmetry, indefiniteness, zero operator)."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +138,7 @@ class WeightedSpace:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi iterations
-
-
-def _round_robin_rounds(n: int):
-    """Disjoint column pairings covering all (i, j) once per sweep.
-
-    Standard circle scheduling: player 0 fixed, the rest rotate.  ``n`` is
-    padded to even; pairs touching the pad slot are dropped.
-    """
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        left = players[: m // 2]
-        right = players[m // 2 :][::-1]
-        pairs = [(p, q) for p, q in zip(left, right) if p < n and q < n]
-        p_idx = np.array([min(p, q) for p, q in pairs], dtype=int)
-        q_idx = np.array([max(p, q) for p, q in pairs], dtype=int)
-        rounds.append((p_idx, q_idx))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
+# Decompositions
 
 
 @dataclass(frozen=True)
@@ -185,107 +157,15 @@ class SvdResult:
         return (self.u * self.s) @ self.v.T
 
 
-def svd(a, max_sweeps: int = _MAX_SWEEPS) -> SvdResult:
-    """One-sided Jacobi singular value decomposition.
-
-    Orthogonalizes the columns of ``A`` by plane rotations until every pair
-    is orthogonal relative to ``_JACOBI_TOL``; the rotations accumulate into
-    the right factor.  Raises :class:`NumericalError` if the sweep cap is hit
-    without convergence (never returns silent garbage).
-    """
+def svd(a) -> SvdResult:
+    """Economy singular value decomposition (LAPACK ``gesdd``)."""
     a = as_matrix(a, "A")
-    transposed = a.shape[0] < a.shape[1]
-    work = a.T.copy() if transposed else a.copy()
-    m, n = work.shape
-
-    v = np.eye(n)
-    if n == 1:
-        converged = True
-    else:
-        rounds = _round_robin_rounds(n)
-        converged = False
-        for _ in range(max_sweeps):
-            worst = 0.0
-            # columns this far below the matrix scale are annihilation noise;
-            # rotating against them never converges and never matters
-            floor = 1e-30 * float(np.max(np.einsum("ij,ij->j", work, work)))
-            for p_idx, q_idx in rounds:
-                ap = work[:, p_idx]
-                aq = work[:, q_idx]
-                app = np.einsum("ij,ij->j", ap, ap)
-                aqq = np.einsum("ij,ij->j", aq, aq)
-                apq = np.einsum("ij,ij->j", ap, aq)
-                scale = np.sqrt(app * aqq)
-                active = (app > floor) & (aqq > floor)
-                ratio = np.zeros_like(apq)
-                ratio[active] = np.abs(apq[active]) / scale[active]
-                worst = max(worst, float(ratio.max(initial=0.0)))
-                rotate = ratio > _JACOBI_TOL
-                if not np.any(rotate):
-                    continue
-                p_rot = p_idx[rotate]
-                q_rot = q_idx[rotate]
-                tau = (aqq[rotate] - app[rotate]) / (2.0 * apq[rotate])
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t[tau == 0.0] = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                for mat in (work, v):
-                    cp = mat[:, p_rot]
-                    cq = mat[:, q_rot]
-                    mat[:, p_rot] = c * cp - s * cq
-                    mat[:, q_rot] = s * cp + c * cq
-            if worst <= _JACOBI_TOL:
-                converged = True
-                break
-    if not converged:
-        raise NumericalError(
-            f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps"
-        )
-
-    sigma = np.sqrt(np.einsum("ij,ij->j", work, work))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    v = v[:, order]
-    u = work[:, order]
-    positive = sigma > 0.0
-    u[:, positive] = u[:, positive] / sigma[positive]
-    if not np.all(positive):
-        u = _complete_orthonormal(u, positive)
-
-    if transposed:
-        u, v = v, u
-    return SvdResult(u=u, s=sigma, v=v)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return SvdResult(u=u, s=s, v=vt.T)
 
 
-def _complete_orthonormal(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    # Fill columns of zero singular value with an orthonormal completion
-    # (twice-iterated Gram-Schmidt against the kept columns).
-    m = u.shape[0]
-    basis = [u[:, j] for j in np.flatnonzero(keep)]
-    out = u.copy()
-    idx = 0
-    for j in np.flatnonzero(~keep):
-        while idx < m:
-            cand = np.zeros(m)
-            cand[idx] = 1.0
-            idx += 1
-            for _ in range(2):
-                for b in basis:
-                    cand = cand - (b @ cand) * b
-            norm = np.linalg.norm(cand)
-            if norm > 1e-8:
-                cand /= norm
-                basis.append(cand)
-                out[:, j] = cand
-                break
-        else:  # pragma: no cover - m independent candidates always exist
-            raise NumericalError("failed to complete orthonormal basis")
-    return out
-
-
-def eigh_symmetric(a, max_sweeps: int = _MAX_SWEEPS):
-    """Two-sided Jacobi eigendecomposition of a symmetric matrix.
+def eigh_symmetric(a):
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Returns ``(values, vectors)`` with eigenvalues sorted non-increasing
     (signed) and eigenvectors column-wise; ``A = vectors @ diag(values)
@@ -296,57 +176,8 @@ def eigh_symmetric(a, max_sweeps: int = _MAX_SWEEPS):
         raise ValueError("eigh_symmetric expects a square matrix")
     if np.max(np.abs(a - a.T)) > 1e-10 * (1.0 + np.max(np.abs(a))):
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    work = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    if n == 1:
-        return work[0].copy(), vecs
-
-    scale = float(np.max(np.abs(work))) or 1.0
-    rounds = _round_robin_rounds(n)
-    converged = False
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for p_idx, q_idx in rounds:
-            apq = work[p_idx, q_idx]
-            worst = max(worst, float(np.max(np.abs(apq), initial=0.0)) / scale)
-            rotate = np.abs(apq) > _JACOBI_TOL * scale
-            if not np.any(rotate):
-                continue
-            p_rot = p_idx[rotate]
-            q_rot = q_idx[rotate]
-            app = work[p_rot, p_rot]
-            aqq = work[q_rot, q_rot]
-            apq_r = work[p_rot, q_rot]
-            tau = (aqq - app) / (2.0 * apq_r)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t[tau == 0.0] = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            # disjoint pairs: the combined rotation is block orthogonal, so
-            # columns then rows can be updated with the same parameters
-            cp = work[:, p_rot]
-            cq = work[:, q_rot]
-            work[:, p_rot] = c * cp - s * cq
-            work[:, q_rot] = s * cp + c * cq
-            rp = work[p_rot, :]
-            rq = work[q_rot, :]
-            work[p_rot, :] = c[:, None] * rp - s[:, None] * rq
-            work[q_rot, :] = s[:, None] * rp + c[:, None] * rq
-            vp = vecs[:, p_rot]
-            vq = vecs[:, q_rot]
-            vecs[:, p_rot] = c * vp - s * vq
-            vecs[:, q_rot] = s * vp + c * vq
-        if worst <= _JACOBI_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NumericalError(
-            f"two-sided Jacobi eigensolve did not converge in {max_sweeps} sweeps"
-        )
-    vals = np.diag(work).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -405,103 +236,27 @@ def solve_shifted(a, alpha: float, b, space: WeightedSpace | None = None) -> np.
 
     sym = space.symmetrize(a)
     sym = 0.5 * (sym + sym.T)
-    shifted = sym + alpha * np.eye(n)
-    chol = _cholesky(shifted)
-    z = _cho_solve(chol, space.sqrt_apply(b))
+    try:
+        low = np.linalg.cholesky(sym + alpha * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise NumericalError("shifted system is not positive definite") from None
+    z = np.linalg.solve(low.T, np.linalg.solve(low, space.sqrt_apply(b)))
     return space.isqrt_apply(z)
-
-
-def _cholesky(s: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    low = np.zeros_like(s)
-    for j in range(n):
-        pivot = s[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NumericalError(
-                f"shifted system is not positive definite (pivot {pivot:.3e} "
-                f"at index {j})"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (s[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
 
 
 def spectral_norm(a) -> float:
     """Largest singular value of ``A``.
 
-    Small matrices go through the Jacobi SVD; large ones use a deterministic
-    block power iteration on ``A^T A`` (fixed seed, strict convergence test,
-    explicit failure on stagnation).
+    Exactly symmetric input takes the largest eigenvalue modulus
+    (``eigvalsh``); anything else the leading singular value.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
     a = as_matrix(a, "A")
-    if not np.any(a):
-        return 0.0
-    if min(a.shape) <= _JACOBI_NORM_CUTOFF and max(a.shape) <= 4 * _JACOBI_NORM_CUTOFF:
-        return float(svd(a).s[0])
-    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    return float(np.sqrt(max(_power_largest_eig(gram), 0.0)))
-
-
-def _power_largest_eig(sym: np.ndarray, block: int = 8, max_iter: int = 400) -> float:
-    # Orthogonal (block power) iteration for the largest eigenvalue of a
-    # symmetric PSD matrix; deterministic start for reproducible outputs.
-    # Three squarings raise the spectrum to the 8th power, which turns even
-    # tightly clustered spectra into fast-converging ones; the Frobenius
-    # prescaling keeps the repeated squares inside the floating range.
-    n = sym.shape[0]
-    block = min(block, n)
-    scale = float(np.sqrt(np.sum(sym * sym)))
-    if scale == 0.0:
-        return 0.0
-    work = sym / scale
-    for _ in range(3):
-        work = work @ work
-    rng = np.random.default_rng(1234567891)
-    q = _orthonormalize(rng.standard_normal((n, block)))
-    prev = -np.inf
-    stable = 0
-    for _ in range(max_iter):
-        z = work @ q
-        # max Ritz value of the projected block: invariant under rotations
-        # inside the captured subspace, so near-tied eigenvalues cannot beat
-        projected = q.T @ z
-        mu = float(eigh_symmetric(0.5 * (projected + projected.T))[0][0])
-        q = _orthonormalize(z)
-        if abs(mu - prev) <= 1e-14 * max(abs(mu), 1e-300):
-            stable += 1
-            if stable >= 2:
-                return scale * float(max(mu, 0.0)) ** (1.0 / 8.0)
-        else:
-            stable = 0
-        prev = mu
-    raise NumericalError("block power iteration did not converge")
-
-
-def _orthonormalize(q: np.ndarray) -> np.ndarray:
-    out = q.copy()
-    for _ in range(2):  # two MGS passes for orthogonality near machine level
-        for j in range(out.shape[1]):
-            col = out[:, j]
-            if j:
-                col = col - out[:, :j] @ (out[:, :j].T @ col)
-            norm = np.linalg.norm(col)
-            out[:, j] = col / norm if norm > 0 else col
-    return out
+    if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def min_positive_singular(a, rel_tol: float = 1e-10) -> float:
@@ -512,7 +267,7 @@ def min_positive_singular(a, rel_tol: float = 1e-10) -> float:
     """
     a = as_matrix(a, "A")
     check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
-    s = svd(a).s
+    s = np.linalg.svd(a, compute_uv=False)
     smax = s[0] if s.size else 0.0
     kept = s[s > rel_tol * smax] if smax > 0 else np.array([])
     if kept.size == 0:

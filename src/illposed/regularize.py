@@ -2,9 +2,11 @@
 
 The discrete pipeline: project the data, solve the normal system on the data
 space (pseudo-inverse for exact data, a shifted solve for noisy data), then
-map coordinates back to a function through the adjoint.  Both solves run on
-the metric-symmetrized matrix, so truncation and shifts act on the singular
-values of the discretized operator in the correct inner product.
+map coordinates back to a function through the adjoint.  Both solves are
+spectral filters of the eigendecomposition the system stores for its
+metric-symmetrized matrix, so truncation and shifts act on the singular
+values of the discretized operator in the correct inner product, and each
+solve costs two matrix-vector products.
 
 The continuous Tikhonov solution is the yardstick the error bounds compare
 against.  Problems carrying a closed-form singular expansion use the spectral
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import DiscreteSystem, apply_adjoint
-from .linalg import NumericalError, WeightedSpace, pseudo_solve, solve_shifted, _cholesky, _cho_solve
+from .linalg import NumericalError, WeightedSpace, eigh_symmetric
 from .problems import Kernel, SourceRepresentation, TestProblem
 from .quadrature import QuadratureRule
-from .validation import as_vector, check_positive
+from .validation import as_vector, check_in_open_interval, check_positive
 
 __all__ = [
     "InconsistentDataError",
@@ -142,8 +144,9 @@ def min_norm_solution(system: DiscreteSystem, y_n, rel_tol: float | None = None,
                       residual_allowance: float = 0.0) -> Reconstruction:
     """Minimum-norm solution of the discretized equation.
 
-    Solves the normal system through the metric-symmetrized pseudo-inverse
-    and reconstructs ``x = T_n* v``.  Raises
+    Solves the normal system through the metric-symmetrized pseudo-inverse,
+    keeping the eigenvalues above ``rel_tol * max|lambda|``, and
+    reconstructs ``x = T_n* v``.  Raises
     :class:`InconsistentDataError` when the residual exceeds
     ``rel_tol * ||y_n|| + residual_allowance`` in the data norm, i.e. the
     data is numerically outside the operator's range.  For noisy data pass
@@ -155,9 +158,12 @@ def min_norm_solution(system: DiscreteSystem, y_n, rel_tol: float | None = None,
         raise ValueError(f"data has length {y_n.size}, expected {system.n}")
     if rel_tol is None:
         rel_tol = system.rel_tol
+    check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
     space = system.space
-    z = pseudo_solve(system.sym_matrix, space.sqrt_apply(y_n), rel_tol)
-    v = space.isqrt_apply(z)
+    keep = system.kept(rel_tol)
+    gains = np.zeros(system.n)
+    gains[keep] = 1.0 / system.eigvals[keep]
+    v = _filter(system, gains, y_n)
     residual = space.norm(system.matrix @ v - y_n)
     threshold = rel_tol * space.norm(y_n) + residual_allowance
     if residual > threshold:
@@ -170,12 +176,26 @@ def min_norm_solution(system: DiscreteSystem, y_n, rel_tol: float | None = None,
 
 
 def tikhonov_discrete(system: DiscreteSystem, y_tilde_n, alpha: float) -> Reconstruction:
-    """Shifted solve of the discrete normal system (noise-robust path)."""
+    """Shifted solve of the discrete normal system (noise-robust path).
+
+    Filters by ``1 / (max(lambda, 0) + alpha)``: negative eigenvalues are
+    rounding of a system already certified PSD, and clipping them keeps
+    shifts below that rounding floor solvable.
+    """
     alpha = check_positive(alpha, "alpha")
     y_tilde_n = as_vector(y_tilde_n, "y_tilde_n")
-    v = solve_shifted(system.matrix, alpha, y_tilde_n, system.space)
+    if y_tilde_n.size != system.n:
+        raise ValueError(f"data has length {y_tilde_n.size}, expected {system.n}")
+    v = _filter(system, 1.0 / (np.maximum(system.eigvals, 0.0) + alpha), y_tilde_n)
     return Reconstruction(coordinates=v, function=apply_adjoint(system, v),
                           alpha_used=alpha, system=system)
+
+
+def _filter(system: DiscreteSystem, gains: np.ndarray, y_n: np.ndarray) -> np.ndarray:
+    """Coordinates ``M^(-1/2) Q diag(gains) Q^T M^(1/2) y`` from the stored factor."""
+    q = system.eigvecs
+    z = q @ (gains * (q.T @ system.space.sqrt_apply(y_n)))
+    return system.space.isqrt_apply(z)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +231,15 @@ def dense_reference_solver(problem: TestProblem, ref_rule: QuadratureRule):
     normal = _normal_matrix_split(kernel, nodes)
     tsty = _adjoint_data_values(kernel, problem.y, nodes)
     sym = (normal * np.outer(sqrt_rho, sqrt_rho))
-    sym = 0.5 * (sym + sym.T)
+    vals, vecs = eigh_symmetric(0.5 * (sym + sym.T))
+    # the grid normal matrix is a Gram matrix: negative eigenvalues are
+    # rounding and are clipped, as in tikhonov_discrete
+    vals = np.maximum(vals, 0.0)
+    coeffs = vecs.T @ (sqrt_rho * tsty)
 
     def solve(alpha: float):
         alpha = check_positive(alpha, "alpha")
-        chol = _cholesky(sym + alpha * np.eye(nodes.size))
-        z = _cho_solve(chol, sqrt_rho * tsty)
+        z = vecs @ (coeffs / (vals + alpha))
         x_vals = z / sqrt_rho
 
         def handle(s):

@@ -1,11 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from illposed.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from illposed.discretize import dump_matrix
+from illposed.discretize import build_system, dump_matrix
+from illposed.problems import get_problem
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def read_csv(path):
@@ -62,6 +69,12 @@ def test_env_var_overrides_ref_points(tmp_path, monkeypatch):
     assert main(["solve", "--problem", "rank1-sine", "--n", "8",
                  "--out", str(out)]) == EXIT_OK
     assert len(read_csv(out / "solution_8.csv")) == 300
+
+
+def test_env_var_ref_points_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ILLPOSED_REF_POINTS", "abc")
+    assert main(["solve", "--n", "8", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "ILLPOSED_REF_POINTS" in capsys.readouterr().err
 
 
 def test_solve_noisy_runs_are_bytewise_deterministic(tmp_path):
@@ -139,6 +152,54 @@ def test_corrupted_matrix_dump_replay(tmp_path):
         "matrix_dump": str(dump_path), "out": str(tmp_path),
     }))
     assert main(["solve", str(shape_mismatch)]) == EXIT_NUMERICAL
+
+
+def test_asymmetric_matrix_dump_is_rejected_as_not_self_adjoint(tmp_path, capsys):
+    dump_path = tmp_path / "dump.csv"
+    dump_matrix(np.array([[1.0, 0.9], [0.0, 1.0]]), dump_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [2], "matrix_dump": str(dump_path),
+                               "out": str(tmp_path)}))
+    assert main(["solve", str(cfg)]) == EXIT_NUMERICAL
+    assert "not self-adjoint" in capsys.readouterr().err
+
+
+def test_replaying_the_own_matrix_dump_reproduces_the_summary(tmp_path):
+    # the replay refactors the dumped matrix; an unchanged matrix must give
+    # the same bytes as the plain run
+    prob = get_problem("green-m1")
+    dump_path = tmp_path / "dump.csv"
+    dump_matrix(build_system(prob.kernel, "interpolatory", 12).matrix, dump_path)
+    args = ["solve", "--problem", "green-m1", "--scheme", "interpolatory",
+            "--n", "12", "--delta", "1e-3"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix_dump": str(dump_path)}))
+    assert main(args + [str(cfg), "--out", str(tmp_path / "replay")]) == EXIT_OK
+    for name in ("summary.csv", "solution_12.csv"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "replay" / name).read_bytes())
+
+
+def _verify_in_subprocess(out, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("ILLPOSED_REF_POINTS", None)
+    subprocess.run([sys.executable, "-m", "illposed.cli", "verify", "--n", "4,8",
+                    "--out", str(out)], env=env, check=True, timeout=300)
+    return (out / "bounds.csv").read_bytes()
+
+
+def test_verify_determinism_contract(tmp_path):
+    # bytes are reproducible for a fixed machine and BLAS thread count;
+    # the verdicts also across thread counts
+    first = _verify_in_subprocess(tmp_path / "a", 1)
+    assert _verify_in_subprocess(tmp_path / "b", 1) == first
+    _verify_in_subprocess(tmp_path / "c", 2)
+    passed = [[row["passed"] for row in read_csv(tmp_path / name / "bounds.csv")]
+              for name in ("a", "c")]
+    assert passed[0] and passed[0] == passed[1]
 
 
 def test_flags_override_config(tmp_path):

@@ -8,6 +8,7 @@ from illposed.discretize import (
     build_system,
     dump_matrix,
     estimate_epsilon,
+    factor_system,
     load_matrix,
     project_data,
 )
@@ -100,6 +101,40 @@ def test_sigma_min_matches_symmetrized_svd():
     s = np.linalg.svd(system.sym_matrix, compute_uv=False)
     positive = s[s > 1e-10 * s[0]]
     assert system.sigma_min**2 == pytest.approx(positive[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_stored_factor_reproduces_symmetrized_matrix(scheme):
+    system = build_system(get_problem("green-m1").kernel, scheme, 12)
+    q, lam = system.eigvecs, system.eigvals
+    scale = np.max(np.abs(system.sym_matrix))
+    assert np.max(np.abs((q * lam) @ q.T - system.sym_matrix)) <= 1e-12 * scale
+    assert np.max(np.abs(q.T @ q - np.eye(12))) <= 1e-12
+    assert np.all(np.diff(lam) <= 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_factor_system_refactors_a_replaced_matrix(scheme):
+    # refactoring the system's own matrix recovers every stored quantity;
+    # the slice Gram matrix is recomputed as A M^(-1)
+    system = build_system(get_problem("green-m1").kernel, scheme, 8)
+    gram, lam, sigma = system.slice_gram, system.eigvals, system.sigma_min
+    factor_system(system, 2.0 * system.matrix)
+    assert system.eigvals == pytest.approx(2.0 * lam, rel=1e-10, abs=1e-14 * lam[0])
+    assert system.sigma_min == pytest.approx(np.sqrt(2.0) * sigma, rel=1e-8)
+    assert system.slice_gram == pytest.approx(2.0 * gram, rel=1e-10, abs=1e-14)
+
+
+def test_factor_system_rejects_broken_matrices():
+    system = build_system(get_problem("green-m1").kernel, "collocation", 6)
+    matrix = system.matrix
+    with pytest.raises(NumericalError, match="not PSD"):
+        factor_system(system, -matrix)
+    with pytest.raises(NumericalError, match="not self-adjoint"):
+        factor_system(system, matrix + np.triu(np.ones((6, 6))) * np.max(matrix))
+    with pytest.raises(NumericalError, match="shape"):
+        factor_system(system, np.eye(5))
+    assert system.matrix is matrix  # a rejected matrix is never installed
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,15 @@ def test_spectral_norm_transpose_invariant():
     assert abs(spectral_norm(a) - spectral_norm(a.T)) < 1e-10
 
 
-def test_spectral_norm_large_matrix_power_path():
+def test_spectral_norm_large_matrix():
     a = random_matrix(250, 250, 7)
     assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-11)
+    sym = a + a.T  # symmetric input, through the eigenvalue path
+    assert spectral_norm(sym) == pytest.approx(np.linalg.norm(sym, 2), rel=1e-11)
+
+
+def test_spectral_norm_symmetric_indefinite():
+    assert spectral_norm(np.diag([1.0, -5.0, 2.0])) == pytest.approx(5.0)
 
 
 def test_min_positive_singular():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from illposed.analysis import l2_error
-from illposed.discretize import build_system, estimate_epsilon, project_data
-from illposed.linalg import WeightedSpace
+from illposed.discretize import apply_adjoint, build_system, estimate_epsilon, project_data
+from illposed.linalg import WeightedSpace, pseudo_solve, solve_shifted
 from illposed.problems import Domain, Kernel, get_problem, reference_rule
 from illposed.regularize import (
     InconsistentDataError,
@@ -116,6 +116,60 @@ def test_tikhonov_converges_to_min_norm():
                       target.function, REF)
              for alpha in (1e-2, 1e-4, 1e-6, 1e-8)]
     assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+# ---------------------------------------------------------------------------
+# solves filtered through the stored factor
+
+
+def relative_gap(rec, coordinates):
+    # compared as functions x = T_n* v: coordinates along eigenvalues near
+    # the truncation level are only determined to eps times the condition
+    # number, and T_n* damps exactly those directions
+    expected = apply_adjoint(rec.system, coordinates)
+    return l2_error(rec.function, expected, REF) / REF.norm(expected(REF.nodes))
+
+
+@pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_factor_path_matches_reference_solvers(pid, scheme):
+    # the eigenfilters on the stored factor against the standalone solvers
+    # that factor the system afresh (SVD pseudo-inverse, Cholesky)
+    prob = get_problem(pid)
+    system = build_system(prob.kernel, scheme, 16)
+    space = system.space
+    y_n = project_data(system, prob.y)
+    expected = space.isqrt_apply(pseudo_solve(system.sym_matrix, space.sqrt_apply(y_n),
+                                              system.rel_tol))
+    assert relative_gap(min_norm_solution(system, y_n), expected) <= 1e-10
+    for alpha in (1e-2, 1e-4, 1e-6, 1e-8):
+        expected = solve_shifted(system.matrix, alpha, y_n, space)
+        assert relative_gap(tikhonov_discrete(system, y_n, alpha), expected) <= 1e-10
+
+
+def test_tikhonov_shift_below_rounding_floor():
+    # rank1-sine has eps_n near machine precision, below the rounding of its
+    # zero eigenvalues (some come out negative); the shifted solve must stay
+    # the filter of a PSD system: along every eigenvector the gain lies in
+    # (0, 1/alpha]
+    prob = get_problem("rank1-sine")
+    system = build_system(prob.kernel, "collocation", 16)
+    alpha = choose_alpha(estimate_epsilon(system))
+    assert alpha < 1e-12 and system.eigvals[-1] < 0.0
+    rec = tikhonov_discrete(system, project_data(system, prob.y), alpha)
+    assert np.all(np.isfinite(rec.coordinates))
+    space = system.space
+    for q in system.eigvecs.T:
+        y = space.isqrt_apply(q)
+        gain = space.inner(y, tikhonov_discrete(system, y, alpha).coordinates)
+        assert 0.0 < gain <= (1.0 + 1e-12) / alpha
+
+
+def test_tikhonov_rejects_wrong_length():
+    prob = get_problem("rank1-sine")
+    system = build_system(prob.kernel, "collocation", 8)
+    with pytest.raises(ValueError):
+        tikhonov_discrete(system, np.zeros(7), 1e-3)
 
 
 # ---------------------------------------------------------------------------
