@@ -24,12 +24,13 @@ import numpy as np
 from .discretize import (
     DiscreteSystem,
     SchemeKind,
+    build_system,
     estimate_epsilon,
     project_data,
 )
 from .linalg import spectral_norm
 from .problems import TestProblem, reference_rule
-from .quadrature import QuadratureRule, aligned_rule
+from .quadrature import QuadratureRule, aligned_rule, gauss_legendre
 from .regularize import (
     InconsistentDataError,
     NoiseSpec,
@@ -357,20 +358,6 @@ def verify_special(problem: TestProblem, system: DiscreteSystem,
     return reports
 
 
-def projection_defect_norm(system: DiscreteSystem, ref_points: int = 256) -> float:
-    """Measured ``||(I - pi_n) T||`` on the aligned reference grid."""
-    rule = aligned_rule(system.grid_knots(), ref_points)
-    nodes, rho = rule.nodes, rule.weights
-    kmat = system.kernel(nodes[:, None], nodes[None, :])
-    basis = system.basis_values(nodes)
-    if system.scheme is SchemeKind.ORTHO_PC:
-        coords_map = (basis * rho[:, None]).T @ kmat / system.space.weights[:, None]
-    else:
-        coords_map = system.slice_values(nodes)
-    sqrt_rho = np.sqrt(rho)
-    return spectral_norm((kmat - basis @ coords_map) * np.outer(sqrt_rho, sqrt_rho))
-
-
 # ---------------------------------------------------------------------------
 # Structural identities and studies
 
@@ -391,20 +378,13 @@ def pinverse_norm(system: DiscreteSystem) -> float:
 def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | None = None,
                       ref_points: int = 256, inner_factor: int = 4) -> list[ConvergenceRow]:
     """Measured error quantities over a ladder of discretization sizes."""
-    from .discretize import build_system  # local import to keep module load light
-    from .quadrature import gauss_legendre
-
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and increasing")
     ref_rule = reference_rule(problem.kernel.domain, ref_points)
     rows = []
     for n in n_list:
-        system = build_system(
-            problem.kernel, scheme, n,
-            inner_rule=aligned_rule(_knots_for(problem, scheme, n), inner_factor * n,
-                                    min_per_panel=8),
-        )
+        system = build_system(problem.kernel, scheme, n, inner_factor=inner_factor)
         eps_rule = gauss_legendre(max(ref_points, 4 * n), problem.kernel.domain)
         eps = estimate_epsilon(system, eps_rule)
         y_n = project_data(system, problem.y)
@@ -423,19 +403,6 @@ def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | No
                                    err_min_norm=err_min, err_tikh=err_tikh,
                                    err_noisy=err_noisy))
     return rows
-
-
-def _knots_for(problem: TestProblem, scheme, n: int) -> np.ndarray:
-    scheme = SchemeKind.parse(scheme)
-    dom = problem.kernel.domain
-    if scheme is SchemeKind.ORTHO_PC:
-        return np.linspace(dom.a, dom.b, n + 1)
-    if scheme is SchemeKind.INTERPOLATORY:
-        return np.linspace(dom.a, dom.b, n)
-    from .quadrature import gauss_legendre
-
-    nodes = gauss_legendre(n, dom).nodes
-    return np.unique(np.concatenate(([dom.a], nodes, [dom.b])))
 
 
 # ---------------------------------------------------------------------------

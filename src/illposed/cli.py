@@ -3,17 +3,18 @@
 Three subcommands operate on a JSON config (flags override config fields):
 
 ``solve``
-    One discrete solve per requested size; writes ``solution_<n>.csv`` with
-    the reconstruction on the reference grid and ``summary.csv`` with the
-    measured quantities.
+    One discrete solve per requested size, for one problem and one scheme;
+    writes ``solution_<n>.csv`` with the reconstruction on the reference grid
+    and ``summary.csv`` with the measured quantities.
 ``study``
-    Convergence study over the size ladder; writes ``convergence.csv`` (one
-    file per scheme when scheme is ``all``).
+    Convergence study of one problem over the size ladder; writes
+    ``convergence.csv`` (one file per scheme when scheme is ``all``).
 ``verify``
     Runs every bound verification on the configured grid and writes
     ``bounds.csv``; exits 0 iff every non-skipped report passed.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/usage error (including a request for
+more problems or schemes than the command runs), 3 numerical failure.
 Outputs are written atomically (temp file, then rename) and are byte-for-byte
 reproducible for a fixed config, seed, machine and BLAS thread count; the
 pass/fail verdicts are identical across BLAS thread counts.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _fmt,
     convergence_study,
     l2_error,
     reports_to_csv,
@@ -52,6 +53,7 @@ from .discretize import (
 )
 from .linalg import NumericalError
 from .problems import get_problem, problem_catalog, reference_rule
+from .quadrature import gauss_legendre
 from .regularize import (
     NoiseSpec,
     add_noise,
@@ -207,18 +209,18 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
+def _require_single(command: str, **requested) -> None:
+    """Reject a request for more problems or schemes than ``command`` runs."""
+    for flag, items in requested.items():
+        if len(items) > 1:
+            raise ConfigError(
+                f"{command} runs one {flag}, but --{flag} asks for {len(items)} "
+                f"({', '.join(items)}); name one"
+            )
 
 
 def _build_cell(problem, scheme, n, config: RunConfig):
-    from .quadrature import gauss_legendre
-
-    system = build_system(problem.kernel, scheme, n)
+    system = build_system(problem.kernel, scheme, n, inner_factor=config.inner_factor)
     if config.matrix_dump is not None:
         # debugging hook: replay a dumped matrix in place of the assembly,
         # validated and factored exactly like an assembled one
@@ -229,6 +231,8 @@ def _build_cell(problem, scheme, n, config: RunConfig):
 
 
 def cmd_solve(config: RunConfig) -> int:
+    _require_single("solve", problem=config.problem_ids,
+                    scheme=[s.value for s in config.schemes])
     problem = get_problem(config.problem_ids[0])
     scheme = config.schemes[0]
     ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
@@ -265,6 +269,7 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_study(config: RunConfig) -> int:
+    _require_single("study", problem=config.problem_ids)
     problem = get_problem(config.problem_ids[0])
     spec = (NoiseSpec(delta_n=config.delta, seed=config.seed)
             if config.delta else None)

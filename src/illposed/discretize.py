@@ -43,6 +43,8 @@ from .quadrature import (
     aligned_rule,
     composite_trapezoid,
     gauss_legendre,
+    gauss_nodes,
+    segment_gauss,
 )
 from .validation import as_matrix, as_vector
 
@@ -120,8 +122,11 @@ class DiscreteSystem:
     inner_rule : QuadratureRule
         Rule used for the entry integrals.
 
-    The epsilon cache is write-once and idempotent; everything else is fixed
-    at construction, so instances are safe for concurrent reads.
+    Two caches sit beside the fixed fields.  The epsilon cache is write-once
+    and idempotent.  :meth:`slice_values` keeps the last 1-D grid it sampled
+    and the slice values there as one read-only ``(grid, values)`` tuple,
+    replaced by a single attribute store; concurrent readers therefore see
+    either the old or the new pair and at worst recompute.
     """
 
     scheme: SchemeKind
@@ -138,6 +143,7 @@ class DiscreteSystem:
     inner_rule: QuadratureRule
     rel_tol: float
     _epsilon: float | None = field(default=None, repr=False)
+    _slices: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def domain(self) -> Domain:
@@ -186,11 +192,24 @@ class DiscreteSystem:
     # -- slice and basis evaluation ------------------------------------------
 
     def slice_values(self, t_points) -> np.ndarray:
-        """Values ``g_i(t)`` of the scheme slices, shape (n, len(t_points))."""
+        """Values ``g_i(t)`` of the scheme slices, shape (n, len(t_points)).
+
+        The values on the last 1-D grid are kept (read-only) and returned
+        again for an equal grid, so every reconstruction measured on one
+        reference rule samples the slices once.
+        """
         t = np.atleast_1d(np.asarray(t_points, dtype=float))
+        memo = self._slices
+        if memo is not None and np.array_equal(memo[0], t):
+            return memo[1]
         if self.scheme is SchemeKind.ORTHO_PC:
-            return _cell_average_slices(self.kernel, self.cell_edges(), t)
-        return self.kernel(self.rule.nodes[:, None], t[None, :])
+            values = _cell_average_slices(self.kernel, self.cell_edges(), t)
+        else:
+            values = self.kernel(self.rule.nodes[:, None], t[None, :])
+        if t.ndim == 1:
+            values.flags.writeable = False
+            self._slices = (t.copy(), values)
+        return values
 
     def basis_values(self, s_points) -> np.ndarray:
         """Values of the data-space basis as functions, shape (len(s), n).
@@ -240,7 +259,7 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
     """
     n = edges.size - 1
     h = edges[1] - edges[0]
-    gx, gw = np.polynomial.legendre.leggauss(_CELL_GAUSS)
+    gx, gw = gauss_nodes(_CELL_GAUSS)
     out = np.empty((n, t.size))
     for i in range(n):
         left, right = edges[i], edges[i + 1]
@@ -254,20 +273,15 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
             acc = np.zeros(t_in.size)
             for lo, hi in ((np.full_like(t_in, left), t_in),
                            (t_in, np.full_like(t_in, right))):
-                seg_half = 0.5 * (hi - lo)
-                seg_mid = 0.5 * (hi + lo)
-                s_seg = seg_mid[:, None] + seg_half[:, None] * gx[None, :]
-                w_seg = seg_half[:, None] * gw[None, :]
-                acc += np.einsum(
-                    "ij,ij->i", kernel(s_seg, t_in[:, None]), w_seg
-                )
+                s_seg, w_seg = segment_gauss(lo, hi, _CELL_GAUSS)
+                acc += np.einsum("ij,ij->i", kernel(s_seg, t_in[:, None]), w_seg)
             out[i, inside] = acc / h
     return out
 
 
 def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | None = None,
                  outer_rule: QuadratureRule | None = None,
-                 rel_tol: float = 1e-10) -> DiscreteSystem:
+                 rel_tol: float = 1e-10, inner_factor: int = 4) -> DiscreteSystem:
     """Assemble the discrete normal system for a kernel and scheme.
 
     Parameters
@@ -279,13 +293,16 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         number of cells).
     inner_rule : QuadratureRule, optional
         Rule for the entry integrals; must hold at least ``4 n`` points.
-        Defaults to a composite Gauss rule aligned with the scheme grid.
+        Defaults to a composite Gauss rule aligned with the scheme grid,
+        with at least ``inner_factor * n`` points and 8 per panel.
     outer_rule : QuadratureRule, optional
         Collocation only: the node/weight rule defining the scheme (default
         Gauss-Legendre, which has the required positive weights).
     rel_tol : float
         Relative truncation threshold separating the numerical rank from
         quadrature noise.
+    inner_factor : int
+        Point budget of the default inner rule, per unit of ``n``.
 
     Raises
     ------
@@ -329,7 +346,8 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
     )
 
     if inner_rule is None:
-        inner_rule = aligned_rule(system.grid_knots(), 4 * n, min_per_panel=8)
+        inner_rule = aligned_rule(system.grid_knots(), int(inner_factor) * n,
+                                  min_per_panel=8)
     if inner_rule.n_points < 4 * n:
         raise ValueError(
             f"inner rule has {inner_rule.n_points} points; need at least 4 n = {4 * n}"
@@ -405,13 +423,9 @@ def project_data(system: DiscreteSystem, f) -> np.ndarray:
     """
     if system.scheme is SchemeKind.ORTHO_PC:
         edges = system.cell_edges()
-        gx, gw = np.polynomial.legendre.leggauss(_CELL_GAUSS)
-        left, right = edges[:-1], edges[1:]
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
+        nodes, weights = segment_gauss(edges[:-1], edges[1:], _CELL_GAUSS)
         vals = np.asarray(f(nodes), dtype=float)
-        return (vals @ gw) * half / (edges[1] - edges[0])
+        return np.einsum("ij,ij->i", vals, weights) / (edges[1] - edges[0])
     return np.asarray(f(system.rule.nodes), dtype=float)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import Domain, QuadratureRule, gauss_legendre
+from .quadrature import Domain, QuadratureRule, gauss_legendre, segment_gauss
 
 __all__ = [
     "Domain",
@@ -101,6 +101,10 @@ class SeparableExpansion:
     ``u_funcs`` and ``v_funcs`` must be orthonormal in L2 (checked to 1e-8
     under the 256-point reference rule at construction); singular values must
     be positive, and are stored in the given order.
+
+    Coefficients and syntheses go through one ``(rank, m)`` table of mode
+    values per side; the table of the last grid of each side is kept
+    (read-only) and reused for an equal grid.
     """
 
     def __init__(self, sigmas, u_funcs, v_funcs, domain: Domain):
@@ -115,16 +119,34 @@ class SeparableExpansion:
         self.u_funcs = tuple(u_funcs)
         self.v_funcs = tuple(v_funcs)
         self.domain = domain
+        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._check_orthonormal()
 
     @property
     def rank(self) -> int:
         return self.sigmas.size
 
+    def mode_table(self, t, side: str = "u") -> np.ndarray:
+        """Values of the u- or v-functions at the points ``t``.
+
+        Returns shape ``(rank, t.size)`` for the flattened points; the table
+        of the last grid per side is kept and returned for an equal grid.
+        """
+        side = "u" if side == "u" else "v"
+        t = np.asarray(t, dtype=float).ravel()
+        memo = self._tables.get(side)
+        if memo is not None and np.array_equal(memo[0], t):
+            return memo[1]
+        funcs = self.u_funcs if side == "u" else self.v_funcs
+        table = np.stack([np.asarray(g(t), dtype=float) for g in funcs])
+        table.flags.writeable = False
+        self._tables[side] = (t.copy(), table)
+        return table
+
     def _check_orthonormal(self, tol: float = 1e-8):
         rule = reference_rule(self.domain)
-        for funcs, label in ((self.u_funcs, "u"), (self.v_funcs, "v")):
-            vals = np.stack([np.asarray(f(rule.nodes), dtype=float) for f in funcs])
+        for label in ("u", "v"):
+            vals = self.mode_table(rule.nodes, label)
             gram = (vals * rule.weights) @ vals.T
             defect = np.max(np.abs(gram - np.eye(self.rank)))
             if defect > tol:
@@ -142,22 +164,16 @@ class SeparableExpansion:
 
     def coefficients(self, f, rule: QuadratureRule, side: str = "u") -> np.ndarray:
         """Inner products of ``f`` against the u- or v-system under ``rule``."""
-        funcs = self.u_funcs if side == "u" else self.v_funcs
         fv = np.asarray(f(rule.nodes), dtype=float)
-        return np.array([float(np.sum(rule.weights * fv * np.asarray(g(rule.nodes))))
-                         for g in funcs])
+        return self.mode_table(rule.nodes, side) @ (rule.weights * fv)
 
     def synthesize(self, coeffs, side: str = "u"):
+        """The function ``t -> sum_j coeffs_j g_j(t)`` over the u- or v-system."""
         coeffs = np.asarray(coeffs, dtype=float)
-        funcs = self.u_funcs if side == "u" else self.v_funcs
 
         def combination(t):
             t = np.asarray(t, dtype=float)
-            total = np.zeros_like(t, dtype=float)
-            for c, g in zip(coeffs, funcs):
-                if c != 0.0:
-                    total = total + c * np.asarray(g(t))
-            return total
+            return (coeffs @ self.mode_table(t, side)).reshape(t.shape)
 
         return combination
 
@@ -222,13 +238,9 @@ def apply_operator_split(kernel: Kernel, x, s_points, points_per_side: int = 48)
     """
     s_arr = np.atleast_1d(np.asarray(s_points, dtype=float))
     a, b = kernel.domain.a, kernel.domain.b
-    gx, gw = np.polynomial.legendre.leggauss(points_per_side)
     out = np.zeros(s_arr.size)
     for left, right in ((np.full_like(s_arr, a), s_arr), (s_arr, np.full_like(s_arr, b))):
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        t = mid[:, None] + half[:, None] * gx[None, :]
-        w = half[:, None] * gw[None, :]
+        t, w = segment_gauss(left, right, points_per_side)
         out += np.einsum("ij,ij->i", kernel(s_arr[:, None], t) * np.asarray(x(t)), w)
     return out
 

@@ -10,10 +10,17 @@ composite Gauss rule over caller-supplied panels.  Panel-aligned rules matter
 for kernels that are continuous but kinked (Green's functions): aligning the
 panel boundaries with the kink locations restores spectral accuracy that a
 single global rule loses.
+
+Every Gauss rule in the package starts from :func:`gauss_nodes`, which
+computes the reference nodes and weights on [-1, 1] once per point count
+(an O(q^3) eigenvalue problem) and hands out read-only arrays.
+:func:`segment_gauss` maps them onto one segment per row; it is the single
+primitive behind every "Gauss on [lo, hi], split at the diagonal" integral.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +31,8 @@ from .validation import as_vector
 __all__ = [
     "Domain",
     "QuadratureRule",
+    "gauss_nodes",
+    "segment_gauss",
     "composite_trapezoid",
     "gauss_legendre",
     "composite_gauss",
@@ -97,6 +106,36 @@ class QuadratureRule:
         return float(np.sqrt(max(np.sum(self.weights * f * f), 0.0)))
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] with ``q`` points.
+
+    Computed once per point count and cached; the arrays are read-only
+    because every caller shares them.
+    """
+    if int(q) != q or q < 1:
+        raise ValueError(f"Gauss-Legendre rule needs an integer q >= 1, got {q!r}")
+    x, w = np.polynomial.legendre.leggauss(int(q))
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def segment_gauss(lo, hi, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``q``-point Gauss rule on each segment ``[lo[i], hi[i]]``.
+
+    Returns ``(nodes, weights)`` of shape ``(len(lo), q)``; row ``i`` holds
+    the rule on segment ``i``.  Integrals of values ``f(nodes)`` are
+    ``einsum("ij,ij->i", f(nodes), weights)``.
+    """
+    x, w = gauss_nodes(q)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
 def composite_trapezoid(n: int, dom: Domain) -> QuadratureRule:
     """Equispaced trapezoid rule with ``n`` nodes including both endpoints."""
     n = int(n)
@@ -114,7 +153,7 @@ def gauss_legendre(n: int, dom: Domain) -> QuadratureRule:
     n = int(n)
     if n < 1:
         raise ValueError("gauss_legendre needs n >= 1")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_nodes(n)
     half = 0.5 * dom.length
     mid = 0.5 * (dom.a + dom.b)
     return QuadratureRule(mid + half * x, half * w, exactness_degree=2 * n - 1, domain=dom)
@@ -132,15 +171,10 @@ def composite_gauss(knots, points_per_panel: int) -> QuadratureRule:
         raise ValueError("knots must be strictly increasing with at least two entries")
     if q < 1:
         raise ValueError("points_per_panel must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(q)
-    left = knots[:-1]
-    right = knots[1:]
-    half = 0.5 * (right - left)
-    mid = 0.5 * (left + right)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = segment_gauss(knots[:-1], knots[1:], q)
     dom = Domain(float(knots[0]), float(knots[-1]))
-    return QuadratureRule(nodes, weights, exactness_degree=2 * q - 1, domain=dom)
+    return QuadratureRule(nodes.ravel(), weights.ravel(), exactness_degree=2 * q - 1,
+                          domain=dom)
 
 
 def aligned_rule(knots, min_points: int, min_per_panel: int = 4) -> QuadratureRule:

@@ -24,7 +24,7 @@ import numpy as np
 from .discretize import DiscreteSystem, apply_adjoint
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
 from .problems import Kernel, SourceRepresentation, TestProblem
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, segment_gauss
 from .validation import as_vector, check_in_open_interval, check_positive
 
 __all__ = [
@@ -268,17 +268,13 @@ def _normal_matrix_split(kernel: Kernel, t_nodes: np.ndarray,
     """Entries ``integral k(s, t_l) k(s, t_m) ds`` with splits at t_l, t_m."""
     m = t_nodes.size
     a, b = kernel.domain.a, kernel.domain.b
-    gx, gw = np.polynomial.legendre.leggauss(points_per_segment)
     iu, ju = np.triu_indices(m)
     t_lo = np.minimum(t_nodes[iu], t_nodes[ju])
     t_hi = np.maximum(t_nodes[iu], t_nodes[ju])
     acc = np.zeros(iu.size)
     for lo, hi in ((np.full_like(t_lo, a), t_lo), (t_lo, t_hi),
                    (t_hi, np.full_like(t_hi, b))):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        s = mid[:, None] + half[:, None] * gx[None, :]
-        w = half[:, None] * gw[None, :]
+        s, w = segment_gauss(lo, hi, points_per_segment)
         vals = kernel(s, t_nodes[iu][:, None]) * kernel(s, t_nodes[ju][:, None])
         acc += np.einsum("ij,ij->i", vals, w)
     normal = np.zeros((m, m))
@@ -291,14 +287,10 @@ def _adjoint_data_values(kernel: Kernel, y, t_nodes: np.ndarray,
                          points_per_segment: int = 32) -> np.ndarray:
     """Values ``(T* y)(t_l) = integral k(s, t_l) y(s) ds`` split at t_l."""
     a, b = kernel.domain.a, kernel.domain.b
-    gx, gw = np.polynomial.legendre.leggauss(points_per_segment)
     out = np.zeros(t_nodes.size)
     for lo, hi in ((np.full_like(t_nodes, a), t_nodes),
                    (t_nodes, np.full_like(t_nodes, b))):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        s = mid[:, None] + half[:, None] * gx[None, :]
-        w = half[:, None] * gw[None, :]
+        s, w = segment_gauss(lo, hi, points_per_segment)
         out += np.einsum("ij,ij->i", kernel(s, t_nodes[:, None]) * np.asarray(y(s)), w)
     return out
 

@@ -210,3 +210,36 @@ def test_flags_override_config(tmp_path):
     assert rc == EXIT_OK
     (row,) = read_csv(out / "summary.csv")
     assert float(row["err_min_norm"]) <= 1e-6  # rank1, not green
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--problem", "all", "--scheme", "all"], "--problem"),
+    (["solve", "--problem", "green-m1", "--scheme", "all"], "--scheme"),
+    (["study", "--problem", "all"], "--problem"),
+])
+def test_requests_for_more_work_than_a_command_runs_are_rejected(
+        tmp_path, capsys, argv, flag):
+    # solve runs one problem and one scheme, study one problem; asking for
+    # more must not silently run only the first
+    assert main(argv + ["--n", "8", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_inner_factor_reaches_the_assembly(tmp_path, monkeypatch, command):
+    built = []
+
+    def spy(*args, **kwargs):
+        system = build_system(*args, **kwargs)
+        built.append(system)
+        return system
+
+    monkeypatch.setattr("illposed.cli.build_system", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "green-m1", "scheme": "collocation",
+                               "n": [8], "inner_factor": 16}))
+    assert main([command, str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    (system,) = built
+    default = build_system(get_problem("green-m1").kernel, "collocation", 8)
+    assert system.inner_rule.n_points >= 16 * 8 > default.inner_rule.n_points

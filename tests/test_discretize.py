@@ -13,7 +13,7 @@ from illposed.discretize import (
     project_data,
 )
 from illposed.linalg import NumericalError
-from illposed.problems import Domain, Kernel, get_problem
+from illposed.problems import Domain, Kernel, get_problem, reference_rule
 from illposed.quadrature import aligned_rule, composite_trapezoid, gauss_legendre
 
 UNIT = Domain(0.0, 1.0)
@@ -67,6 +67,15 @@ def test_nonfinite_kernel_sample_rejected():
     kernel.evaluator = lambda s, t: np.full_like(np.broadcast_arrays(s, t)[0], np.inf)
     with pytest.raises(NumericalError):
         build_system(kernel, "collocation", 4)
+
+
+def test_inner_factor_sizes_the_default_inner_rule():
+    kernel = get_problem("green-m1").kernel
+    default = build_system(kernel, "collocation", 8)
+    wide = build_system(kernel, "collocation", 8, inner_factor=16)
+    assert default.inner_rule.n_points == build_system(
+        kernel, "collocation", 8, inner_factor=4).inner_rule.n_points
+    assert wide.inner_rule.n_points >= 16 * 8 > default.inner_rule.n_points
 
 
 def test_build_argument_validation():
@@ -296,3 +305,44 @@ def test_matrix_dump_corruption_detected(tmp_path, content):
     path.write_text(content)
     with pytest.raises(NumericalError):
         load_matrix(path)
+
+
+# ---------------------------------------------------------------------------
+# slice memo
+
+
+def _fresh_slices(scheme, t):
+    return build_system(get_problem("green-m1").kernel, scheme, 8).slice_values(t)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_slice_memo_hit_matches_fresh_values_bitwise(scheme):
+    grid = reference_rule(UNIT).nodes
+    system = build_system(get_problem("green-m1").kernel, scheme, 8)
+    first = system.slice_values(grid)
+    hit = system.slice_values(grid.copy())
+    assert hit is first
+    assert np.array_equal(hit, _fresh_slices(scheme, grid))
+    with pytest.raises(ValueError):
+        hit[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_slice_memo_follows_the_grid(scheme):
+    # A, then B of the same shape, then A again: never a stale table
+    grid_a = reference_rule(UNIT, 64).nodes
+    grid_b = np.linspace(0.0, 1.0, 64)
+    system = build_system(get_problem("green-m1").kernel, scheme, 8)
+    for grid in (grid_a, grid_b, grid_a):
+        assert np.array_equal(system.slice_values(grid), _fresh_slices(scheme, grid))
+
+
+def test_slice_memo_survives_caller_mutation():
+    grid = reference_rule(UNIT, 64).nodes.copy()
+    other = np.linspace(0.0, 1.0, 64)
+    system = build_system(get_problem("green-m1").kernel, "ortho-pc", 8)
+    system.slice_values(grid)
+    grid[:] = other  # the memo keeps its own copy of the grid
+    assert np.array_equal(system.slice_values(grid), _fresh_slices("ortho-pc", other))
+    assert np.array_equal(system.slice_values(reference_rule(UNIT, 64).nodes),
+                          _fresh_slices("ortho-pc", reference_rule(UNIT, 64).nodes))

@@ -170,3 +170,36 @@ def test_catalog():
     assert problem_catalog() == ("green-m1", "rank1-sine", "rank3-decay")
     with pytest.raises(KeyError):
         get_problem("does-not-exist")
+
+
+def test_mode_tables_match_per_mode_loop():
+    # coefficients and syntheses run on (rank, m) mode tables; they agree
+    # with the term-by-term sums over the 64 Green modes
+    exp = get_problem("green-m1").svd
+    rule = reference_rule(UNIT)
+    f = lambda t: np.exp(np.asarray(t)) * (1.0 - np.asarray(t))
+    for side, funcs in (("u", exp.u_funcs), ("v", exp.v_funcs)):
+        coeffs = exp.coefficients(f, rule, side=side)
+        loop = np.array([np.sum(rule.weights * f(rule.nodes) * g(rule.nodes))
+                         for g in funcs])
+        assert np.max(np.abs(coeffs - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+        combination = exp.synthesize(coeffs, side=side)
+        for t in (rule.nodes, np.linspace(0.0, 1.0, 30).reshape(5, 6), 0.3):
+            loop = sum(c * g(np.asarray(t)) for c, g in zip(coeffs, funcs))
+            got = combination(t)
+            assert np.shape(got) == np.shape(t)
+            assert np.max(np.abs(got - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+
+def test_mode_table_is_read_only_and_follows_the_grid():
+    exp = get_problem("rank3-decay").svd
+    grid_a = reference_rule(UNIT, 32).nodes
+    grid_b = np.linspace(0.0, 1.0, 32)
+    table = exp.mode_table(grid_a, "u")
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert exp.mode_table(grid_a.copy(), "u") is table
+    for grid in (grid_b, grid_a):
+        expected = np.stack([g(grid) for g in exp.u_funcs])
+        assert np.array_equal(exp.mode_table(grid, "u"), expected)

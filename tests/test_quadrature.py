@@ -12,7 +12,9 @@ from illposed.quadrature import (
     composite_gauss,
     composite_trapezoid,
     gauss_legendre,
+    gauss_nodes,
     integrate,
+    segment_gauss,
 )
 
 UNIT = Domain(0.0, 1.0)
@@ -107,3 +109,33 @@ def test_integrate_accepts_values():
     assert integrate(rule, values) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         integrate(rule, values[:-1])
+
+
+def test_gauss_nodes_are_cached_and_read_only():
+    x, w = gauss_nodes(7)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = gauss_nodes(7)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[:] = 1.0
+    assert np.array_equal(gauss_nodes(7)[0], ref_x)
+
+
+@pytest.mark.parametrize("q", [0, -3, 2.5])
+def test_gauss_nodes_rejects_bad_counts(q):
+    with pytest.raises(ValueError):
+        gauss_nodes(q)
+
+
+def test_segment_gauss_rule_per_row():
+    # row i is the 3-point rule on [lo_i, hi_i]: exact for degree 5
+    lo = np.array([0.0, 0.2, -1.0])
+    hi = np.array([1.0, 0.5, 2.0])
+    nodes, weights = segment_gauss(lo, hi, 3)
+    assert nodes.shape == weights.shape == (3, 3)
+    assert np.all((nodes > lo[:, None]) & (nodes < hi[:, None]))
+    values = np.einsum("ij,ij->i", nodes**5, weights)
+    assert values == pytest.approx((hi**6 - lo**6) / 6.0, abs=1e-14)
