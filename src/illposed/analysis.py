@@ -26,9 +26,10 @@ from .discretize import (
     SchemeKind,
     build_system,
     estimate_epsilon,
+    factor_system,
     project_data,
 )
-from .linalg import spectral_norm
+from .linalg import NumericalError, spectral_norm
 from .problems import TestProblem, reference_rule
 from .quadrature import QuadratureRule, aligned_rule, gauss_legendre
 from .regularize import (
@@ -53,6 +54,8 @@ __all__ = [
     "verify_th3",
     "verify_th5",
     "verify_special",
+    "build_cell",
+    "measure_cell",
     "convergence_study",
     "pinverse_norm",
     "reports_to_csv",
@@ -124,7 +127,7 @@ class ConvergenceRow:
         if self.err_noisy is not None:
             values.append(self.err_noisy)
         if any((not np.isfinite(v)) or v < 0.0 for v in values):
-            raise ValueError(f"convergence row holds a non-finite or negative entry: {self}")
+            raise NumericalError(f"convergence row holds a non-finite or negative entry: {self}")
 
 
 def default_tolerance(rhs: float) -> float:
@@ -375,33 +378,60 @@ def pinverse_norm(system: DiscreteSystem) -> float:
     return float(np.sqrt(spectral_norm(0.5 * (pinv + pinv.T))))
 
 
+def build_cell(problem: TestProblem, scheme, n: int, ref_points: int, inner_factor: int,
+               matrix=None) -> DiscreteSystem:
+    """Assemble the system of one (problem, scheme, n) cell and measure eps_n.
+
+    ``matrix`` replays a dumped normal matrix in place of the assembled one,
+    validated and factored by :func:`factor_system` like an assembled one.
+    ``eps_n`` is measured on the ``max(ref_points, 4 n)``-point Gauss rule
+    and cached on the system.
+    """
+    system = build_system(problem.kernel, scheme, n, inner_factor=inner_factor)
+    if matrix is not None:
+        factor_system(system, matrix)
+    estimate_epsilon(system, gauss_legendre(max(ref_points, 4 * n), problem.kernel.domain))
+    return system
+
+
+def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: QuadratureRule,
+                 alpha="eps", spec: NoiseSpec | None = None):
+    """Solve one cell and measure its errors against ``x_dagger``.
+
+    Projects the exact data, solves min-norm and Tikhonov at ``alpha`` (a
+    positive float, or ``"eps"`` for the a-priori shift ``eps_n``) and, for
+    a positive noise level in ``spec``, Tikhonov on the noisy data.  Returns
+    the :class:`ConvergenceRow` and the reconstruction to report: the noisy
+    one when there is noise, the exact-data Tikhonov one otherwise.
+    """
+    eps = _require_epsilon(system)
+    alpha = choose_alpha(eps) if alpha == "eps" else float(alpha)
+    y_n = project_data(system, problem.y)
+    err_min = l2_error(problem.x_dagger, min_norm_solution(system, y_n).function, ref_rule)
+    rec = tikhonov_discrete(system, y_n, alpha)
+    err_tikh = l2_error(problem.x_dagger, rec.function, ref_rule)
+    err_noisy = None
+    if spec is not None and spec.delta_n > 0.0:
+        rec = tikhonov_discrete(system, add_noise(y_n, system.space, spec), alpha)
+        err_noisy = l2_error(problem.x_dagger, rec.function, ref_rule)
+    row = ConvergenceRow(n=system.n, eps_n=eps, sigma_min=system.sigma_min,
+                         err_min_norm=err_min, err_tikh=err_tikh, err_noisy=err_noisy)
+    return row, rec
+
+
 def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | None = None,
-                      ref_points: int = 256, inner_factor: int = 4) -> list[ConvergenceRow]:
-    """Measured error quantities over a ladder of discretization sizes."""
+                      ref_points: int = 256, inner_factor: int = 4, alpha="eps",
+                      matrix=None) -> list[ConvergenceRow]:
+    """Measured error quantities over a ladder of discretization sizes: one
+    :func:`build_cell` and one :func:`measure_cell` per size."""
     n_list = [int(n) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and increasing")
     ref_rule = reference_rule(problem.kernel.domain, ref_points)
     rows = []
     for n in n_list:
-        system = build_system(problem.kernel, scheme, n, inner_factor=inner_factor)
-        eps_rule = gauss_legendre(max(ref_points, 4 * n), problem.kernel.domain)
-        eps = estimate_epsilon(system, eps_rule)
-        y_n = project_data(system, problem.y)
-        err_min = l2_error(problem.x_dagger,
-                           min_norm_solution(system, y_n).function, ref_rule)
-        alpha = choose_alpha(eps)
-        err_tikh = l2_error(problem.x_dagger,
-                            tikhonov_discrete(system, y_n, alpha).function, ref_rule)
-        err_noisy = None
-        if spec is not None and spec.delta_n > 0.0:
-            y_tilde = add_noise(y_n, system.space, spec)
-            err_noisy = l2_error(problem.x_dagger,
-                                 tikhonov_discrete(system, y_tilde, alpha).function,
-                                 ref_rule)
-        rows.append(ConvergenceRow(n=n, eps_n=eps, sigma_min=system.sigma_min,
-                                   err_min_norm=err_min, err_tikh=err_tikh,
-                                   err_noisy=err_noisy))
+        system = build_cell(problem, scheme, n, ref_points, inner_factor, matrix)
+        rows.append(measure_cell(problem, system, ref_rule, alpha, spec)[0])
     return rows
 
 

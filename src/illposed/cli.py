@@ -13,6 +13,10 @@ Three subcommands operate on a JSON config (flags override config fields):
     Runs every bound verification on the configured grid and writes
     ``bounds.csv``; exits 0 iff every non-skipped report passed.
 
+Every command builds each (problem, scheme, n) cell with
+``analysis.build_cell``; ``solve`` and ``study`` measure it with
+``analysis.measure_cell``, ``verify`` with the bound verifiers.
+
 Exit codes: 0 success, 2 configuration/usage error (including a request for
 more problems or schemes than the command runs), 3 numerical failure.
 Outputs are written atomically (temp file, then rename) and are byte-for-byte
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -33,9 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _fmt,
+    build_cell,
     convergence_study,
-    l2_error,
+    measure_cell,
     reports_to_csv,
     rows_to_csv,
     verify_special,
@@ -43,24 +48,10 @@ from .analysis import (
     verify_th3,
     verify_th5,
 )
-from .discretize import (
-    SchemeKind,
-    build_system,
-    estimate_epsilon,
-    factor_system,
-    load_matrix,
-    project_data,
-)
+from .discretize import SchemeKind, load_matrix
 from .linalg import NumericalError
 from .problems import get_problem, problem_catalog, reference_rule
-from .quadrature import gauss_legendre
-from .regularize import (
-    NoiseSpec,
-    add_noise,
-    choose_alpha,
-    min_norm_solution,
-    tikhonov_discrete,
-)
+from .regularize import NoiseSpec
 
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_verify", "cmd_study"]
 
@@ -105,12 +96,16 @@ class RunConfig:
                 f"ref_points={self.ref_points} must be at least 4*max(n)="
                 f"{4 * max(self.n_list)}"
             )
-        if self.delta is not None and self.delta < 0.0:
-            raise ConfigError("delta must be >= 0")
+        if SchemeKind.INTERPOLATORY in self.schemes and min(self.n_list) < 2:
+            raise ConfigError("the interpolatory scheme needs n >= 2")
+        if self.delta is not None and not 0.0 <= self.delta < math.inf:
+            raise ConfigError(f"delta must be finite and >= 0, got {self.delta!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.inner_factor < 4:
             raise ConfigError("inner_factor must be >= 4")
-        if isinstance(self.alpha_rule, float) and self.alpha_rule <= 0.0:
-            raise ConfigError("fixed alpha must be positive")
+        if isinstance(self.alpha_rule, float) and not 0.0 < self.alpha_rule < math.inf:
+            raise ConfigError(f"fixed alpha must be positive and finite, got {self.alpha_rule!r}")
 
 
 def _parse_n(value) -> list[int]:
@@ -120,33 +115,16 @@ def _parse_n(value) -> list[int]:
 
 
 def _parse_alpha(value):
-    if value is None:
+    if value is None or (isinstance(value, str) and value.strip().lower() == "eps"):
         return "eps"
-    if isinstance(value, str):
-        if value.strip().lower() == "eps":
-            return "eps"
-        return float(value)
     return float(value)
 
 
-def _parse_schemes(value) -> list[SchemeKind]:
-    if value is None:
-        return [SchemeKind.COLLOCATION]
+def _parse_ids(value, catalog, parse) -> list:
+    """One id, a list of ids, or ``all`` for every entry of ``catalog``."""
     if isinstance(value, str) and value.strip().lower() == "all":
-        return list(SchemeKind)
-    if isinstance(value, (list, tuple)):
-        return [SchemeKind.parse(v) for v in value]
-    return [SchemeKind.parse(value)]
-
-
-def _parse_problems(value) -> list[str]:
-    if value is None:
-        return ["rank1-sine"]
-    if isinstance(value, str) and value.strip().lower() == "all":
-        return list(problem_catalog())
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [str(value)]
+        return list(catalog)
+    return [parse(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
 
 
 _CONFIG_KEYS = frozenset({
@@ -170,18 +148,15 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
         try:
             merged["ref_points"] = int(env_ref)
         except ValueError:
-            raise ConfigError(
-                f"{REF_POINTS_ENV}={env_ref!r} is not an integer"
-            ) from None
-    for key in ("problem", "scheme", "n", "alpha", "delta", "seed", "out",
-                "ref_points", "inner_factor"):
+            raise ConfigError(f"{REF_POINTS_ENV}={env_ref!r} is not an integer") from None
+    for key in _CONFIG_KEYS - {"matrix_dump"}:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     try:
         return RunConfig(
-            problem_ids=_parse_problems(merged.get("problem")),
-            schemes=_parse_schemes(merged.get("scheme")),
+            problem_ids=_parse_ids(merged["problem"], problem_catalog(), str),
+            schemes=_parse_ids(merged["scheme"], SchemeKind, SchemeKind.parse),
             n_list=_parse_n(merged.get("n", [16])),
             alpha_rule=_parse_alpha(merged.get("alpha")),
             delta=None if merged.get("delta") is None else float(merged["delta"]),
@@ -219,65 +194,54 @@ def _require_single(command: str, **requested) -> None:
             )
 
 
-def _build_cell(problem, scheme, n, config: RunConfig):
-    system = build_system(problem.kernel, scheme, n, inner_factor=config.inner_factor)
-    if config.matrix_dump is not None:
-        # debugging hook: replay a dumped matrix in place of the assembly,
-        # validated and factored exactly like an assembled one
-        factor_system(system, load_matrix(config.matrix_dump))
-    eps_rule = gauss_legendre(max(config.ref_points, 4 * n), problem.kernel.domain)
-    estimate_epsilon(system, eps_rule)
-    return system
+def _noise(config: RunConfig) -> NoiseSpec | None:
+    return None if config.delta is None else NoiseSpec(delta_n=config.delta, seed=config.seed)
+
+
+def _replayed_matrix(config: RunConfig):
+    """The ``matrix_dump`` to replay in place of every assembly, or None."""
+    if config.matrix_dump is None:
+        return None
+    try:
+        return load_matrix(config.matrix_dump)
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix_dump: {exc}") from None
 
 
 def cmd_solve(config: RunConfig) -> int:
     _require_single("solve", problem=config.problem_ids,
                     scheme=[s.value for s in config.schemes])
     problem = get_problem(config.problem_ids[0])
-    scheme = config.schemes[0]
+    matrix = _replayed_matrix(config)
     ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
-    summary = ["n,eps_n,sigma_min,err_min_norm,err_tikh,err_noisy"]
+    s_grid = ref_rule.nodes
+    x_true = np.asarray(problem.x_dagger(s_grid), dtype=float)
+    rows = []
     for n in config.n_list:
-        system = _build_cell(problem, scheme, n, config)
-        eps = system.epsilon_n
-        y_n = project_data(system, problem.y)
-        alpha = choose_alpha(eps) if config.alpha_rule == "eps" else float(config.alpha_rule)
-        rec_min = min_norm_solution(system, y_n)
-        rec_tikh = tikhonov_discrete(system, y_n, alpha)
-        err_min = l2_error(problem.x_dagger, rec_min.function, ref_rule)
-        err_tikh = l2_error(problem.x_dagger, rec_tikh.function, ref_rule)
-        err_noisy = None
-        reconstruction = rec_tikh
-        if config.delta:
-            y_tilde = add_noise(y_n, system.space,
-                                NoiseSpec(delta_n=config.delta, seed=config.seed))
-            rec_noisy = tikhonov_discrete(system, y_tilde, alpha)
-            err_noisy = l2_error(problem.x_dagger, rec_noisy.function, ref_rule)
-            reconstruction = rec_noisy
-        summary.append(",".join(_fmt(v) for v in
-                                (n, eps, system.sigma_min, err_min, err_tikh, err_noisy)))
-
-        s_grid = ref_rule.nodes
-        x_true = np.asarray(problem.x_dagger(s_grid), dtype=float)
+        system = build_cell(problem, config.schemes[0], n, config.ref_points,
+                            config.inner_factor, matrix)
+        row, reconstruction = measure_cell(problem, system, ref_rule, config.alpha_rule,
+                                           _noise(config))
+        rows.append(row)
         x_rec = np.asarray(reconstruction.function(s_grid), dtype=float)
         lines = ["s,x_reconstructed,x_true"]
         for s, xr, xt in zip(s_grid, x_rec, x_true):
             lines.append(f"{s:.17g},{xr:.17g},{xt:.17g}")
         _atomic_write(config.output_dir / f"solution_{n}.csv", "\n".join(lines) + "\n")
-    _atomic_write(config.output_dir / "summary.csv", "\n".join(summary) + "\n")
+    _atomic_write(config.output_dir / "summary.csv", rows_to_csv(rows))
     return EXIT_OK
 
 
 def cmd_study(config: RunConfig) -> int:
     _require_single("study", problem=config.problem_ids)
     problem = get_problem(config.problem_ids[0])
-    spec = (NoiseSpec(delta_n=config.delta, seed=config.seed)
-            if config.delta else None)
+    matrix = _replayed_matrix(config)
     multi = len(config.schemes) > 1
     for scheme in config.schemes:
-        rows = convergence_study(problem, scheme, config.n_list, spec,
+        rows = convergence_study(problem, scheme, config.n_list, _noise(config),
                                  ref_points=config.ref_points,
-                                 inner_factor=config.inner_factor)
+                                 inner_factor=config.inner_factor,
+                                 alpha=config.alpha_rule, matrix=matrix)
         name = f"convergence_{scheme.value}.csv" if multi else "convergence.csv"
         _atomic_write(config.output_dir / name, rows_to_csv(rows))
     return EXIT_OK
@@ -286,13 +250,16 @@ def cmd_study(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     th3_deltas = VERIFY_TH3_DELTAS if config.delta is None else (config.delta,)
     th5_deltas = VERIFY_TH5_DELTAS if config.delta is None else (config.delta,)
+    th5_alphas = VERIFY_TH5_ALPHAS if config.alpha_rule == "eps" else (config.alpha_rule,)
+    matrix = _replayed_matrix(config)
     reports = []
     for problem_id in config.problem_ids:
         problem = get_problem(problem_id)
         ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
         for scheme in config.schemes:
             for n in config.n_list:
-                system = _build_cell(problem, scheme, n, config)
+                system = build_cell(problem, scheme, n, config.ref_points,
+                                    config.inner_factor, matrix)
                 reports.extend(verify_th1(problem, system, ref_rule=ref_rule))
                 for delta in th3_deltas:
                     reports.extend(verify_th3(
@@ -300,7 +267,7 @@ def cmd_verify(config: RunConfig) -> int:
                         ref_rule=ref_rule))
                 for delta in th5_deltas:
                     reports.extend(verify_th5(
-                        problem, system, VERIFY_TH5_ALPHAS,
+                        problem, system, th5_alphas,
                         NoiseSpec(delta_n=delta, seed=config.seed), ref_rule=ref_rule))
                 reports.extend(verify_special(problem, system, config.ref_points))
     _atomic_write(config.output_dir / "bounds.csv", reports_to_csv(reports))
@@ -368,11 +335,8 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](config)
-    except KeyError as exc:
+    except (KeyError, ConfigError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

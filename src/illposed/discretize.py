@@ -491,8 +491,11 @@ def dump_matrix(matrix: np.ndarray, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix written by :func:`dump_matrix`; validates the header."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise NumericalError(f"matrix dump {path!r} is corrupted: {exc}") from None
     if not lines:
         raise NumericalError(f"matrix dump {path!r} is empty")
     try:

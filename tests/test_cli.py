@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from illposed.analysis import build_cell
 from illposed.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from illposed.discretize import build_system, dump_matrix
 from illposed.problems import get_problem
@@ -226,7 +227,7 @@ def test_requests_for_more_work_than_a_command_runs_are_rejected(
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
 def test_inner_factor_reaches_the_assembly(tmp_path, monkeypatch, command):
     built = []
 
@@ -235,7 +236,7 @@ def test_inner_factor_reaches_the_assembly(tmp_path, monkeypatch, command):
         built.append(system)
         return system
 
-    monkeypatch.setattr("illposed.cli.build_system", spy)
+    monkeypatch.setattr("illposed.analysis.build_system", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "green-m1", "scheme": "collocation",
                                "n": [8], "inner_factor": 16}))
@@ -243,3 +244,87 @@ def test_inner_factor_reaches_the_assembly(tmp_path, monkeypatch, command):
     (system,) = built
     default = build_system(get_problem("green-m1").kernel, "collocation", 8)
     assert system.inner_rule.n_points >= 16 * 8 > default.inner_rule.n_points
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["solve", "--alpha", "nan"], "alpha"),
+    (["solve", "--alpha", "inf"], "alpha"),
+    (["solve", "--delta", "nan"], "delta"),
+    (["solve", "--delta", "inf"], "delta"),
+    (["solve", "--seed", "-1", "--delta", "1e-3"], "seed"),
+    (["solve", "--scheme", "interpolatory", "--n", "1"], "interpolatory"),
+    (["study", "--scheme", "interpolatory", "--n", "1"], "interpolatory"),
+    (["verify", "--scheme", "interpolatory", "--n", "1"], "interpolatory"),
+])
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, word):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_a_non_finite_measurement_is_a_numerical_failure(tmp_path, capsys, command):
+    # a shift far below the rounding level overflows the Tikhonov solve;
+    # the run must not write inf into the summary
+    out = tmp_path / "out"
+    argv = [command, "--problem", "rank1-sine", "--alpha", "1e-300", "--n", "8"]
+    assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_summary_equals_the_study_rows(tmp_path):
+    # both commands run the same cell, so a fixed alpha and noise must give
+    # the same bytes
+    args = ["--problem", "green-m1", "--scheme", "ortho-pc", "--n", "8,16",
+            "--alpha", "1e-3", "--delta", "1e-4"]
+    assert main(["solve"] + args + ["--out", str(tmp_path / "solve")]) == EXIT_OK
+    assert main(["study"] + args + ["--out", str(tmp_path / "study")]) == EXIT_OK
+    assert ((tmp_path / "solve" / "summary.csv").read_bytes()
+            == (tmp_path / "study" / "convergence.csv").read_bytes())
+
+
+@pytest.mark.parametrize("data", [b"2,2\n1.0,oops\n0.0,1.0\n", b"2,2\n1.0,\xe9\n0.0,1.0\n"])
+def test_study_with_a_corrupted_matrix_dump_exits_3(tmp_path, capsys, data):
+    dump_path = tmp_path / "dump.csv"
+    dump_path.write_bytes(data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [2],
+                               "matrix_dump": str(dump_path)}))
+    assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "corrupted" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_replaying_its_own_matrix_dump_reproduces_the_rows(tmp_path):
+    dump_path = tmp_path / "dump.csv"
+    dump_matrix(build_system(get_problem("green-m1").kernel, "collocation", 12).matrix,
+                dump_path)
+    args = ["study", "--problem", "green-m1", "--scheme", "collocation", "--n", "12",
+            "--delta", "1e-3"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix_dump": str(dump_path)}))
+    assert main(args + [str(cfg), "--out", str(tmp_path / "replay")]) == EXIT_OK
+    assert ((tmp_path / "plain" / "convergence.csv").read_bytes()
+            == (tmp_path / "replay" / "convergence.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
+def test_missing_matrix_dump_file_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [8], "problem": "rank1-sine",
+                               "matrix_dump": str(tmp_path / "nope.csv")}))
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "matrix_dump" in capsys.readouterr().err
+
+
+def test_verify_fixed_alpha_replaces_the_th5_grid(tmp_path):
+    assert main(["verify", "--alpha", "1e-3", "--n", "8", "--problem", "rank1-sine",
+                 "--scheme", "collocation", "--out", str(tmp_path)]) == EXIT_OK
+    eps = build_cell(get_problem("rank1-sine"), "collocation", 8, 256, 4).epsilon_n
+    alphas = {float(r["alpha"]) for r in read_csv(tmp_path / "bounds.csv")
+              if r["bound_id"].startswith("Th-5")}
+    assert alphas == {1e-3, eps}
