@@ -29,7 +29,6 @@ from .linalg import (
     NumericalError,
     SvdResult,
     WeightedSpace,
-    min_positive_singular,
     pseudo_solve,
     solve_shifted,
     spectral_norm,

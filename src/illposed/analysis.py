@@ -26,12 +26,11 @@ from .discretize import (
     SchemeKind,
     build_system,
     estimate_epsilon,
-    factor_system,
     project_data,
 )
 from .linalg import NumericalError, spectral_norm
-from .problems import TestProblem, reference_rule
-from .quadrature import QuadratureRule, aligned_rule, gauss_legendre
+from .problems import REFERENCE_POINTS, TestProblem, reference_rule
+from .quadrature import QuadratureRule, aligned_rule
 from .regularize import (
     InconsistentDataError,
     NoiseSpec,
@@ -313,7 +312,7 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
 
 
 def verify_special(problem: TestProblem, system: DiscreteSystem,
-                   ref_points: int = 256) -> list[BoundReport]:
+                   ref_points: int = REFERENCE_POINTS) -> list[BoundReport]:
     """Operator-norm estimates relating the normal-operator error to the
     projection defect.
 
@@ -380,17 +379,16 @@ def pinverse_norm(system: DiscreteSystem) -> float:
 
 def build_cell(problem: TestProblem, scheme, n: int, ref_points: int, inner_factor: int,
                matrix=None) -> DiscreteSystem:
-    """Assemble the system of one (problem, scheme, n) cell and measure eps_n.
+    """Build the system of one (problem, scheme, n) cell and measure eps_n.
 
-    ``matrix`` replays a dumped normal matrix in place of the assembled one,
-    validated and factored by :func:`factor_system` like an assembled one.
-    ``eps_n`` is measured on the ``max(ref_points, 4 n)``-point Gauss rule
-    and cached on the system.
+    ``matrix`` replays a dumped normal matrix in place of the assembly;
+    :func:`build_system` validates and factors it like an assembled one.
+    ``eps_n`` is measured by :func:`estimate_epsilon` at ``ref_points`` and
+    cached on the system.
     """
-    system = build_system(problem.kernel, scheme, n, inner_factor=inner_factor)
-    if matrix is not None:
-        factor_system(system, matrix)
-    estimate_epsilon(system, gauss_legendre(max(ref_points, 4 * n), problem.kernel.domain))
+    system = build_system(problem.kernel, scheme, n, inner_factor=inner_factor,
+                          matrix=matrix)
+    estimate_epsilon(system, ref_points)
     return system
 
 
@@ -420,7 +418,7 @@ def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: Quadrat
 
 
 def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | None = None,
-                      ref_points: int = 256, inner_factor: int = 4, alpha="eps",
+                      ref_points: int = REFERENCE_POINTS, inner_factor: int = 4, alpha="eps",
                       matrix=None) -> list[ConvergenceRow]:
     """Measured error quantities over a ladder of discretization sizes: one
     :func:`build_cell` and one :func:`measure_cell` per size."""

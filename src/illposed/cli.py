@@ -19,9 +19,10 @@ Every command builds each (problem, scheme, n) cell with
 
 Exit codes: 0 success, 2 configuration/usage error (including a request for
 more problems or schemes than the command runs), 3 numerical failure.
-Outputs are written atomically (temp file, then rename) and are byte-for-byte
-reproducible for a fixed config, seed, machine and BLAS thread count; the
-pass/fail verdicts are identical across BLAS thread counts.
+Outputs are written only after every cell has succeeded, so a failed run
+writes none.  Each is written atomically (temp file, then rename) and is
+byte-for-byte reproducible for a fixed config, seed, machine and BLAS thread
+count; the pass/fail verdicts are identical across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .analysis import (
 )
 from .discretize import SchemeKind, load_matrix
 from .linalg import NumericalError
-from .problems import get_problem, problem_catalog, reference_rule
+from .problems import REFERENCE_POINTS, get_problem, problem_catalog, reference_rule
 from .regularize import NoiseSpec
 
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_verify", "cmd_study"]
@@ -82,7 +83,7 @@ class RunConfig:
     delta: float | None = None
     seed: int = 0
     output_dir: Path = Path(".")
-    ref_points: int = 256
+    ref_points: int = REFERENCE_POINTS
     inner_factor: int = 4
     matrix_dump: Path | None = None
 
@@ -162,7 +163,7 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
             delta=None if merged.get("delta") is None else float(merged["delta"]),
             seed=int(merged.get("seed", 0)),
             output_dir=Path(merged.get("out", ".")),
-            ref_points=int(merged.get("ref_points", 256)),
+            ref_points=int(merged.get("ref_points", REFERENCE_POINTS)),
             inner_factor=int(merged.get("inner_factor", 4)),
             matrix_dump=(Path(merged["matrix_dump"])
                          if merged.get("matrix_dump") else None),
@@ -216,14 +217,16 @@ def cmd_solve(config: RunConfig) -> int:
     ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
     s_grid = ref_rule.nodes
     x_true = np.asarray(problem.x_dagger(s_grid), dtype=float)
-    rows = []
+    rows, solutions = [], []
     for n in config.n_list:
         system = build_cell(problem, config.schemes[0], n, config.ref_points,
                             config.inner_factor, matrix)
         row, reconstruction = measure_cell(problem, system, ref_rule, config.alpha_rule,
                                            _noise(config))
         rows.append(row)
-        x_rec = np.asarray(reconstruction.function(s_grid), dtype=float)
+        solutions.append(np.asarray(reconstruction.function(s_grid), dtype=float))
+    # every cell succeeded: only now write, so a failed run leaves no files
+    for n, x_rec in zip(config.n_list, solutions):
         lines = ["s,x_reconstructed,x_true"]
         for s, xr, xt in zip(s_grid, x_rec, x_true):
             lines.append(f"{s:.17g},{xr:.17g},{xt:.17g}")
@@ -236,12 +239,13 @@ def cmd_study(config: RunConfig) -> int:
     _require_single("study", problem=config.problem_ids)
     problem = get_problem(config.problem_ids[0])
     matrix = _replayed_matrix(config)
-    multi = len(config.schemes) > 1
-    for scheme in config.schemes:
-        rows = convergence_study(problem, scheme, config.n_list, _noise(config),
+    studies = [convergence_study(problem, scheme, config.n_list, _noise(config),
                                  ref_points=config.ref_points,
                                  inner_factor=config.inner_factor,
                                  alpha=config.alpha_rule, matrix=matrix)
+               for scheme in config.schemes]
+    multi = len(config.schemes) > 1
+    for scheme, rows in zip(config.schemes, studies):
         name = f"convergence_{scheme.value}.csv" if multi else "convergence.csv"
         _atomic_write(config.output_dir / name, rows_to_csv(rows))
     return EXIT_OK

@@ -19,7 +19,13 @@ function ``g_i`` (a kernel section, or a cell-averaged kernel section), the
 adjoint applied to coordinates ``v`` is ``sum_i g_i (M v)_i`` with M the
 metric, and the matrix of the composed operator on the data space is
 ``A = K M`` where ``K_ij = integral g_i g_j``.  ``M A`` is then symmetric
-positive semidefinite by construction, which the builder verifies.
+positive semidefinite by construction.
+
+:func:`build_system` is the one place a system is assembled, validated and
+factored: it checks that ``M A`` is self-adjoint PSD, then stores one
+eigendecomposition that every solve filters.  A matrix handed to it (a
+replayed dump) skips the assembly and goes through the same checks and the
+same factorization.
 
 Entry integrals use a panel-aligned composite Gauss rule by default: panels
 break at the scheme's nodes/cell boundaries, where diagonally kinked kernels
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric, spectral_norm
-from .problems import Kernel
+from .problems import REFERENCE_POINTS, Kernel
 from .quadrature import (
     Domain,
     QuadratureRule,
@@ -52,7 +58,6 @@ __all__ = [
     "SchemeKind",
     "DiscreteSystem",
     "build_system",
-    "factor_system",
     "project_data",
     "apply_adjoint",
     "estimate_epsilon",
@@ -65,6 +70,7 @@ _CELL_GAUSS = 24
 
 _SYMMETRY_RTOL = 1e-8
 _PSD_RTOL = 1e-8
+_EPS_SAFETY = 1.1
 
 
 class SchemeKind(str, enum.Enum):
@@ -107,10 +113,7 @@ class DiscreteSystem:
         Inner product of the data space.
     matrix : ndarray
         Matrix of the composed operator (the normal operator on data space)
-        in the scheme basis; ``A = K M``.
-    slice_gram : ndarray
-        ``K_ij = integral g_i g_j`` from which ``matrix`` was assembled; also
-        the exact L2 Gram of adjoint reconstructions.
+        in the scheme basis; ``A = K M`` with ``K_ij = integral g_i g_j``.
     sym_matrix : ndarray
         ``M^(1/2) A M^(-1/2)``, symmetric PSD; its eigenvalues are the
         squared singular values of the discretized operator.
@@ -135,7 +138,6 @@ class DiscreteSystem:
     rule: QuadratureRule
     space: WeightedSpace
     matrix: np.ndarray
-    slice_gram: np.ndarray
     sym_matrix: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
@@ -281,8 +283,9 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
 
 def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | None = None,
                  outer_rule: QuadratureRule | None = None,
-                 rel_tol: float = 1e-10, inner_factor: int = 4) -> DiscreteSystem:
-    """Assemble the discrete normal system for a kernel and scheme.
+                 rel_tol: float = 1e-10, inner_factor: int = 4,
+                 matrix=None) -> DiscreteSystem:
+    """Assemble, validate and factor the discrete normal system.
 
     Parameters
     ----------
@@ -303,12 +306,16 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         quadrature noise.
     inner_factor : int
         Point budget of the default inner rule, per unit of ``n``.
+    matrix : array_like, optional
+        Normal matrix to use in place of the assembled one (a replayed
+        dump); slice sampling and assembly are skipped, the checks and the
+        factorization are the same.
 
     Raises
     ------
     NumericalError
-        If the assembled matrix is not self-adjoint PSD in the data-space
-        metric, which indicates a broken kernel or rule.
+        If the matrix has the wrong shape or is not self-adjoint PSD in the
+        data-space metric, which indicates a broken kernel, rule or dump.
     """
     scheme = SchemeKind.parse(scheme)
     n = int(n)
@@ -340,7 +347,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
 
     system = DiscreteSystem(
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
-        matrix=np.empty(0), slice_gram=np.empty(0), sym_matrix=np.empty(0),
+        matrix=np.empty(0), sym_matrix=np.empty(0),
         eigvals=np.empty(0), eigvecs=np.empty(0), sigma_min=0.0,
         inner_rule=rule, rel_tol=float(rel_tol),
     )
@@ -354,30 +361,19 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         )
     system.inner_rule = inner_rule
 
-    gv = system.slice_values(inner_rule.nodes)
-    if not np.all(np.isfinite(gv)):
-        raise NumericalError("kernel produced non-finite slice samples")
-    slice_gram = (gv * inner_rule.weights) @ gv.T
-    slice_gram = 0.5 * (slice_gram + slice_gram.T)
-    factor_system(system, slice_gram @ space.metric_dense(), slice_gram)
+    if matrix is None:
+        gv = system.slice_values(inner_rule.nodes)
+        if not np.all(np.isfinite(gv)):
+            raise NumericalError("kernel produced non-finite slice samples")
+        slice_gram = (gv * inner_rule.weights) @ gv.T
+        matrix = 0.5 * (slice_gram + slice_gram.T) @ space.metric_dense()
+    _factor_system(system, matrix)
     return system
 
 
-def factor_system(system: DiscreteSystem, matrix, slice_gram=None) -> None:
-    """Install ``matrix`` as the system's normal matrix and factor it once.
-
-    Checks that ``M A`` is symmetric and that the symmetrized matrix is
-    positive semidefinite, then stores the matrix, its symmetrization, the
-    eigendecomposition and ``sigma_min`` on the system.  ``slice_gram``
-    defaults to ``A M^(-1)``, for matrices that come from outside the
-    assembly (a replayed dump).
-
-    Raises
-    ------
-    NumericalError
-        If the matrix has the wrong shape or is not self-adjoint PSD in the
-        data-space metric.
-    """
+def _factor_system(system: DiscreteSystem, matrix) -> None:
+    """Check ``M A`` is self-adjoint PSD, then store the matrix, its
+    symmetrization, its eigendecomposition and ``sigma_min`` on the system."""
     matrix = as_matrix(matrix, "matrix")
     if matrix.shape != (system.n, system.n):
         raise NumericalError(
@@ -403,10 +399,7 @@ def factor_system(system: DiscreteSystem, matrix, slice_gram=None) -> None:
             f"vs max {vals[0]:.3e})"
         )
 
-    if slice_gram is None:
-        slice_gram = space.isqrt_apply(space.isqrt_apply(matrix.T)).T
     system.matrix = matrix
-    system.slice_gram = slice_gram
     system.sym_matrix = sym
     system.eigvals = vals
     system.eigvecs = vecs
@@ -448,23 +441,16 @@ def apply_adjoint(system: DiscreteSystem, v):
     return reconstruction
 
 
-def estimate_epsilon(system: DiscreteSystem, ref_rule: QuadratureRule | None = None,
-                     safety: float = 1.1) -> float:
+def estimate_epsilon(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS) -> float:
     """Measured upper bound for the operator-level discretization error.
 
     Builds matrix representations of the continuous and discretized normal
-    operators on a fine reference grid, symmetrized by the square root of
-    the grid weights so the matrix 2-norm approximates the L2 operator norm,
-    and returns the norm of the difference times a safety factor.  The
-    result is cached on the system (write-once).
+    operators on the ``max(ref_points, 4 n)``-point Gauss rule, symmetrized
+    by the square root of the grid weights so the matrix 2-norm approximates
+    the L2 operator norm, and returns the norm of the difference times a
+    safety factor of 1.1.  The result is cached on the system (write-once).
     """
-    if ref_rule is None:
-        ref_rule = gauss_legendre(max(256, 4 * system.n), system.domain)
-    if ref_rule.n_points < 4 * system.n:
-        raise ValueError(
-            f"reference rule has {ref_rule.n_points} points; need at least "
-            f"4 n = {4 * system.n}"
-        )
+    ref_rule = gauss_legendre(max(int(ref_points), 4 * system.n), system.domain)
     nodes = ref_rule.nodes
     rho = ref_rule.weights
     sqrt_rho = np.sqrt(rho)
@@ -474,7 +460,7 @@ def estimate_epsilon(system: DiscreteSystem, ref_rule: QuadratureRule | None = N
     gv = system.slice_values(nodes)
     normal_disc = gv.T @ (system.space.metric_dense() @ gv)
     diff = (normal_cont - normal_disc) * np.outer(sqrt_rho, sqrt_rho)
-    value = float(safety) * spectral_norm(0.5 * (diff + diff.T))
+    value = _EPS_SAFETY * spectral_norm(0.5 * (diff + diff.T))
     return system.cache_epsilon(value)
 
 

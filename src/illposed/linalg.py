@@ -32,7 +32,6 @@ __all__ = [
     "pseudo_solve",
     "solve_shifted",
     "spectral_norm",
-    "min_positive_singular",
 ]
 
 
@@ -85,10 +84,6 @@ class WeightedSpace:
             self._sqrt = (vecs * np.sqrt(vals)) @ vecs.T
             self._isqrt = (vecs / np.sqrt(vals)) @ vecs.T
             self.dim = m.shape[0]
-
-    @staticmethod
-    def euclidean(n: int) -> "WeightedSpace":
-        return WeightedSpace(weights=np.ones(int(n)))
 
     @property
     def is_diagonal(self) -> bool:
@@ -205,7 +200,7 @@ def pseudo_solve(a, b, rel_tol: float = 1e-10) -> np.ndarray:
     return dec.v[:, keep] @ coeff
 
 
-def solve_shifted(a, alpha: float, b, space: WeightedSpace | None = None) -> np.ndarray:
+def solve_shifted(a, alpha: float, b, space: WeightedSpace) -> np.ndarray:
     """Solve ``(A + alpha I) v = b`` for A self-adjoint PSD in ``space``.
 
     The system is symmetrized through ``z = M^(1/2) v`` so the actual solve
@@ -220,8 +215,6 @@ def solve_shifted(a, alpha: float, b, space: WeightedSpace | None = None) -> np.
     n = a.shape[0]
     if a.shape[1] != n or b.size != n:
         raise ValueError("solve_shifted expects a square system matching b")
-    if space is None:
-        space = WeightedSpace.euclidean(n)
     if space.dim != n:
         raise ValueError("space dimension does not match the system")
 
@@ -258,18 +251,3 @@ def spectral_norm(a) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(a))))
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
-
-def min_positive_singular(a, rel_tol: float = 1e-10) -> float:
-    """Smallest singular value exceeding ``rel_tol * sigma_max``.
-
-    Raises :class:`NumericalError` when every singular value falls below the
-    threshold (a numerically zero operator).
-    """
-    a = as_matrix(a, "A")
-    check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    kept = s[s > rel_tol * smax] if smax > 0 else np.array([])
-    if kept.size == 0:
-        raise NumericalError("numerically zero operator: no singular value above threshold")
-    return float(kept[-1])

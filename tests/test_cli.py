@@ -182,6 +182,33 @@ def test_replaying_the_own_matrix_dump_reproduces_the_summary(tmp_path):
                 == (tmp_path / "replay" / name).read_bytes())
 
 
+def test_solve_writes_nothing_when_a_later_cell_fails(tmp_path, capsys):
+    # the 2x2 dump fits the n=2 cell but not the n=4 one
+    dump_path = tmp_path / "dump.csv"
+    dump_matrix(np.eye(2), dump_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [2, 4],
+                               "matrix_dump": str(dump_path)}))
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    assert "does not match the system (4, 4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_study_writes_nothing_when_a_later_scheme_fails(tmp_path, capsys):
+    # diag(1, 2) is self-adjoint for the equal weights of collocation at
+    # n=2 but not in the interpolatory hat Gram metric
+    dump_path = tmp_path / "dump.csv"
+    dump_matrix(np.diag([1.0, 2.0]), dump_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [2],
+                               "matrix_dump": str(dump_path)}))
+    out = tmp_path / "out"
+    assert main(["study", str(cfg), "--scheme", "all", "--out", str(out)]) == EXIT_NUMERICAL
+    assert "not self-adjoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _verify_in_subprocess(out, threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))

@@ -8,7 +8,6 @@ from illposed.discretize import (
     build_system,
     dump_matrix,
     estimate_epsilon,
-    factor_system,
     load_matrix,
     project_data,
 )
@@ -124,26 +123,26 @@ def test_stored_factor_reproduces_symmetrized_matrix(scheme):
 
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
 def test_factor_system_refactors_a_replaced_matrix(scheme):
-    # refactoring the system's own matrix recovers every stored quantity;
-    # the slice Gram matrix is recomputed as A M^(-1)
-    system = build_system(get_problem("green-m1").kernel, scheme, 8)
-    gram, lam, sigma = system.slice_gram, system.eigvals, system.sigma_min
-    factor_system(system, 2.0 * system.matrix)
-    assert system.eigvals == pytest.approx(2.0 * lam, rel=1e-10, abs=1e-14 * lam[0])
-    assert system.sigma_min == pytest.approx(np.sqrt(2.0) * sigma, rel=1e-8)
-    assert system.slice_gram == pytest.approx(2.0 * gram, rel=1e-10, abs=1e-14)
+    # a system built from a given matrix is factored like an assembled one:
+    # twice the assembled matrix doubles every eigenvalue
+    kernel = get_problem("green-m1").kernel
+    system = build_system(kernel, scheme, 8)
+    lam, sigma = system.eigvals, system.sigma_min
+    replayed = build_system(kernel, scheme, 8, matrix=2.0 * system.matrix)
+    assert replayed.eigvals == pytest.approx(2.0 * lam, rel=1e-10, abs=1e-14 * lam[0])
+    assert replayed.sigma_min == pytest.approx(np.sqrt(2.0) * sigma, rel=1e-8)
 
 
 def test_factor_system_rejects_broken_matrices():
-    system = build_system(get_problem("green-m1").kernel, "collocation", 6)
-    matrix = system.matrix
+    kernel = get_problem("green-m1").kernel
+    matrix = build_system(kernel, "collocation", 6).matrix
     with pytest.raises(NumericalError, match="not PSD"):
-        factor_system(system, -matrix)
+        build_system(kernel, "collocation", 6, matrix=-matrix)
     with pytest.raises(NumericalError, match="not self-adjoint"):
-        factor_system(system, matrix + np.triu(np.ones((6, 6))) * np.max(matrix))
+        build_system(kernel, "collocation", 6,
+                     matrix=matrix + np.triu(np.ones((6, 6))) * np.max(matrix))
     with pytest.raises(NumericalError, match="shape"):
-        factor_system(system, np.eye(5))
-    assert system.matrix is matrix  # a rejected matrix is never installed
+        build_system(kernel, "collocation", 6, matrix=np.eye(5))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +229,6 @@ def test_epsilon_green_trapezoid_collocation_decreases():
         system = build_system(prob.kernel, "collocation", n, outer_rule=rule)
         values.append(estimate_epsilon(system))
     assert values[0] > values[1] > values[2]
-
-
-def test_epsilon_requires_fine_reference():
-    prob = get_problem("rank1-sine")
-    system = build_system(prob.kernel, "collocation", 8)
-    with pytest.raises(ValueError):
-        estimate_epsilon(system, gauss_legendre(16, UNIT))
 
 
 def test_epsilon_monotone_trend_all_schemes(catalog, grid_systems):

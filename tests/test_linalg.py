@@ -7,7 +7,6 @@ from illposed.linalg import (
     NumericalError,
     WeightedSpace,
     eigh_symmetric,
-    min_positive_singular,
     pseudo_solve,
     solve_shifted,
     spectral_norm,
@@ -211,7 +210,7 @@ def test_solve_shifted_norm_monotone_in_alpha():
 
 
 # ---------------------------------------------------------------------------
-# spectral_norm / min_positive_singular
+# spectral_norm
 
 
 def test_spectral_norm_basics():
@@ -238,13 +237,6 @@ def test_spectral_norm_large_matrix():
 
 def test_spectral_norm_symmetric_indefinite():
     assert spectral_norm(np.diag([1.0, -5.0, 2.0])) == pytest.approx(5.0)
-
-
-def test_min_positive_singular():
-    assert min_positive_singular(np.diag([3.0, 2.0, 0.0]), 1e-12) == pytest.approx(2.0)
-    assert min_positive_singular(np.eye(4), 1e-12) == pytest.approx(1.0)
-    with pytest.raises(NumericalError):
-        min_positive_singular(np.zeros((3, 3)), 1e-12)
 
 
 # ---------------------------------------------------------------------------

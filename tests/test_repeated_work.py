@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from illposed.analysis import l2_error
+from illposed.analysis import build_cell, l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, project_data
 from illposed.problems import Kernel, get_problem, reference_rule
@@ -51,3 +51,23 @@ def test_second_l2_error_samples_no_kernel(monkeypatch, scheme):
     # an equal rule built afresh: the memo is keyed by the grid's values
     l2_error(problem.x_dagger, rec.function, reference_rule(problem.kernel.domain))
     assert calls == []
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_a_replayed_cell_is_factored_once(monkeypatch, scheme):
+    problem = get_problem("green-m1")
+    matrix = build_system(problem.kernel, scheme, 8).matrix
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    build_cell(problem, scheme, 8, 64, 4)
+    assembled, calls[:] = list(calls), []
+    build_cell(problem, scheme, 8, 64, 4, matrix=matrix)
+    # the interpolatory hat Gram metric takes one more, for its square root
+    expected = 2 if scheme == "interpolatory" else 1
+    assert len(assembled) == len(calls) == expected, (assembled, calls)
