@@ -311,26 +311,30 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
 # Projection-defect estimates for the operator-level error
 
 
-def verify_special(problem: TestProblem, system: DiscreteSystem,
-                   ref_points: int = REFERENCE_POINTS) -> list[BoundReport]:
-    """Operator-norm estimates relating the normal-operator error to the
-    projection defect.
+def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
+    """The four operator norms of :func:`verify_special` on the reference grid.
 
-    Both sides are measured on a composite reference grid aligned with the
-    system's breakpoints, which keeps basis-function products and kinked
-    kernels exactly integrable.  For the subspace schemes (interpolation,
-    cell averages) the first report instantiates the general bound
-    ``(||T|| + ||T_n||) ||(I - pi_n) T||``; collocation has no function-space
-    data space, so its row is measured through the piecewise-linear embedding
-    of nodal values (noted in the context).  The squared estimate holds for
-    the orthogonal projection scheme only and gets its own report.
+    Returns ``(lhs, defect, norm_t, norm_tn)``: ``||T*T - T_n*T_n||``,
+    ``||(I - pi_n) T||``, ``||T||`` and ``||T_n||``, measured on a composite
+    rule aligned with the system's breakpoints, which keeps basis-function
+    products and kinked kernels exactly integrable.  Each is the 2-norm of
+    a matrix in the weighted forms ``k_w = D K D``, ``b_w = D B`` and
+    ``c_w = C D`` (``D`` the square roots of the grid weights, ``B`` the
+    basis and ``C`` the coordinate map on the grid): with ``L`` the
+    Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T`` for orthonormal
+    ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n ``r = L^T c_w``
+    and ``T_n*T_n`` is ``r^T r``.  No norm needs an SVD.
+
+    Raises
+    ------
+    NumericalError
+        If the basis Gram matrix on the grid is not positive definite.
     """
     rule = aligned_rule(system.grid_knots(), ref_points)
     nodes, rho = rule.nodes, rule.weights
     sqrt_rho = np.sqrt(rho)
-    kernel = system.kernel
 
-    kmat = kernel(nodes[:, None], nodes[None, :])
+    kmat = system.kernel(nodes[:, None], nodes[None, :])
     basis = system.basis_values(nodes)  # (m, n)
     if system.scheme is SchemeKind.ORTHO_PC:
         # ref-grid cell averages: keeps the matrix identity with the grid
@@ -340,16 +344,38 @@ def verify_special(problem: TestProblem, system: DiscreteSystem,
     else:
         coords_map = system.slice_values(nodes)  # rows k(t_i, .)
 
-    basis_gram = (basis * rho[:, None]).T @ basis
-    lhs_mat = kmat.T @ (rho[:, None] * kmat) - coords_map.T @ basis_gram @ coords_map
-    lhs_mat = lhs_mat * np.outer(sqrt_rho, sqrt_rho)
-    lhs = spectral_norm(0.5 * (lhs_mat + lhs_mat.T))
+    # np.outer keeps k_w bit-symmetric for a symmetric kernel, so its norm
+    # takes the symmetric eigenvalue path
+    k_w = kmat * np.outer(sqrt_rho, sqrt_rho)
+    b_w = sqrt_rho[:, None] * basis
+    c_w = coords_map * sqrt_rho
+    try:
+        chol = np.linalg.cholesky(b_w.T @ b_w)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"basis Gram matrix of the {system.scheme.value} n={system.n} system "
+            f"is not positive definite on the reference grid"
+        ) from None
+    r = chol.T @ c_w
+    lhs = spectral_norm(k_w.T @ k_w - r.T @ r)
+    defect = spectral_norm(k_w - b_w @ c_w)
+    return lhs, defect, spectral_norm(k_w), spectral_norm(r)
 
-    defect_mat = (kmat - basis @ coords_map) * np.outer(sqrt_rho, sqrt_rho)
-    defect = spectral_norm(defect_mat)
-    norm_t = spectral_norm(kmat * np.outer(sqrt_rho, sqrt_rho))
-    norm_tn = spectral_norm((basis @ coords_map) * np.outer(sqrt_rho, sqrt_rho))
 
+def verify_special(problem: TestProblem, system: DiscreteSystem,
+                   ref_points: int = REFERENCE_POINTS) -> list[BoundReport]:
+    """Operator-norm estimates relating the normal-operator error to the
+    projection defect.
+
+    Both sides come from :func:`_special_norms`.  For the subspace schemes
+    (interpolation, cell averages) the first report instantiates the general
+    bound ``(||T|| + ||T_n||) ||(I - pi_n) T||``; collocation has no
+    function-space data space, so its row is measured through the
+    piecewise-linear embedding of nodal values (noted in the context).  The
+    squared estimate holds for the orthogonal projection scheme only and
+    gets its own report.
+    """
+    lhs, defect, norm_t, norm_tn = _special_norms(system, ref_points)
     note = "embedded piecewise-linear data space" if system.embedded_basis else ""
     ctx = _context(problem, system, note=note)
     rhs1 = (norm_t + norm_tn) * defect

@@ -37,6 +37,7 @@ solves downstream.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,11 +228,19 @@ class DiscreteSystem:
             out = np.zeros((s.size, self.n))
             out[np.arange(s.size), idx] = 1.0
             return out
+        if self.n == 1:
+            return np.ones((s.size, 1))
+        # the two hats that are nonzero on each point's node interval, in
+        # np.interp's arithmetic and with its constant extension outside
+        # the nodes (collocation's Gauss nodes do not reach the ends)
         nodes = self.rule.nodes
-        out = np.empty((s.size, self.n))
-        eye = np.eye(self.n)
-        for i in range(self.n):
-            out[:, i] = np.interp(s, nodes, eye[i])
+        left = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, self.n - 2)
+        frac = (1.0 / (nodes[left + 1] - nodes[left])) * (s - nodes[left])
+        frac = np.where(s <= nodes[0], 0.0, np.where(s >= nodes[-1], 1.0, frac))
+        rows = np.arange(s.size)
+        out = np.zeros((s.size, self.n))
+        out[rows, left] = 1.0 - frac
+        out[rows, left + 1] = frac
         return out
 
     @property
@@ -251,6 +260,13 @@ def _hat_gram(n: int, h: float) -> np.ndarray:
     g[idx, idx + 1] = h / 6.0
     g[idx + 1, idx] = h / 6.0
     return g
+
+
+@functools.lru_cache(maxsize=64)
+def _hat_space(n: int, h: float) -> WeightedSpace:
+    # The interpolatory metric depends on (n, h) only; its square roots cost
+    # an eigendecomposition, so each is built once and shared (read-only).
+    return WeightedSpace(matrix=_hat_gram(n, h))
 
 
 def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -334,7 +350,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         if outer_rule is not None:
             raise ValueError("outer_rule applies to the collocation scheme only")
         rule = composite_trapezoid(n, dom)
-        space = WeightedSpace(matrix=_hat_gram(n, dom.length / (n - 1)))
+        space = _hat_space(n, dom.length / (n - 1))
     else:
         if n < 1:
             raise ValueError("ortho-pc scheme needs n >= 1")
@@ -448,15 +464,16 @@ def estimate_epsilon(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS)
     operators on the ``max(ref_points, 4 n)``-point Gauss rule, symmetrized
     by the square root of the grid weights so the matrix 2-norm approximates
     the L2 operator norm, and returns the norm of the difference times a
-    safety factor of 1.1.  The result is cached on the system (write-once).
+    safety factor of 1.1.  The continuous half depends on the kernel and the
+    rule only and comes from :meth:`Kernel.normal_gram`, which keeps it for
+    the last rule.  The result is cached on the system (write-once).
     """
     ref_rule = gauss_legendre(max(int(ref_points), 4 * system.n), system.domain)
     nodes = ref_rule.nodes
     rho = ref_rule.weights
     sqrt_rho = np.sqrt(rho)
 
-    kmat = system.kernel(nodes[:, None], nodes[None, :])
-    normal_cont = kmat.T @ (rho[:, None] * kmat)
+    normal_cont = system.kernel.normal_gram(ref_rule)
     gv = system.slice_values(nodes)
     normal_disc = gv.T @ (system.space.metric_dense() @ gv)
     diff = (normal_cont - normal_disc) * np.outer(sqrt_rho, sqrt_rho)

@@ -4,9 +4,11 @@ Everything in this package reduces to small dense problems (n below ~1000).
 The decompositions are LAPACK's, through ``numpy.linalg``: the SVD is
 ``svd``, symmetric eigenproblems use ``eigh``/``eigvalsh``, and the
 standalone shifted solve factors its metric-symmetrized system by
-Cholesky.  The functions here add the contracts the rest of the package
-relies on: validated input, non-increasing ordering, and
-:class:`NumericalError` for matrices that break their preconditions.
+Cholesky.  Norm measurement takes no SVD: :func:`spectral_norm` is one
+``eigvalsh`` of the matrix or of its smaller Gram matrix.  The functions
+here add the contracts the rest of the package relies on: validated input,
+non-increasing ordering, and :class:`NumericalError` for matrices that
+break their preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space: a diagonal metric of quadrature weights, or a dense SPD Gram matrix
@@ -55,7 +57,8 @@ class WeightedSpace:
         not orthogonal.  Exactly one of ``weights``/``matrix`` must be given.
 
     The square-root factors are computed eagerly so instances are immutable
-    after construction and safe for concurrent reads.
+    after construction and safe for concurrent reads; the arrays a Gram
+    metric owns are read-only, so one instance can be shared.
     """
 
     def __init__(self, weights=None, matrix=None):
@@ -83,6 +86,8 @@ class WeightedSpace:
             self.matrix = 0.5 * (m + m.T)
             self._sqrt = (vecs * np.sqrt(vals)) @ vecs.T
             self._isqrt = (vecs / np.sqrt(vals)) @ vecs.T
+            for owned in (self.matrix, self._sqrt, self._isqrt):
+                owned.flags.writeable = False
             self.dim = m.shape[0]
 
     @property
@@ -238,10 +243,13 @@ def solve_shifted(a, alpha: float, b, space: WeightedSpace) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value of ``A``.
+    """Largest singular value of ``A``, from one ``eigvalsh`` and no SVD.
 
-    Exactly symmetric input takes the largest eigenvalue modulus
-    (``eigvalsh``); anything else the leading singular value.
+    Exactly symmetric input takes the largest eigenvalue modulus; anything
+    else the square root of the largest eigenvalue of its smaller Gram
+    matrix (``A^T A`` or ``A A^T``, which BLAS forms exactly symmetric).
+    Either way the result is accurate to a few units of rounding relative
+    to the norm itself.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -249,5 +257,6 @@ def spectral_norm(a) -> float:
     a = as_matrix(a, "A")
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
         return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 

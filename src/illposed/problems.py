@@ -65,6 +65,11 @@ class Kernel:
 
     The evaluator is spot-checked for finiteness on a 32 x 32 grid at
     construction.
+
+    :meth:`normal_gram` keeps the matrix of the last rule it formed as one
+    read-only ``(nodes, weights, matrix)`` tuple, replaced by a single
+    attribute store; concurrent readers therefore see either the old or the
+    new triple and at worst recompute.
     """
 
     def __init__(self, evaluator, domain: Domain, smoothness_note: str = "",
@@ -77,9 +82,29 @@ class Kernel:
         sample = np.asarray(evaluator(grid[:, None], grid[None, :]), dtype=float)
         if sample.shape != (32, 32) or not np.all(np.isfinite(sample)):
             raise ValueError("kernel evaluator must be finite and broadcastable on the domain")
+        self._normal_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __call__(self, s, t):
         return np.asarray(self.evaluator(s, t), dtype=float)
+
+    def normal_gram(self, rule: QuadratureRule) -> np.ndarray:
+        """``K^T diag(w) K`` with ``K = k(nodes, nodes)`` on ``rule``.
+
+        This is the normal operator ``T*T`` sampled on the rule's grid, the
+        continuous half of the difference that ``estimate_epsilon``
+        measures.  The matrix of the last rule is kept (read-only) and
+        returned again for an equal rule, so the systems of one kernel
+        measured on one reference rule sample the kernel there once.
+        """
+        nodes, rho = rule.nodes, rule.weights
+        memo = self._normal_gram
+        if memo is not None and np.array_equal(memo[0], nodes) and np.array_equal(memo[1], rho):
+            return memo[2]
+        kmat = self(nodes[:, None], nodes[None, :])
+        gram = kmat.T @ (rho[:, None] * kmat)
+        gram.flags.writeable = False
+        self._normal_gram = (nodes.copy(), rho.copy(), gram)
+        return gram
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,19 @@ from illposed.analysis import (
     verify_th1,
     verify_th3,
     verify_th5,
+    _special_norms,
 )
-from illposed.discretize import build_system, estimate_epsilon
+from illposed.discretize import SchemeKind, build_system, estimate_epsilon
+from illposed.linalg import NumericalError
 from illposed.problems import (
+    REFERENCE_POINTS,
     Domain,
     SeparableExpansion,
     get_problem,
     make_separable_problem,
     reference_rule,
 )
+from illposed.quadrature import aligned_rule
 from illposed.regularize import NoiseSpec
 
 UNIT = Domain(0.0, 1.0)
@@ -273,3 +277,42 @@ def test_rows_to_csv_layout():
     assert len(lines) == 3
     assert lines[1].startswith("4,")
     assert lines[1].endswith(",")  # err_noisy empty when no noise
+
+
+def _dense_special_norms(system):
+    # the dense formulas on the full m x m grid matrices, SVD for the
+    # non-symmetric ones: the oracle for the rank-n Gram forms
+    rule = aligned_rule(system.grid_knots(), REFERENCE_POINTS)
+    nodes, rho = rule.nodes, rule.weights
+    weight = np.outer(np.sqrt(rho), np.sqrt(rho))
+    kmat = system.kernel(nodes[:, None], nodes[None, :])
+    basis = system.basis_values(nodes)
+    if system.scheme is SchemeKind.ORTHO_PC:
+        coords_map = (basis * rho[:, None]).T @ kmat / system.space.weights[:, None]
+    else:
+        coords_map = system.slice_values(nodes)
+    basis_gram = (basis * rho[:, None]).T @ basis
+    lhs_mat = (kmat.T @ (rho[:, None] * kmat) - coords_map.T @ basis_gram @ coords_map) * weight
+
+    def top(a):
+        return np.linalg.svd(a, compute_uv=False)[0]
+
+    return (top(0.5 * (lhs_mat + lhs_mat.T)), top((kmat - basis @ coords_map) * weight),
+            top(kmat * weight), top((basis @ coords_map) * weight))
+
+
+@pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_special_norms_match_the_dense_svd_formulas(grid_systems, pid, scheme):
+    system = grid_systems[pid, scheme, 16]
+    measured = _special_norms(system)
+    oracle = _dense_special_norms(system)
+    for label, got, want in zip(("lhs", "defect", "norm_t", "norm_tn"), measured, oracle):
+        assert got == pytest.approx(want, rel=1e-10), label
+
+
+def test_special_norms_reject_a_singular_basis(grid_systems, monkeypatch):
+    system = grid_systems["green-m1", "interpolatory", 8]
+    monkeypatch.setattr(system, "basis_values", lambda s: np.zeros((np.size(s), system.n)))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        _special_norms(system)

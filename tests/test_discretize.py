@@ -338,3 +338,43 @@ def test_slice_memo_survives_caller_mutation():
     assert np.array_equal(system.slice_values(grid), _fresh_slices("ortho-pc", other))
     assert np.array_equal(system.slice_values(reference_rule(UNIT, 64).nodes),
                           _fresh_slices("ortho-pc", reference_rule(UNIT, 64).nodes))
+
+
+# ---------------------------------------------------------------------------
+# basis values
+
+
+def _basis_by_loop(system, s):
+    # per-column reference: np.interp of each unit vector, or the cell
+    # indicators (first/last cell extended past the domain)
+    out = np.zeros((s.size, system.n))
+    if system.scheme is SchemeKind.ORTHO_PC:
+        edges = system.cell_edges()
+        for i in range(system.n):
+            lo = -np.inf if i == 0 else edges[i]
+            hi = np.inf if i == system.n - 1 else edges[i + 1]
+            out[:, i] = (s >= lo) & (s < hi)
+        return out
+    eye = np.eye(system.n)
+    for i in range(system.n):
+        out[:, i] = np.interp(s, system.rule.nodes, eye[i])
+    return out
+
+
+# collocation n=8 and interpolatory n=22 have a last node interval d with
+# (1/d) * d < 1, where only np.interp's exact end value gives a clean hat
+@pytest.mark.parametrize("scheme, n", [
+    ("collocation", 1), ("collocation", 2), ("collocation", 8),
+    ("interpolatory", 2), ("interpolatory", 22),
+    ("ortho-pc", 1), ("ortho-pc", 2), ("ortho-pc", 7),
+])
+def test_basis_values_match_the_per_column_loop(scheme, n):
+    system = build_system(get_problem("green-m1").kernel, scheme, n)
+    nodes = system.rule.nodes
+    s = np.concatenate([
+        [-0.5, 0.0, 1.0, 1.5],  # on and outside the domain ends
+        nodes,
+        aligned_rule(system.grid_knots(), 64).nodes,
+        np.linspace(0.0, 1.0, 41),
+    ])
+    assert np.array_equal(system.basis_values(s), _basis_by_loop(system, s))

@@ -219,8 +219,19 @@ def test_spectral_norm_basics():
 
 
 def test_spectral_norm_equals_svd_max():
-    a = random_matrix(8, 5, 3)
-    assert spectral_norm(a) == pytest.approx(svd(a).s[0], rel=1e-12)
+    rng = np.random.default_rng(3)
+    cases = {
+        "tall": random_matrix(8, 5, 3),
+        "wide": random_matrix(5, 40, 4),
+        "rank-deficient": random_matrix(30, 3, 5) @ random_matrix(3, 20, 6),
+        "square": random_matrix(12, 12, 7),
+        "zero": np.zeros((6, 4)),
+        "1xk": rng.standard_normal((1, 9)),
+        "kx1": rng.standard_normal((9, 1)),
+    }
+    for label, a in cases.items():
+        oracle = np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(a) == pytest.approx(oracle, rel=1e-12, abs=0.0), label
 
 
 def test_spectral_norm_transpose_invariant():

@@ -7,8 +7,8 @@ import pytest
 
 from illposed.analysis import build_cell, l2_error
 from illposed.cli import EXIT_OK, main
-from illposed.discretize import build_system, project_data
-from illposed.problems import Kernel, get_problem, reference_rule
+from illposed.discretize import build_system, estimate_epsilon, project_data
+from illposed.problems import Kernel, get_problem, problem_catalog, reference_rule
 from illposed.quadrature import gauss_nodes
 from illposed.regularize import min_norm_solution, tikhonov_discrete
 
@@ -68,6 +68,73 @@ def test_a_replayed_cell_is_factored_once(monkeypatch, scheme):
     build_cell(problem, scheme, 8, 64, 4)
     assembled, calls[:] = list(calls), []
     build_cell(problem, scheme, 8, 64, 4, matrix=matrix)
-    # the interpolatory hat Gram metric takes one more, for its square root
-    expected = 2 if scheme == "interpolatory" else 1
-    assert len(assembled) == len(calls) == expected, (assembled, calls)
+    # the interpolatory hat Gram metric is decomposed once per (n, h), not per build
+    assert len(assembled) == len(calls) == 1, (assembled, calls)
+
+
+def test_verify_takes_no_svd(tmp_path, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == []
+
+
+def test_verify_forms_normal_gram_once_per_kernel(tmp_path, monkeypatch):
+    # every cell of the grid measures eps_n on the same 256-point rule, so
+    # each problem's kernel forms its continuous half once
+    formed = {}
+    original = Kernel.normal_gram
+
+    def recording(self, rule):
+        gram = original(self, rule)
+        seen = formed.setdefault(self, [])  # keyed by the kernel itself, kept alive
+        if not any(gram is g for g in seen):
+            seen.append(gram)
+        return gram
+
+    monkeypatch.setattr(Kernel, "normal_gram", recording)
+    assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(formed) == len(problem_catalog())
+    assert all(len(seen) == 1 for seen in formed.values()), formed
+
+
+def _fresh_normal_gram(kernel, rule):
+    kmat = kernel(rule.nodes[:, None], rule.nodes[None, :])
+    return kmat.T @ (rule.weights[:, None] * kmat)
+
+
+def test_normal_gram_memo_hit_is_the_same_read_only_matrix():
+    kernel = get_problem("green-m1").kernel
+    first = kernel.normal_gram(reference_rule(kernel.domain, 64))
+    hit = kernel.normal_gram(reference_rule(kernel.domain, 64))  # an equal rule built afresh
+    assert hit is first
+    with pytest.raises(ValueError):
+        hit[0, 0] = 1.0
+
+
+def test_normal_gram_memo_follows_the_rule():
+    # A, then B, then A again: never a stale matrix
+    kernel = get_problem("green-m1").kernel
+    rule_a = reference_rule(kernel.domain, 48)
+    rule_b = reference_rule(kernel.domain, 64)
+    for rule in (rule_a, rule_b, rule_a):
+        assert np.array_equal(kernel.normal_gram(rule), _fresh_normal_gram(kernel, rule))
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_epsilon_from_a_memo_hit_matches_a_fresh_kernel(scheme):
+    # outputs must not depend on which cell of a kernel was measured first
+    warm = get_problem("green-m1")
+    estimate_epsilon(build_system(warm.kernel, "collocation", 8))
+    memo = warm.kernel.normal_gram(reference_rule(warm.kernel.domain))
+    hit = estimate_epsilon(build_system(warm.kernel, scheme, 16))
+    assert warm.kernel.normal_gram(reference_rule(warm.kernel.domain)) is memo
+
+    fresh = estimate_epsilon(build_system(get_problem("green-m1").kernel, scheme, 16))
+    assert hit == fresh
