@@ -25,15 +25,7 @@ from .discretize import (
     project_data,
 )
 from .estimators import MinimumNormSolver, NotFittedError, TikhonovSolver
-from .linalg import (
-    NumericalError,
-    SvdResult,
-    WeightedSpace,
-    pseudo_solve,
-    solve_shifted,
-    spectral_norm,
-    svd,
-)
+from .linalg import NumericalError, WeightedSpace, spectral_norm
 from .problems import (
     Domain,
     Kernel,

@@ -128,6 +128,14 @@ def _parse_ids(value, catalog, parse) -> list:
     return [parse(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
 
 
+def _problem_id(value) -> str:
+    """A catalog problem id, checked before any cell is built."""
+    if value not in problem_catalog():
+        raise ValueError(f"unknown problem {value!r}; known ids: "
+                         f"{', '.join(problem_catalog())}")
+    return value
+
+
 _CONFIG_KEYS = frozenset({
     "problem", "scheme", "n", "alpha", "delta", "seed", "out",
     "ref_points", "inner_factor", "matrix_dump",
@@ -156,7 +164,7 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
             merged[key] = flag
     try:
         return RunConfig(
-            problem_ids=_parse_ids(merged["problem"], problem_catalog(), str),
+            problem_ids=_parse_ids(merged["problem"], problem_catalog(), _problem_id),
             schemes=_parse_ids(merged["scheme"], SchemeKind, SchemeKind.parse),
             n_list=_parse_n(merged.get("n", [16])),
             alpha_rule=_parse_alpha(merged.get("alpha")),

@@ -53,7 +53,7 @@ from .quadrature import (
     gauss_nodes,
     segment_gauss,
 )
-from .validation import as_matrix, as_vector
+from .validation import as_matrix, as_vector, check_in_open_interval
 
 __all__ = [
     "SchemeKind",
@@ -170,13 +170,12 @@ class DiscreteSystem:
         self._epsilon = value
         return value
 
-    def kept(self, rel_tol: float | None = None) -> np.ndarray:
+    def kept(self) -> np.ndarray:
         """Mask of the eigenvalues above ``rel_tol * max|lambda|``, the
-        numerical rank of the system."""
-        if rel_tol is None:
-            rel_tol = self.rel_tol
+        numerical rank of the system; ``rel_tol`` is the system's own
+        threshold, the only one any solve or measurement uses."""
         mags = np.abs(self.eigvals)
-        return mags > rel_tol * mags.max()
+        return mags > self.rel_tol * mags.max()
 
     # -- scheme geometry ----------------------------------------------------
 
@@ -318,8 +317,8 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         Collocation only: the node/weight rule defining the scheme (default
         Gauss-Legendre, which has the required positive weights).
     rel_tol : float
-        Relative truncation threshold separating the numerical rank from
-        quadrature noise.
+        Relative truncation threshold in (0, 1) separating the numerical
+        rank from quadrature noise; the system's one threshold.
     inner_factor : int
         Point budget of the default inner rule, per unit of ``n``.
     matrix : array_like, optional
@@ -335,6 +334,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
     """
     scheme = SchemeKind.parse(scheme)
     n = int(n)
+    rel_tol = check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
     dom = kernel.domain
 
     if scheme is SchemeKind.COLLOCATION:
@@ -365,7 +365,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
         matrix=np.empty(0), sym_matrix=np.empty(0),
         eigvals=np.empty(0), eigvecs=np.empty(0), sigma_min=0.0,
-        inner_rule=rule, rel_tol=float(rel_tol),
+        inner_rule=rule, rel_tol=rel_tol,
     )
 
     if inner_rule is None:

@@ -77,7 +77,8 @@ class MinimumNormSolver(_BaseSolver):
     n : int, default 32
         Dimension of the data space.
     rel_tol : float, default 1e-10
-        Relative truncation threshold of the pseudo-inverse.
+        Relative truncation threshold of the pseudo-inverse, in (0, 1);
+        ``fit`` passes it to ``build_system``, which checks it.
 
     After ``fit`` the assembled system, the coordinate solution and the
     reconstruction are available as ``system_``, ``coordinates_`` and

@@ -1,38 +1,31 @@
 """Dense real linear algebra over plain and weighted inner-product spaces.
 
 Everything in this package reduces to small dense problems (n below ~1000).
-The decompositions are LAPACK's, through ``numpy.linalg``: the SVD is
-``svd``, symmetric eigenproblems use ``eigh``/``eigvalsh``, and the
-standalone shifted solve factors its metric-symmetrized system by
-Cholesky.  Norm measurement takes no SVD: :func:`spectral_norm` is one
-``eigvalsh`` of the matrix or of its smaller Gram matrix.  The functions
-here add the contracts the rest of the package relies on: validated input,
-non-increasing ordering, and :class:`NumericalError` for matrices that
-break their preconditions.
+The one decomposition is LAPACK's symmetric eigensolver, through
+``numpy.linalg``: :func:`eigh_symmetric` factors each system once and every
+solve is a spectral filter of that factor.  Norm measurement takes no SVD:
+:func:`spectral_norm` is one ``eigvalsh`` of the matrix or of its smaller
+Gram matrix.  The functions here add the contracts the rest of the package
+relies on: validated input, non-increasing ordering, and
+:class:`NumericalError` for matrices that break their preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space: a diagonal metric of quadrature weights, or a dense SPD Gram matrix
-when the basis is not orthogonal.  All solvers that accept a space symmetrize
-through ``M^(1/2) A M^(-1/2)`` so that the numerical spectrum is the spectrum
-of the operator in that inner product.
+when the basis is not orthogonal.  Systems are symmetrized through
+``M^(1/2) A M^(-1/2)`` so that the numerical spectrum is the spectrum of the
+operator in that inner product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .validation import as_matrix, as_vector, check_in_open_interval, check_positive
+from .validation import as_matrix, as_vector
 
 __all__ = [
     "NumericalError",
     "WeightedSpace",
-    "SvdResult",
-    "svd",
     "eigh_symmetric",
-    "pseudo_solve",
-    "solve_shifted",
     "spectral_norm",
 ]
 
@@ -141,29 +134,6 @@ class WeightedSpace:
 # Decompositions
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Economy SVD ``A = u @ diag(s) @ v.T``.
-
-    ``u`` holds the left singular vectors column-wise, ``s`` the non-negative
-    singular values sorted non-increasing, ``v`` the right singular vectors.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
-
-def svd(a) -> SvdResult:
-    """Economy singular value decomposition (LAPACK ``gesdd``)."""
-    a = as_matrix(a, "A")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=u, s=s, v=vt.T)
-
-
 def eigh_symmetric(a):
     """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
@@ -178,68 +148,6 @@ def eigh_symmetric(a):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     return vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
-
-
-# ---------------------------------------------------------------------------
-# Solvers built on the decompositions
-
-
-def pseudo_solve(a, b, rel_tol: float = 1e-10) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``A x = b``.
-
-    Singular values at or below ``rel_tol * sigma_max`` are treated as zero,
-    so components of ``b`` outside the numerical range are ignored and the
-    returned solution has no null-space content.
-    """
-    a = as_matrix(a, "A")
-    b = as_vector(b, "b")
-    check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
-    if a.shape[0] != b.size:
-        raise ValueError(f"shape mismatch: A is {a.shape}, b has length {b.size}")
-    dec = svd(a)
-    smax = dec.s[0] if dec.s.size else 0.0
-    keep = dec.s > rel_tol * smax
-    if smax == 0.0 or not np.any(keep):
-        return np.zeros(a.shape[1])
-    coeff = (dec.u[:, keep].T @ b) / dec.s[keep]
-    return dec.v[:, keep] @ coeff
-
-
-def solve_shifted(a, alpha: float, b, space: WeightedSpace) -> np.ndarray:
-    """Solve ``(A + alpha I) v = b`` for A self-adjoint PSD in ``space``.
-
-    The system is symmetrized through ``z = M^(1/2) v`` so the actual solve
-    is a Cholesky factorization of a symmetric positive definite matrix.
-    Raises :class:`NumericalError` if ``M A`` is asymmetric beyond
-    ``1e-8 * max|M A|`` (which signals a broken assembly) or if the shifted
-    matrix fails to be positive definite.
-    """
-    a = as_matrix(a, "A")
-    b = as_vector(b, "b")
-    alpha = check_positive(alpha, "alpha")
-    n = a.shape[0]
-    if a.shape[1] != n or b.size != n:
-        raise ValueError("solve_shifted expects a square system matching b")
-    if space.dim != n:
-        raise ValueError("space dimension does not match the system")
-
-    ma = space.metric_dense() @ a
-    scale = float(np.max(np.abs(ma))) or 1.0
-    asym = float(np.max(np.abs(ma - ma.T)))
-    if asym > 1e-8 * scale:
-        raise NumericalError(
-            f"matrix is not self-adjoint in the given space "
-            f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
-        )
-
-    sym = space.symmetrize(a)
-    sym = 0.5 * (sym + sym.T)
-    try:
-        low = np.linalg.cholesky(sym + alpha * np.eye(n))
-    except np.linalg.LinAlgError:
-        raise NumericalError("shifted system is not positive definite") from None
-    z = np.linalg.solve(low.T, np.linalg.solve(low, space.sqrt_apply(b)))
-    return space.isqrt_apply(z)
 
 
 def spectral_norm(a) -> float:

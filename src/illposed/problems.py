@@ -56,8 +56,6 @@ class Kernel:
     evaluator : callable
         Vectorized ``k(s, t)`` accepting broadcastable arrays.
     domain : Domain
-    smoothness_note : str
-        Free-form description of the kernel's smoothness.
     diagonal_kink : bool
         True when ``k`` is continuous but not differentiable across ``s = t``
         (Green-type kernels); quadrature paths then split panels at the
@@ -72,11 +70,9 @@ class Kernel:
     new triple and at worst recompute.
     """
 
-    def __init__(self, evaluator, domain: Domain, smoothness_note: str = "",
-                 diagonal_kink: bool = False):
+    def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False):
         self.evaluator = evaluator
         self.domain = domain
-        self.smoothness_note = smoothness_note
         self.diagonal_kink = bool(diagonal_kink)
         grid = np.linspace(domain.a, domain.b, 32)
         sample = np.asarray(evaluator(grid[:, None], grid[None, :]), dtype=float)
@@ -157,16 +153,22 @@ class SeparableExpansion:
         Returns shape ``(rank, t.size)`` for the flattened points; the table
         of the last grid per side is kept and returned for an equal grid.
         """
-        side = "u" if side == "u" else "v"
+        funcs = self._modes(side)
         t = np.asarray(t, dtype=float).ravel()
         memo = self._tables.get(side)
         if memo is not None and np.array_equal(memo[0], t):
             return memo[1]
-        funcs = self.u_funcs if side == "u" else self.v_funcs
         table = np.stack([np.asarray(g(t), dtype=float) for g in funcs])
         table.flags.writeable = False
         self._tables[side] = (t.copy(), table)
         return table
+
+    def _modes(self, side: str) -> tuple:
+        if side == "u":
+            return self.u_funcs
+        if side == "v":
+            return self.v_funcs
+        raise ValueError(f"unknown side {side!r}; expected 'u' or 'v'")
 
     def _check_orthonormal(self, tol: float = 1e-8):
         rule = reference_rule(self.domain)
@@ -194,6 +196,7 @@ class SeparableExpansion:
 
     def synthesize(self, coeffs, side: str = "u"):
         """The function ``t -> sum_j coeffs_j g_j(t)`` over the u- or v-system."""
+        self._modes(side)  # an unknown side fails here, not at the first call
         coeffs = np.asarray(coeffs, dtype=float)
 
         def combination(t):
@@ -283,8 +286,7 @@ def make_separable_problem(expansion: SeparableExpansion, coefficients,
         raise ValueError(
             f"need {expansion.rank} coefficients, got {coeffs.size}"
         )
-    kernel = Kernel(expansion.kernel_values, expansion.domain,
-                    smoothness_note="finite-rank separable kernel")
+    kernel = Kernel(expansion.kernel_values, expansion.domain)
     x_fn = expansion.synthesize(coeffs, side="u")
     y_fn = expansion.synthesize(coeffs * expansion.sigmas, side="v")
     source = SourceRepresentation(
@@ -323,8 +325,7 @@ def green_problem(m: int = 1) -> TestProblem:
         t = np.asarray(t, dtype=float)
         return np.where(s <= t, s * (1.0 - t), t * (1.0 - s))
 
-    kernel = Kernel(green, dom, smoothness_note="continuous, C1 off the diagonal",
-                    diagonal_kink=True)
+    kernel = Kernel(green, dom, diagonal_kink=True)
     js = np.arange(1, GREEN_EXPANSION_TERMS + 1)
     sigmas = (js * np.pi) ** -2.0
     modes = [_sine_mode(int(j)) for j in js]

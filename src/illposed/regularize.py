@@ -25,7 +25,7 @@ from .discretize import DiscreteSystem, apply_adjoint
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
 from .problems import Kernel, SourceRepresentation, TestProblem
 from .quadrature import QuadratureRule, segment_gauss
-from .validation import as_vector, check_in_open_interval, check_positive
+from .validation import as_vector, check_positive
 
 __all__ = [
     "InconsistentDataError",
@@ -140,14 +140,15 @@ class Reconstruction:
     system: DiscreteSystem
 
 
-def min_norm_solution(system: DiscreteSystem, y_n, rel_tol: float | None = None,
+def min_norm_solution(system: DiscreteSystem, y_n, *,
                       residual_allowance: float = 0.0) -> Reconstruction:
     """Minimum-norm solution of the discretized equation.
 
     Solves the normal system through the metric-symmetrized pseudo-inverse,
-    keeping the eigenvalues above ``rel_tol * max|lambda|``, and
-    reconstructs ``x = T_n* v``.  Raises
-    :class:`InconsistentDataError` when the residual exceeds
+    keeping the eigenvalues of :meth:`DiscreteSystem.kept` (those above the
+    system's own ``rel_tol * max|lambda|``, the one truncation threshold,
+    fixed when the system is built), and reconstructs ``x = T_n* v``.
+    Raises :class:`InconsistentDataError` when the residual exceeds
     ``rel_tol * ||y_n|| + residual_allowance`` in the data norm, i.e. the
     data is numerically outside the operator's range.  For noisy data pass
     the noise level as the allowance: components outside the range up to
@@ -156,16 +157,13 @@ def min_norm_solution(system: DiscreteSystem, y_n, rel_tol: float | None = None,
     y_n = as_vector(y_n, "y_n")
     if y_n.size != system.n:
         raise ValueError(f"data has length {y_n.size}, expected {system.n}")
-    if rel_tol is None:
-        rel_tol = system.rel_tol
-    check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
     space = system.space
-    keep = system.kept(rel_tol)
+    keep = system.kept()
     gains = np.zeros(system.n)
     gains[keep] = 1.0 / system.eigvals[keep]
     v = _filter(system, gains, y_n)
     residual = space.norm(system.matrix @ v - y_n)
-    threshold = rel_tol * space.norm(y_n) + residual_allowance
+    threshold = system.rel_tol * space.norm(y_n) + residual_allowance
     if residual > threshold:
         raise InconsistentDataError(
             f"inconsistent discrete data: residual {residual:.3e} exceeds "

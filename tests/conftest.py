@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from illposed.discretize import build_system, estimate_epsilon
 from illposed.problems import get_problem, problem_catalog
 
 GRID_N = (8, 16, 32)
 SCHEMES = ("collocation", "interpolatory", "ortho-pc")
+
+# Every run draws the same examples, independent of any .hypothesis/ state;
+# per-test settings(max_examples=...) still apply on top of this profile.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from illposed.analysis import (
 )
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import apply_adjoint, build_system
-from illposed.linalg import svd
 from illposed.problems import get_problem, reference_rule
 from illposed.quadrature import aligned_rule
 from illposed.regularize import NoiseSpec, phi_eval, phi_from_source
@@ -177,12 +176,15 @@ def test_criterion_8_structural_identities(catalog, grid_systems):
                            * apply_adjoint(system, v)(ref.nodes)))
         if abs(lhs - rhs) > 1e-8 * (1.0 + abs(lhs)):
             failures.append(("adjoint", pid, scheme, n, abs(lhs - rhs)))
-    for size in (10, 25, 40):
-        a = rng.standard_normal((size, size))
-        dec = svd(a)
-        if np.max(np.abs(dec.reconstruct() - a)) > 1e-9 * (1.0 + np.max(np.abs(a))):
-            failures.append(("svd-recon", size))
-    report(8, "structural identities (pinv norm, adjointness, symmetry/PSD, svd)",
+        # the one factorization every solve filters: orthonormal eigenvectors
+        # that reproduce the symmetrized matrix
+        q = system.eigvecs
+        if np.max(np.abs(q.T @ q - np.eye(n))) > 1e-10:
+            failures.append(("factor-orthonormal", pid, scheme, n))
+        sym = system.sym_matrix
+        if np.max(np.abs((q * system.eigvals) @ q.T - sym)) > 1e-12 * np.max(np.abs(sym)):
+            failures.append(("factor-recon", pid, scheme, n))
+    report(8, "structural identities (pinv norm, adjointness, symmetry/PSD, factor)",
            failures)
 
 

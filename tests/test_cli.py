@@ -55,6 +55,17 @@ def test_unknown_problem_and_scheme(tmp_path):
     assert main(["solve", "--scheme", "galerkin", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_unknown_problem_id_exits_before_any_cell_is_built(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr("illposed.cli.build_cell", lambda *args: built.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": ["green-m1", "bogus"]}))
+    out = tmp_path / "out"
+    assert main(["verify", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "bounds.csv").exists()
+    assert built == []
+
+
 def test_ref_points_guard(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [16], "ref_points": 32}))

@@ -11,6 +11,7 @@ from illposed.discretize import (
     load_matrix,
     project_data,
 )
+from illposed.estimators import MinimumNormSolver
 from illposed.linalg import NumericalError
 from illposed.problems import Domain, Kernel, get_problem, reference_rule
 from illposed.quadrature import aligned_rule, composite_trapezoid, gauss_legendre
@@ -85,6 +86,17 @@ def test_build_argument_validation():
         build_system(kernel, "ortho", 4, outer_rule=gauss_legendre(4, UNIT))
     with pytest.raises(ValueError):
         build_system(kernel, "collocation", 4, outer_rule=gauss_legendre(5, UNIT))
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.5])
+def test_build_system_rejects_rel_tol_outside_unit_interval(rel_tol):
+    # the system's one truncation threshold is checked where it is set;
+    # 1.5 would keep no eigenvalue and report sigma_min = 0
+    kernel = get_problem("green-m1").kernel
+    with pytest.raises(ValueError, match="rel_tol"):
+        build_system(kernel, "collocation", 8, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        MinimumNormSolver(kernel, n=8, rel_tol=rel_tol).fit(np.zeros(8))
 
 
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])

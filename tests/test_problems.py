@@ -203,3 +203,14 @@ def test_mode_table_is_read_only_and_follows_the_grid():
     for grid in (grid_b, grid_a):
         expected = np.stack([g(grid) for g in exp.u_funcs])
         assert np.array_equal(exp.mode_table(grid, "u"), expected)
+
+
+def test_expansion_rejects_an_unknown_side():
+    exp = get_problem("rank3-decay").svd
+    rule = reference_rule(UNIT, 32)
+    calls = (lambda: exp.mode_table(rule.nodes, "x"),
+             lambda: exp.coefficients(np.sin, rule, side="x"),
+             lambda: exp.synthesize([1.0, 0.0, 0.0], side="x"))
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown side 'x'"):
+            call()

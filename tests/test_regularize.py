@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illposed.analysis import l2_error
 from illposed.discretize import apply_adjoint, build_system, estimate_epsilon, project_data
-from illposed.linalg import WeightedSpace, pseudo_solve, solve_shifted
-from illposed.problems import Domain, Kernel, get_problem, reference_rule
+from illposed.linalg import WeightedSpace
+from illposed.problems import (
+    Domain,
+    Kernel,
+    SeparableExpansion,
+    get_problem,
+    make_separable_problem,
+    reference_rule,
+)
 from illposed.regularize import (
     InconsistentDataError,
     NoiseSpec,
@@ -88,6 +97,11 @@ def test_tikhonov_scalar_oracle():
     expected = beta / (1.0 + alpha)
     assert rec.function(np.array([0.1, 0.9])) == pytest.approx([expected, expected])
     assert rec.alpha_used == alpha
+    # k = 0: a pure shift, alpha v = y
+    zero = Kernel(lambda s, t: 0.0 * np.broadcast_arrays(s, t)[0], UNIT)
+    y = np.array([4.0, 6.0])
+    rec = tikhonov_discrete(build_system(zero, "collocation", 2), y, 2.0)
+    assert rec.coordinates == pytest.approx(y / 2.0)
 
 
 def test_tikhonov_zero_data():
@@ -112,10 +126,12 @@ def test_tikhonov_converges_to_min_norm():
     system = build_system(prob.kernel, "collocation", 8)
     y_n = project_data(system, prob.y)
     target = min_norm_solution(system, y_n)
-    dists = [l2_error(tikhonov_discrete(system, y_n, alpha).function,
-                      target.function, REF)
-             for alpha in (1e-2, 1e-4, 1e-6, 1e-8)]
+    recs = [tikhonov_discrete(system, y_n, alpha) for alpha in (1e-2, 1e-4, 1e-6, 1e-8)]
+    dists = [l2_error(rec.function, target.function, REF) for rec in recs]
     assert all(b < a for a, b in zip(dists, dists[1:]))
+    # and the coordinate norm grows as the shift shrinks
+    norms = [system.space.norm(rec.coordinates) for rec in recs]
+    assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +146,74 @@ def relative_gap(rec, coordinates):
     return l2_error(rec.function, expected, REF) / REF.norm(expected(REF.nodes))
 
 
+def min_norm_oracle(system, y_n):
+    # numpy's SVD pseudo-inverse of the symmetrized matrix; it keeps the
+    # singular values above rel_tol * s_max, the system's truncation rule
+    space = system.space
+    pinv = np.linalg.pinv(system.sym_matrix, rcond=system.rel_tol)
+    return space.isqrt_apply(pinv @ space.sqrt_apply(y_n))
+
+
+def tikhonov_oracle(system, y_n, alpha):
+    # LU on the unsymmetrized matrix, independent of the stored factor
+    return np.linalg.solve(system.matrix + alpha * np.eye(system.n), y_n)
+
+
 @pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
 def test_factor_path_matches_reference_solvers(pid, scheme):
-    # the eigenfilters on the stored factor against the standalone solvers
-    # that factor the system afresh (SVD pseudo-inverse, Cholesky)
+    # the eigenfilters on the stored factor against numpy solvers that
+    # factor the system afresh
     prob = get_problem(pid)
     system = build_system(prob.kernel, scheme, 16)
-    space = system.space
     y_n = project_data(system, prob.y)
-    expected = space.isqrt_apply(pseudo_solve(system.sym_matrix, space.sqrt_apply(y_n),
-                                              system.rel_tol))
-    assert relative_gap(min_norm_solution(system, y_n), expected) <= 1e-10
+    assert relative_gap(min_norm_solution(system, y_n), min_norm_oracle(system, y_n)) <= 1e-10
     for alpha in (1e-2, 1e-4, 1e-6, 1e-8):
-        expected = solve_shifted(system.matrix, alpha, y_n, space)
+        expected = tikhonov_oracle(system, y_n, alpha)
+        assert relative_gap(tikhonov_discrete(system, y_n, alpha), expected) <= 1e-10
+
+
+def sine_mode(j):
+    return lambda t: np.sqrt(2.0) * np.sin(j * np.pi * np.asarray(t, dtype=float))
+
+
+@st.composite
+def separable_cells(draw):
+    """A scheme, a size n and a separable problem resolved at that size:
+    1-4 sine modes j <= n/2, singular values decaying by a power or
+    geometrically down to at least 1e-3 of the largest, and coefficients
+    of magnitude 0.2-1."""
+    n = draw(st.integers(4, 24))
+    scheme = draw(st.sampled_from(["collocation", "interpolatory", "ortho-pc"]))
+    modes = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=4, unique=True))
+    k = np.arange(len(modes))
+    if draw(st.booleans()):
+        sigmas = (1.0 + k) ** -draw(st.floats(0.0, 4.9))
+    else:
+        sigmas = draw(st.floats(0.1, 1.0)) ** k
+    coeffs = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 1.0))
+              for _ in modes]
+    funcs = [sine_mode(j) for j in modes]
+    expansion = SeparableExpansion(sigmas, funcs, funcs, UNIT)
+    return make_separable_problem(expansion, coeffs), scheme, n
+
+
+@settings(max_examples=60)
+@given(cell=separable_cells())
+def test_factor_path_matches_reference_solvers_on_drawn_problems(cell):
+    problem, scheme, n = cell
+    system = build_system(problem.kernel, scheme, n)
+    space = system.space
+    y_n = project_data(system, problem.y)
+    oracle = min_norm_oracle(system, y_n)
+    rec = min_norm_solution(system, y_n)
+    assert relative_gap(rec, oracle) <= 1e-10
+    # the function gap cannot see coordinates that T_n* damps, such as a
+    # kept noise eigenvalue: the solution must also be no longer than the
+    # pseudo-inverse's
+    assert space.norm(rec.coordinates) <= (1.0 + 1e-8) * space.norm(oracle)
+    for alpha in (1e-2, 1e-6):
+        expected = tikhonov_oracle(system, y_n, alpha)
         assert relative_gap(tikhonov_discrete(system, y_n, alpha), expected) <= 1e-10
 
 
@@ -170,6 +240,9 @@ def test_tikhonov_rejects_wrong_length():
     system = build_system(prob.kernel, "collocation", 8)
     with pytest.raises(ValueError):
         tikhonov_discrete(system, np.zeros(7), 1e-3)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            tikhonov_discrete(system, np.zeros(8), alpha)
 
 
 # ---------------------------------------------------------------------------
