@@ -312,18 +312,26 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
 
 
 def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
-    """The four operator norms of :func:`verify_special` on the reference grid.
+    """The four operator norms of :func:`verify_special`.
 
     Returns ``(lhs, defect, norm_t, norm_tn)``: ``||T*T - T_n*T_n||``,
-    ``||(I - pi_n) T||``, ``||T||`` and ``||T_n||``, measured on a composite
-    rule aligned with the system's breakpoints, which keeps basis-function
-    products and kinked kernels exactly integrable.  Each is the 2-norm of
-    a matrix in the weighted forms ``k_w = D K D``, ``b_w = D B`` and
-    ``c_w = C D`` (``D`` the square roots of the grid weights, ``B`` the
-    basis and ``C`` the coordinate map on the grid): with ``L`` the
-    Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T`` for orthonormal
-    ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n ``r = L^T c_w``
-    and ``T_n*T_n`` is ``r^T r``.  No norm needs an SVD.
+    ``||(I - pi_n) T||``, ``||T||`` and ``||T_n||``.  ``||T||`` belongs to
+    the operator, not to the cell: it is :meth:`Kernel.operator_norm` on the
+    rule ``eps_n`` was measured on, one eigenvalue problem per kernel and
+    rule, kept with the continuous half ``estimate_epsilon`` formed there.
+
+    The other three depend on the cell and are measured on a composite rule
+    aligned with the system's breakpoints, which keeps basis-function
+    products and kinked kernels exactly integrable; lhs and defect share it
+    because the squared estimate compares them at an absolute 1e-8.  Each
+    is the 2-norm of a matrix in the weighted forms ``k_w = D K D``,
+    ``b_w = D B`` and ``c_w = C D`` (``D`` the square roots of the grid
+    weights, ``B`` the basis and ``C`` the coordinate map on the grid):
+    with ``L`` the Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T`` for
+    orthonormal ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n
+    ``r = L^T c_w`` and ``T_n*T_n`` is ``r^T r``.  For collocation ``B`` is
+    the piecewise-linear embedding, so ``||T_n||`` is the embedded-basis
+    quantity, not a norm of the stored factor.  No norm needs an SVD.
 
     Raises
     ------
@@ -344,8 +352,6 @@ def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
     else:
         coords_map = system.slice_values(nodes)  # rows k(t_i, .)
 
-    # np.outer keeps k_w bit-symmetric for a symmetric kernel, so its norm
-    # takes the symmetric eigenvalue path
     k_w = kmat * np.outer(sqrt_rho, sqrt_rho)
     b_w = sqrt_rho[:, None] * basis
     c_w = coords_map * sqrt_rho
@@ -359,7 +365,8 @@ def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
     r = chol.T @ c_w
     lhs = spectral_norm(k_w.T @ k_w - r.T @ r)
     defect = spectral_norm(k_w - b_w @ c_w)
-    return lhs, defect, spectral_norm(k_w), spectral_norm(r)
+    norm_t = system.kernel.operator_norm(system.epsilon_rule(ref_points))
+    return lhs, defect, norm_t, spectral_norm(r)
 
 
 def verify_special(problem: TestProblem, system: DiscreteSystem,
@@ -367,7 +374,9 @@ def verify_special(problem: TestProblem, system: DiscreteSystem,
     """Operator-norm estimates relating the normal-operator error to the
     projection defect.
 
-    Both sides come from :func:`_special_norms`.  For the subspace schemes
+    Both sides come from :func:`_special_norms`: ``||T||`` from the kernel's
+    norm on the ``eps_n`` rule (measured once per kernel), the cell's norms
+    on its aligned grid.  For the subspace schemes
     (interpolation, cell averages) the first report instantiates the general
     bound ``(||T|| + ||T_n||) ||(I - pi_n) T||``; collocation has no
     function-space data space, so its row is measured through the

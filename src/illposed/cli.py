@@ -109,16 +109,40 @@ class RunConfig:
             raise ConfigError(f"fixed alpha must be positive and finite, got {self.alpha_rule!r}")
 
 
-def _parse_n(value) -> list[int]:
+def _as_int(value, label: str) -> int:
+    """An integer given as a number or as digits; a float or a bool is
+    rejected rather than truncated."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{label} must be an integer, got {value!r}")
+
+
+def _as_float(value, label: str) -> float:
+    """A real number given as a number or as text; a bool is rejected rather
+    than read as 0 or 1."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{label} must be a number, got {value!r}")
+
+
+def _parse_n(value, label: str) -> list[int]:
     if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(part) for part in str(value).split(",") if part.strip()]
+        return [_as_int(v, label) for v in value]
+    if isinstance(value, str):
+        return [_as_int(part, label) for part in value.split(",") if part.strip()]
+    return [_as_int(value, label)]
 
 
-def _parse_alpha(value):
+def _parse_alpha(value, label: str):
     if value is None or (isinstance(value, str) and value.strip().lower() == "eps"):
         return "eps"
-    return float(value)
+    return _as_float(value, label)
 
 
 def _parse_ids(value, catalog, parse) -> list:
@@ -152,27 +176,30 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
         )
     merged = dict(defaults)
     merged.update({k: v for k, v in config_data.items() if v is not None})
+    # where each value came from, for the error messages
+    label = {key: key for key in _CONFIG_KEYS}
     env_ref = os.environ.get(REF_POINTS_ENV)
     if env_ref is not None:
-        try:
-            merged["ref_points"] = int(env_ref)
-        except ValueError:
-            raise ConfigError(f"{REF_POINTS_ENV}={env_ref!r} is not an integer") from None
+        merged["ref_points"] = env_ref
+        label["ref_points"] = REF_POINTS_ENV
     for key in _CONFIG_KEYS - {"matrix_dump"}:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+            label[key] = f"--{key}"
+    delta = merged.get("delta")
     try:
         return RunConfig(
             problem_ids=_parse_ids(merged["problem"], problem_catalog(), _problem_id),
             schemes=_parse_ids(merged["scheme"], SchemeKind, SchemeKind.parse),
-            n_list=_parse_n(merged.get("n", [16])),
-            alpha_rule=_parse_alpha(merged.get("alpha")),
-            delta=None if merged.get("delta") is None else float(merged["delta"]),
-            seed=int(merged.get("seed", 0)),
+            n_list=_parse_n(merged.get("n", [16]), label["n"]),
+            alpha_rule=_parse_alpha(merged.get("alpha"), label["alpha"]),
+            delta=None if delta is None else _as_float(delta, label["delta"]),
+            seed=_as_int(merged.get("seed", 0), label["seed"]),
             output_dir=Path(merged.get("out", ".")),
-            ref_points=int(merged.get("ref_points", REFERENCE_POINTS)),
-            inner_factor=int(merged.get("inner_factor", 4)),
+            ref_points=_as_int(merged.get("ref_points", REFERENCE_POINTS),
+                               label["ref_points"]),
+            inner_factor=_as_int(merged.get("inner_factor", 4), label["inner_factor"]),
             matrix_dump=(Path(merged["matrix_dump"])
                          if merged.get("matrix_dump") else None),
         )

@@ -242,6 +242,11 @@ class DiscreteSystem:
         out[rows, left + 1] = frac
         return out
 
+    def epsilon_rule(self, ref_points: int = REFERENCE_POINTS) -> QuadratureRule:
+        """The ``max(ref_points, 4 n)``-point Gauss rule that ``eps_n`` is
+        measured on, and with it ``||T||`` (:meth:`Kernel.operator_norm`)."""
+        return gauss_legendre(max(int(ref_points), 4 * self.n), self.domain)
+
     @property
     def embedded_basis(self) -> bool:
         """True when basis_values is an embedding proxy (collocation)."""
@@ -461,24 +466,32 @@ def estimate_epsilon(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS)
     """Measured upper bound for the operator-level discretization error.
 
     Builds matrix representations of the continuous and discretized normal
-    operators on the ``max(ref_points, 4 n)``-point Gauss rule, symmetrized
-    by the square root of the grid weights so the matrix 2-norm approximates
-    the L2 operator norm, and returns the norm of the difference times a
-    safety factor of 1.1.  The continuous half depends on the kernel and the
-    rule only and comes from :meth:`Kernel.normal_gram`, which keeps it for
-    the last rule.  The result is cached on the system (write-once).
+    operators on :meth:`DiscreteSystem.epsilon_rule`, symmetrized by the
+    square root of the grid weights so the matrix 2-norm approximates the L2
+    operator norm, and returns the norm of the difference times a safety
+    factor of 1.1.  The continuous half depends on the kernel and the rule
+    only and comes from :meth:`Kernel.normal_gram`, which keeps it for the
+    last rule.  The difference is weighted and symmetrized in two reused
+    m x m buffers.  The result is cached on the system (write-once).
     """
-    ref_rule = gauss_legendre(max(int(ref_points), 4 * system.n), system.domain)
-    nodes = ref_rule.nodes
-    rho = ref_rule.weights
-    sqrt_rho = np.sqrt(rho)
+    ref_rule = system.epsilon_rule(ref_points)
+    sqrt_rho = np.sqrt(ref_rule.weights)
 
     normal_cont = system.kernel.normal_gram(ref_rule)
-    gv = system.slice_values(nodes)
-    normal_disc = gv.T @ (system.space.metric_dense() @ gv)
-    diff = (normal_cont - normal_disc) * np.outer(sqrt_rho, sqrt_rho)
-    value = _EPS_SAFETY * spectral_norm(0.5 * (diff + diff.T))
-    return system.cache_epsilon(value)
+    gv = system.slice_values(ref_rule.nodes)
+    space = system.space
+    metric_gv = space.weights[:, None] * gv if space.is_diagonal else space.matrix @ gv
+    # (normal_cont - normal_disc) * outer(sqrt_rho, sqrt_rho), then the
+    # symmetric part, in the order of the dense expression: eps_n of the
+    # finite-rank collocation cells is rounding noise, and its bits feed
+    # every alpha = eps_n row
+    diff = gv.T @ metric_gv
+    np.subtract(normal_cont, diff, out=diff)
+    sym = np.outer(sqrt_rho, sqrt_rho)
+    diff *= sym
+    np.add(diff, diff.T, out=sym)
+    sym *= 0.5
+    return system.cache_epsilon(_EPS_SAFETY * spectral_norm(sym))
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -42,6 +42,16 @@ class _BaseSolver:
             setattr(self, name, value)
         return self
 
+    def _build(self, y_extra, **build_kwargs):
+        # fit's second slot exists for the scikit-learn call shape only;
+        # data passed there would otherwise be dropped without a word
+        if y_extra is not None:
+            raise ValueError(
+                f"{type(self).__name__}.fit takes its data as y; y_extra must be "
+                f"None, got {type(y_extra).__name__}"
+            )
+        self.system_ = build_system(self.kernel, self.scheme, self.n, **build_kwargs)
+
     def _project(self, y) -> np.ndarray:
         if callable(y):
             return project_data(self.system_, y)
@@ -96,9 +106,9 @@ class MinimumNormSolver(_BaseSolver):
         self.reconstruction_ = None
 
     def fit(self, y, y_extra=None):
-        """Fit from data: a callable on the domain, or a length-n vector."""
-        self.system_ = build_system(self.kernel, self.scheme, self.n,
-                                    rel_tol=self.rel_tol)
+        """Fit from data: a callable on the domain, or a length-n vector;
+        ``y_extra`` must be None."""
+        self._build(y_extra, rel_tol=self.rel_tol)
         y_n = self._project(y)
         self.reconstruction_ = min_norm_solution(self.system_, y_n)
         self.coordinates_ = self.reconstruction_.coordinates
@@ -124,7 +134,7 @@ class TikhonovSolver(_BaseSolver):
         self.reconstruction_ = None
 
     def fit(self, y, y_extra=None):
-        self.system_ = build_system(self.kernel, self.scheme, self.n)
+        self._build(y_extra)
         y_n = self._project(y)
         if isinstance(self.alpha, str):
             if self.alpha != "eps":

@@ -279,13 +279,23 @@ def test_rows_to_csv_layout():
     assert lines[1].endswith(",")  # err_noisy empty when no noise
 
 
+def _dense_kernel(system, rule):
+    nodes, rho = rule.nodes, rule.weights
+    return system.kernel(nodes[:, None], nodes[None, :]), np.outer(np.sqrt(rho), np.sqrt(rho))
+
+
 def _dense_special_norms(system):
     # the dense formulas on the full m x m grid matrices, SVD for the
-    # non-symmetric ones: the oracle for the rank-n Gram forms
+    # non-symmetric ones: the oracle for the rank-n Gram forms; ||T|| is
+    # the kernel's, on the reference rule eps_n is measured on
+    def top(a):
+        return np.linalg.svd(a, compute_uv=False)[0]
+
+    kmat, weight = _dense_kernel(system, reference_rule(system.domain))
+    norm_t = top(kmat * weight)
     rule = aligned_rule(system.grid_knots(), REFERENCE_POINTS)
     nodes, rho = rule.nodes, rule.weights
-    weight = np.outer(np.sqrt(rho), np.sqrt(rho))
-    kmat = system.kernel(nodes[:, None], nodes[None, :])
+    kmat, weight = _dense_kernel(system, rule)
     basis = system.basis_values(nodes)
     if system.scheme is SchemeKind.ORTHO_PC:
         coords_map = (basis * rho[:, None]).T @ kmat / system.space.weights[:, None]
@@ -293,12 +303,8 @@ def _dense_special_norms(system):
         coords_map = system.slice_values(nodes)
     basis_gram = (basis * rho[:, None]).T @ basis
     lhs_mat = (kmat.T @ (rho[:, None] * kmat) - coords_map.T @ basis_gram @ coords_map) * weight
-
-    def top(a):
-        return np.linalg.svd(a, compute_uv=False)[0]
-
     return (top(0.5 * (lhs_mat + lhs_mat.T)), top((kmat - basis @ coords_map) * weight),
-            top(kmat * weight), top((basis @ coords_map) * weight))
+            norm_t, top((basis @ coords_map) * weight))
 
 
 @pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])

@@ -301,6 +301,32 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, word):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", [8.5, 16]),
+    ("n", [True, 8]),
+    ("seed", 1.7),
+    ("ref_points", 300.9),
+    ("inner_factor", 4.5),
+    ("delta", True),
+    ("alpha", True),
+])
+def test_config_numbers_are_not_coerced(tmp_path, capsys, key, value):
+    # each used to run: truncated to an integer, or a bool read as 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [8], key: value}))
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_non_integer_n_flag_is_named(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--n", "8.5", "--out", str(out)]) == EXIT_CONFIG
+    assert "--n must be an integer, got '8.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["solve", "study"])
 def test_a_non_finite_measurement_is_a_numerical_failure(tmp_path, capsys, command):

@@ -12,8 +12,8 @@ from illposed.discretize import (
     project_data,
 )
 from illposed.estimators import MinimumNormSolver
-from illposed.linalg import NumericalError
-from illposed.problems import Domain, Kernel, get_problem, reference_rule
+from illposed.linalg import NumericalError, spectral_norm
+from illposed.problems import REFERENCE_POINTS, Domain, Kernel, get_problem, reference_rule
 from illposed.quadrature import aligned_rule, composite_trapezoid, gauss_legendre
 
 UNIT = Domain(0.0, 1.0)
@@ -254,6 +254,24 @@ def test_epsilon_monotone_trend_all_schemes(catalog, grid_systems):
             eps[64] = estimate_epsilon(big)
             for n in (8, 16, 32):
                 assert eps[2 * n] <= eps[n] + floor, (pid, scheme, n, eps)
+
+
+def _dense_epsilon(system):
+    # the dense expression the in-place difference reproduces bit for bit
+    rule = gauss_legendre(max(REFERENCE_POINTS, 4 * system.n), system.domain)
+    sqrt_rho = np.sqrt(rule.weights)
+    kmat = system.kernel(rule.nodes[:, None], rule.nodes[None, :])
+    gv = system.slice_values(rule.nodes)
+    d = (kmat.T @ (rule.weights[:, None] * kmat) - gv.T @ (system.space.metric_dense() @ gv)) \
+        * np.outer(sqrt_rho, sqrt_rho)
+    return 1.1 * spectral_norm(0.5 * (d + d.T))
+
+
+def test_epsilon_has_the_bits_of_the_dense_expression(grid_systems):
+    # the finite-rank collocation cells have eps_n ~ 1e-16, rounding noise
+    # that every alpha = eps_n row divides by: not one bit may move
+    for key, system in grid_systems.items():
+        assert estimate_epsilon(system) == _dense_epsilon(system), key
 
 
 def test_collocation_normal_operator_is_nystrom_composition():

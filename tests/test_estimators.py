@@ -63,3 +63,14 @@ def test_tikhonov_eps_rule_uses_measured_epsilon(green):
 def test_tikhonov_rejects_unknown_alpha_rule(green):
     with pytest.raises(ValueError):
         TikhonovSolver(green.kernel, alpha="auto").fit(green.y)
+
+
+@pytest.mark.parametrize("solver", [MinimumNormSolver, TikhonovSolver])
+def test_fit_rejects_a_second_data_argument(green, solver):
+    # it used to be dropped without a word
+    y_extra = np.ones(8)
+    with pytest.raises(ValueError, match="y_extra"):
+        solver(green.kernel, n=8).fit(green.y, y_extra)
+    explicit = solver(green.kernel, n=8).fit(green.y, None)
+    default = solver(green.kernel, n=8).fit(green.y)
+    assert np.array_equal(explicit.coordinates_, default.coordinates_)

@@ -8,7 +8,14 @@ import pytest
 from illposed.analysis import build_cell, l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
-from illposed.problems import Kernel, get_problem, problem_catalog, reference_rule
+from illposed.linalg import spectral_norm
+from illposed.problems import (
+    REFERENCE_POINTS,
+    Kernel,
+    get_problem,
+    problem_catalog,
+    reference_rule,
+)
 from illposed.quadrature import gauss_nodes
 from illposed.regularize import min_norm_solution, tikhonov_discrete
 
@@ -104,6 +111,22 @@ def test_verify_forms_normal_gram_once_per_kernel(tmp_path, monkeypatch):
     assert all(len(seen) == 1 for seen in formed.values()), formed
 
 
+def test_verify_takes_three_reference_grid_eigenproblems_per_cell(tmp_path, monkeypatch):
+    # eps_n, the lhs and the defect's Gram per cell; ||T|| once per kernel
+    gauss_nodes(REFERENCE_POINTS)  # leggauss's own eigvalsh stays out of the count
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
+    problems, cells = len(problem_catalog()), len(problem_catalog()) * 3 * 2
+    assert sum(m >= REFERENCE_POINTS for m in sizes) == 3 * cells + problems
+
+
 def _fresh_normal_gram(kernel, rule):
     kmat = kernel(rule.nodes[:, None], rule.nodes[None, :])
     return kmat.T @ (rule.weights[:, None] * kmat)
@@ -138,3 +161,45 @@ def test_epsilon_from_a_memo_hit_matches_a_fresh_kernel(scheme):
 
     fresh = estimate_epsilon(build_system(get_problem("green-m1").kernel, scheme, 16))
     assert hit == fresh
+
+
+def _fresh_operator_norm(kernel, rule):
+    sqrt_rho = np.sqrt(rule.weights)
+    kmat = kernel(rule.nodes[:, None], rule.nodes[None, :])
+    return spectral_norm(kmat * np.outer(sqrt_rho, sqrt_rho))
+
+
+def test_operator_norm_memo_hit_is_the_same_value(monkeypatch):
+    kernel = get_problem("green-m1").kernel
+    first = kernel.operator_norm(reference_rule(kernel.domain, 64))
+    gram = kernel.normal_gram(reference_rule(kernel.domain, 64))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a hit solves no eigenproblem
+    assert kernel.operator_norm(reference_rule(kernel.domain, 64)) == first
+    # the norm rides on the continuous half's memo entry, which stays put
+    assert kernel.normal_gram(reference_rule(kernel.domain, 64)) is gram
+    # against the exact norm 1/pi^2 of the Green operator
+    assert first == pytest.approx(1.0 / np.pi**2, rel=1e-3)
+
+
+@pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])
+def test_operator_norm_memo_follows_the_rule(pid):
+    # A, then B, then A again: never a stale norm
+    kernel = get_problem(pid).kernel
+    rule_a = reference_rule(kernel.domain, 48)
+    rule_b = reference_rule(kernel.domain, 64)
+    norms = {}
+    for rule in (rule_a, rule_b, rule_a):
+        got = kernel.operator_norm(rule)
+        assert got == pytest.approx(_fresh_operator_norm(kernel, rule), rel=1e-13)
+        norms.setdefault(rule.n_points, set()).add(got)
+    assert norms[48] != norms[64] and len(norms[48]) == 1
+
+
+def test_operator_norm_from_a_memo_hit_matches_a_fresh_kernel():
+    # outputs must not depend on which cell of a kernel was measured first
+    warm = get_problem("green-m1").kernel
+    rule = reference_rule(warm.domain)
+    estimate_epsilon(build_system(warm, "collocation", 8))
+    hit = warm.operator_norm(rule)
+    fresh = get_problem("green-m1").kernel
+    assert fresh.operator_norm(rule) == hit
