@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +128,7 @@ class DiscreteSystem:
         Rule used for the entry integrals.
 
     Two caches sit beside the fixed fields.  The epsilon cache is write-once
-    and idempotent.  :meth:`slice_values` keeps the last 1-D grid it sampled
+    and idempotent.  :meth:`slice_values` keeps the last grid it sampled
     and the slice values there as one read-only ``(grid, values)`` tuple,
     replaced by a single attribute store; concurrent readers therefore see
     either the old or the new pair and at worst recompute.
@@ -194,23 +195,31 @@ class DiscreteSystem:
     # -- slice and basis evaluation ------------------------------------------
 
     def slice_values(self, t_points) -> np.ndarray:
-        """Values ``g_i(t)`` of the scheme slices, shape (n, len(t_points)).
+        """Values ``g_i(t)`` of the scheme slices at the flattened points,
+        shape (n, t_points.size).
 
-        The values on the last 1-D grid are kept (read-only) and returned
-        again for an equal grid, so every reconstruction measured on one
-        reference rule samples the slices once.
+        The points must lie in the domain, up to the 1e-12 slack of
+        :class:`QuadratureRule`; the slices are not extrapolated.  The
+        values on the last grid are kept (read-only) and returned again for
+        an equal grid, so every reconstruction measured on one reference
+        rule samples the slices once and checks its points once.
         """
-        t = np.atleast_1d(np.asarray(t_points, dtype=float))
+        t = np.asarray(t_points, dtype=float).ravel()
         memo = self._slices
         if memo is not None and np.array_equal(memo[0], t):
             return memo[1]
+        a, b = self.domain.a, self.domain.b
+        if t.size and not (t.min() >= a - 1e-12 and t.max() <= b + 1e-12):
+            raise ValueError(
+                f"points must lie in the domain [{a}, {b}]; got values in "
+                f"[{t.min()!r}, {t.max()!r}]"
+            )
         if self.scheme is SchemeKind.ORTHO_PC:
             values = _cell_average_slices(self.kernel, self.cell_edges(), t)
         else:
             values = self.kernel(self.rule.nodes[:, None], t[None, :])
-        if t.ndim == 1:
-            values.flags.writeable = False
-            self._slices = (t.copy(), values)
+        values.flags.writeable = False
+        self._slices = (t.copy(), values)
         return values
 
     def basis_values(self, s_points) -> np.ndarray:
@@ -276,8 +285,11 @@ def _hat_space(n: int, h: float) -> WeightedSpace:
 def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cell averages ``(1/h) integral_{cell_i} k(s, t) ds`` for all cells/t.
 
-    The s-integral is split at ``s = t`` whenever ``t`` falls inside the
-    cell, so diagonally kinked kernels are integrated to machine accuracy.
+    The s-integral is split at ``s = t`` whenever ``t`` falls strictly
+    inside the cell, so diagonally kinked kernels are integrated to machine
+    accuracy.  Points on a cell edge or off ``[a, b]`` take no split.  The
+    split is done for every such point at once, one kernel call per side,
+    with the same per-point arithmetic as a cell-by-cell split.
     """
     n = edges.size - 1
     h = edges[1] - edges[0]
@@ -289,15 +301,18 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
         mid = 0.5 * (right + left)
         s_nodes = mid + half * gx
         out[i] = (kernel(s_nodes[:, None], t[None, :]).T @ gw) * half / h
-        inside = (t > left) & (t < right)
-        if kernel.diagonal_kink and np.any(inside):
-            t_in = t[inside]
-            acc = np.zeros(t_in.size)
-            for lo, hi in ((np.full_like(t_in, left), t_in),
-                           (t_in, np.full_like(t_in, right))):
-                s_seg, w_seg = segment_gauss(lo, hi, _CELL_GAUSS)
-                acc += np.einsum("ij,ij->i", kernel(s_seg, t_in[:, None]), w_seg)
-            out[i, inside] = acc / h
+    if not kernel.diagonal_kink:
+        return out
+    cell = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, n - 1)
+    idx = np.flatnonzero((t > edges[cell]) & (t < edges[cell + 1]))
+    if idx.size == 0:
+        return out
+    cell, t_in = cell[idx], t[idx]
+    acc = np.zeros(idx.size)
+    for lo, hi in ((edges[cell], t_in), (t_in, edges[cell + 1])):
+        s_seg, w_seg = segment_gauss(lo, hi, _CELL_GAUSS)
+        acc += np.einsum("ij,ij->i", kernel(s_seg, t_in[:, None]), w_seg)
+    out[cell, idx] = acc / h
     return out
 
 
@@ -313,7 +328,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
     scheme : SchemeKind or str
     n : int
         Dimension of the data space (collocation/interpolation nodes, or
-        number of cells).
+        number of cells); an integral number, not a bool or a float.
     inner_rule : QuadratureRule, optional
         Rule for the entry integrals; must hold at least ``4 n`` points.
         Defaults to a composite Gauss rule aligned with the scheme grid,
@@ -333,11 +348,17 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
 
     Raises
     ------
+    ValueError
+        If ``n`` is not an integer or is too small for the scheme, or a
+        rule does not fit the scheme.
     NumericalError
         If the matrix has the wrong shape or is not self-adjoint PSD in the
         data-space metric, which indicates a broken kernel, rule or dump.
     """
     scheme = SchemeKind.parse(scheme)
+    # int() would quietly turn 8.7 into 8 and True into 1
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     rel_tol = check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
     dom = kernel.domain
@@ -448,7 +469,9 @@ def apply_adjoint(system: DiscreteSystem, v):
 
     Returns the function ``s -> sum_i g_i(s) (M v)_i``; this is how
     coordinate solutions of the discrete normal equations become functions
-    on the domain.
+    on the domain.  The function takes points of any shape and returns
+    values of that shape (a float for a scalar); a point off the domain
+    raises ``ValueError``.
     """
     v = as_vector(v, "v")
     if v.size != system.n:
@@ -457,7 +480,8 @@ def apply_adjoint(system: DiscreteSystem, v):
 
     def reconstruction(s):
         vals = mv @ system.slice_values(s)
-        return vals if np.ndim(s) else float(vals[0])
+        shape = np.shape(s)
+        return vals.reshape(shape) if shape else float(vals[0])
 
     return reconstruction
 

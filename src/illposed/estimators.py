@@ -134,11 +134,12 @@ class TikhonovSolver(_BaseSolver):
         self.reconstruction_ = None
 
     def fit(self, y, y_extra=None):
+        # float(True) would quietly fit with alpha = 1.0
+        if isinstance(self.alpha, bool) or (isinstance(self.alpha, str) and self.alpha != "eps"):
+            raise ValueError(f"alpha must be a positive float or 'eps', got {self.alpha!r}")
         self._build(y_extra)
         y_n = self._project(y)
         if isinstance(self.alpha, str):
-            if self.alpha != "eps":
-                raise ValueError(f"alpha must be a positive float or 'eps', got {self.alpha!r}")
             self.alpha_ = choose_alpha(estimate_epsilon(self.system_))
         else:
             self.alpha_ = float(self.alpha)

@@ -120,8 +120,11 @@ class Kernel:
         memo = self._normal_gram
         if memo is not None and np.array_equal(memo[0], nodes) and np.array_equal(memo[1], rho):
             return memo
+        # the kept matrix is allocated before the two m x m temporaries, so
+        # their release leaves no hole below it for the heap to retain
+        gram = np.empty((nodes.size, nodes.size))
         kmat = self(nodes[:, None], nodes[None, :])
-        gram = kmat.T @ (rho[:, None] * kmat)
+        np.matmul(kmat.T, rho[:, None] * kmat, out=gram)
         gram.flags.writeable = False
         memo = (nodes.copy(), rho.copy(), gram, None)
         self._normal_gram = memo
@@ -348,7 +351,13 @@ def green_problem(m: int = 1) -> TestProblem:
     def green(s, t):
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
-        return np.where(s <= t, s * (1.0 - t), t * (1.0 - s))
+        # min(s, t) (1 - max(s, t)): the products of the two-branch form
+        # with their factors swapped, without its mask and its two
+        # full-size products
+        k = np.asarray(np.maximum(s, t))
+        np.subtract(1.0, k, out=k)
+        k *= np.minimum(s, t)
+        return k
 
     kernel = Kernel(green, dom, diagonal_kink=True)
     js = np.arange(1, GREEN_EXPANSION_TERMS + 1)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from illposed.discretize import (
+    _CELL_GAUSS,
     DiscreteSystem,
     SchemeKind,
+    _cell_average_slices,
     apply_adjoint,
     build_system,
     dump_matrix,
@@ -14,7 +16,13 @@ from illposed.discretize import (
 from illposed.estimators import MinimumNormSolver
 from illposed.linalg import NumericalError, spectral_norm
 from illposed.problems import REFERENCE_POINTS, Domain, Kernel, get_problem, reference_rule
-from illposed.quadrature import aligned_rule, composite_trapezoid, gauss_legendre
+from illposed.quadrature import (
+    aligned_rule,
+    composite_trapezoid,
+    gauss_legendre,
+    gauss_nodes,
+    segment_gauss,
+)
 
 UNIT = Domain(0.0, 1.0)
 
@@ -60,6 +68,18 @@ def test_inner_rule_must_be_fine_enough():
     with pytest.raises(ValueError):
         build_system(constant_kernel(), "collocation", 8,
                      inner_rule=gauss_legendre(16, UNIT))
+
+
+@pytest.mark.parametrize("n", [8.7, 8.0, True, "8", None])
+def test_build_system_takes_only_an_integer_n(n):
+    # int() would have built n = 8 from 8.7 and n = 1 from True
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_system(constant_kernel(), "collocation", n)
+
+
+def test_build_system_accepts_numpy_integers():
+    system = build_system(constant_kernel(), "ortho-pc", np.int64(4))
+    assert system.n == 4 and type(system.n) is int
 
 
 def test_nonfinite_kernel_sample_rejected():
@@ -185,6 +205,38 @@ def test_apply_adjoint_constant_kernel():
     s = np.linspace(0.0, 1.0, 7)
     assert fn(s) == pytest.approx(np.full(7, 3.5))
     assert fn(0.25) == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_reconstruction_keeps_the_shape_of_its_points(scheme):
+    system = build_system(get_problem("green-m1").kernel, scheme, 8)
+    fn = apply_adjoint(system, np.linspace(1.0, 2.0, 8))
+    s = np.array([[0.1, 0.45], [0.5, 1.0]])
+    got = fn(s)
+    assert got.shape == (2, 2)
+    assert np.array_equal(got.ravel(), fn(s.ravel()))
+    assert fn(np.zeros((0, 3))).shape == (0, 3)
+    scalar = fn(0.45)
+    assert type(scalar) is float and scalar == pytest.approx(got[0, 1], rel=1e-14)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+@pytest.mark.parametrize("point", [1.5, -0.25, 1.0 + 1e-9, np.nan])
+def test_reconstruction_rejects_points_off_the_domain(scheme, point):
+    # green-m1 collocation n=8 used to extrapolate to -2.20 at s = 1.5
+    system = build_system(get_problem("green-m1").kernel, scheme, 8)
+    fn = apply_adjoint(system, np.ones(8))
+    with pytest.raises(ValueError, match=r"domain \[0.0, 1.0\]"):
+        fn(np.array([0.5, point]))
+    with pytest.raises(ValueError, match="domain"):
+        fn(point)
+
+
+def test_reconstruction_allows_the_rule_slack_at_the_ends():
+    system = build_system(get_problem("green-m1").kernel, "collocation", 8)
+    fn = apply_adjoint(system, np.ones(8))
+    ends = fn(np.array([0.0, 1.0]))
+    assert fn(np.array([-5e-13, 1.0 + 5e-13])) == pytest.approx(ends, abs=1e-11)
 
 
 def test_apply_adjoint_zero_vector():
@@ -408,3 +460,57 @@ def test_basis_values_match_the_per_column_loop(scheme, n):
         np.linspace(0.0, 1.0, 41),
     ])
     assert np.array_equal(system.basis_values(s), _basis_by_loop(system, s))
+
+
+# ---------------------------------------------------------------------------
+# batched cell averages
+
+
+def _cell_averages_by_cell(kernel, edges, t):
+    # the cell-by-cell form: per cell a regular pass, then the s = t split
+    # of the points strictly inside that cell
+    n = edges.size - 1
+    h = edges[1] - edges[0]
+    gx, gw = gauss_nodes(_CELL_GAUSS)
+    out = np.empty((n, t.size))
+    for i in range(n):
+        left, right = edges[i], edges[i + 1]
+        half = 0.5 * (right - left)
+        mid = 0.5 * (right + left)
+        s_nodes = mid + half * gx
+        out[i] = (kernel(s_nodes[:, None], t[None, :]).T @ gw) * half / h
+        inside = (t > left) & (t < right)
+        if kernel.diagonal_kink and np.any(inside):
+            t_in = t[inside]
+            acc = np.zeros(t_in.size)
+            for lo, hi in ((np.full_like(t_in, left), t_in),
+                           (t_in, np.full_like(t_in, right))):
+                s_seg, w_seg = segment_gauss(lo, hi, _CELL_GAUSS)
+                acc += np.einsum("ij,ij->i", kernel(s_seg, t_in[:, None]), w_seg)
+            out[i, inside] = acc / h
+    return out
+
+
+def _slice_kernels():
+    kernels = {pid: get_problem(pid).kernel for pid in ("green-m1", "rank1-sine", "rank3-decay")}
+    kernels["kinked-toy"] = Kernel(lambda s, t: np.exp(-3.0 * np.abs(s - t)), UNIT,
+                                   diagonal_kink=True)
+    kernels["smooth"] = Kernel(lambda s, t: np.exp(np.asarray(s) * t), UNIT)
+    return kernels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+@pytest.mark.parametrize("name", ["green-m1", "rank1-sine", "rank3-decay", "kinked-toy", "smooth"])
+def test_cell_averages_match_the_cell_by_cell_split_bitwise(name, n):
+    kernel = _slice_kernels()[name]
+    edges = np.linspace(0.0, 1.0, n + 1)
+    grids = [gauss_legendre(m, UNIT).nodes for m in (7, 256, 512)]
+    grids.append(aligned_rule(edges, 4 * n, min_per_panel=8).nodes)
+    # cell edges, the ends a and b, and points off the domain: none is split
+    grids.append(np.concatenate([[-0.25, 0.0, 1.0, 1.25], edges,
+                                 np.linspace(0.0, 1.0, 2 * n + 1)]))
+    for t in grids:
+        got = _cell_average_slices(kernel, edges, t)
+        want = _cell_averages_by_cell(kernel, edges, t)
+        assert np.array_equal(got, want), (name, n, t.size)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

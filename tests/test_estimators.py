@@ -74,3 +74,25 @@ def test_fit_rejects_a_second_data_argument(green, solver):
     explicit = solver(green.kernel, n=8).fit(green.y, None)
     default = solver(green.kernel, n=8).fit(green.y)
     assert np.array_equal(explicit.coordinates_, default.coordinates_)
+
+
+@pytest.mark.parametrize("solver", [MinimumNormSolver, TikhonovSolver])
+@pytest.mark.parametrize("n", [8.7, True])
+def test_fit_rejects_a_non_integer_n(green, solver, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        solver(green.kernel, n=n).fit(green.y)
+
+
+def test_tikhonov_rejects_a_bool_alpha(green):
+    # float(True) would have fitted with alpha = 1.0
+    with pytest.raises(ValueError, match="alpha"):
+        TikhonovSolver(green.kernel, n=8, alpha=True).fit(green.y)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_predict_keeps_the_shape_and_rejects_points_off_the_domain(green, scheme):
+    est = TikhonovSolver(green.kernel, scheme=scheme, n=8, alpha=1e-6).fit(green.y)
+    s = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert np.array_equal(est.predict(s), est.predict(s.ravel()).reshape(2, 2))
+    with pytest.raises(ValueError, match="domain"):
+        est.predict([0.5, 1.5])

@@ -214,3 +214,31 @@ def test_expansion_rejects_an_unknown_side():
     for call in calls:
         with pytest.raises(ValueError, match="unknown side 'x'"):
             call()
+
+
+def _green_by_branches(s, t):
+    # the two-branch form: s (1 - t) for s <= t, t (1 - s) otherwise
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return np.where(s <= t, s * (1.0 - t), t * (1.0 - s))
+
+
+def test_green_kernel_equals_the_two_branch_form_bitwise():
+    green = green_problem(1).kernel.evaluator
+    rng = np.random.default_rng(7)
+    m = gauss_legendre(64, UNIT).nodes
+    grid = np.concatenate([[0.0, 1.0], m, np.linspace(0.0, 1.0, 33)])
+    cases = [
+        (grid[:, None], grid[None, :]),  # (m,1) x (1,m), with s == t on the diagonal
+        (grid[None, :], grid[:, None]),
+        (grid, grid),  # s == t everywhere
+        (rng.random((5, 7)), rng.random((5, 1))),  # (k,q) x (k,1)
+        (rng.random((5, 1)), rng.random((5, 7))),
+        (0.3, 0.3), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0),  # 0-d scalars
+        (np.float64(0.25), 0.75), (np.asarray(0.8), np.asarray(0.2)),
+    ]
+    for s, t in cases:
+        got, want = np.asarray(green(s, t)), _green_by_branches(s, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (s, t)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

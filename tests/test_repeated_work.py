@@ -203,3 +203,20 @@ def test_operator_norm_from_a_memo_hit_matches_a_fresh_kernel():
     hit = warm.operator_norm(rule)
     fresh = get_problem("green-m1").kernel
     assert fresh.operator_norm(rule) == hit
+
+
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_an_ortho_pc_sampling_of_a_kinked_kernel_makes_n_plus_two_kernel_calls(monkeypatch, n):
+    # one regular pass per cell, then one call per side of the s = t split
+    # for every point inside a cell at once
+    system = build_system(get_problem("green-m1").kernel, "ortho-pc", n)
+    calls = []
+    original = Kernel.__call__
+
+    def counting(self, s, t):
+        calls.append(np.size(s))
+        return original(self, s, t)
+
+    monkeypatch.setattr(Kernel, "__call__", counting)
+    system.slice_values(reference_rule(system.domain, 64).nodes)
+    assert len(calls) == n + 2
