@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from illposed import analysis
 from illposed.analysis import (
     BoundReport,
     ReportContext,
@@ -19,7 +20,7 @@ from illposed.analysis import (
     _special_norms,
 )
 from illposed.discretize import SchemeKind, build_system, estimate_epsilon
-from illposed.linalg import NumericalError
+from illposed.linalg import NumericalError, spectral_norm
 from illposed.problems import (
     REFERENCE_POINTS,
     Domain,
@@ -315,6 +316,27 @@ def test_special_norms_match_the_dense_svd_formulas(grid_systems, pid, scheme):
     oracle = _dense_special_norms(system)
     for label, got, want in zip(("lhs", "defect", "norm_t", "norm_tn"), measured, oracle):
         assert got == pytest.approx(want, rel=1e-10), label
+
+
+def test_special_norms_agree_with_lapack(grid_systems, monkeypatch):
+    # each norm Lanczos takes, against LAPACK on the same matrix
+    seen = []
+
+    def recording(a):
+        seen.append((a, spectral_norm(a)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(analysis, "spectral_norm", recording)
+    for key, system in grid_systems.items():
+        seen.clear()
+        _special_norms(system)
+        assert len(seen) == 3, key
+        for a, got in seen:
+            if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
+                lapack = np.max(np.abs(np.linalg.eigvalsh(a)))
+            else:
+                lapack = np.linalg.norm(a, 2)
+            assert got == pytest.approx(lapack, rel=1e-12, abs=0.0), (key, a.shape)
 
 
 def test_special_norms_reject_a_singular_basis(grid_systems, monkeypatch):

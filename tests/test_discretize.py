@@ -308,7 +308,7 @@ def test_epsilon_monotone_trend_all_schemes(catalog, grid_systems):
                 assert eps[2 * n] <= eps[n] + floor, (pid, scheme, n, eps)
 
 
-def _dense_epsilon(system):
+def _dense_difference(system):
     # the dense expression the in-place difference reproduces bit for bit
     rule = gauss_legendre(max(REFERENCE_POINTS, 4 * system.n), system.domain)
     sqrt_rho = np.sqrt(rule.weights)
@@ -316,7 +316,11 @@ def _dense_epsilon(system):
     gv = system.slice_values(rule.nodes)
     d = (kmat.T @ (rule.weights[:, None] * kmat) - gv.T @ (system.space.metric_dense() @ gv)) \
         * np.outer(sqrt_rho, sqrt_rho)
-    return 1.1 * spectral_norm(0.5 * (d + d.T))
+    return 0.5 * (d + d.T)
+
+
+def _dense_epsilon(system):
+    return 1.1 * spectral_norm(_dense_difference(system))
 
 
 def test_epsilon_has_the_bits_of_the_dense_expression(grid_systems):
@@ -324,6 +328,14 @@ def test_epsilon_has_the_bits_of_the_dense_expression(grid_systems):
     # that every alpha = eps_n row divides by: not one bit may move
     for key, system in grid_systems.items():
         assert estimate_epsilon(system) == _dense_epsilon(system), key
+
+
+def test_epsilon_agrees_with_lapack(grid_systems):
+    # Lanczos against the dense eigensolver on the same difference matrix,
+    # the rounding-noise cells (eps_n ~ 1e-16) included
+    for key, system in grid_systems.items():
+        lapack = 1.1 * np.max(np.abs(np.linalg.eigvalsh(_dense_difference(system))))
+        assert estimate_epsilon(system) == pytest.approx(lapack, rel=1e-13, abs=0.0), key
 
 
 def test_collocation_normal_operator_is_nystrom_composition():
@@ -352,6 +364,17 @@ def test_epsilon_cache_write_once():
     assert system.cache_epsilon(value) == value  # idempotent
     with pytest.raises(NumericalError):
         system.cache_epsilon(value + 1.0)
+
+
+@pytest.mark.parametrize("pid", ["rank1-sine", "green-m1"])
+def test_epsilon_cache_rejects_a_value_from_another_rule(pid):
+    # rank1-sine: 1.4e-16 at 256 points against 3.9e-15 at 512, both far
+    # below any absolute tolerance; green-m1: 3.377e-5 against 3.366e-5
+    system = build_system(get_problem(pid).kernel, "collocation", 16)
+    first = estimate_epsilon(system, 256)
+    with pytest.raises(NumericalError, match="epsilon cache conflict"):
+        estimate_epsilon(system, 512)
+    assert estimate_epsilon(system, 256) == first
 
 
 # ---------------------------------------------------------------------------

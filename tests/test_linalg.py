@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from illposed import linalg
 from illposed.linalg import WeightedSpace, eigh_symmetric, spectral_norm
 
 
@@ -44,6 +45,10 @@ def test_spectral_norm_equals_svd_max():
         "zero": np.zeros((6, 4)),
         "1xk": rng.standard_normal((1, 9)),
         "kx1": rng.standard_normal((9, 1)),
+        "1x1": np.array([[-3.0]]),
+        "rank-1": np.outer(rng.standard_normal(40), rng.standard_normal(30)),
+        # Lanczos breaks down after two steps: the Krylov space holds x
+        "rank-1 symmetric": np.outer(np.arange(1.0, 41.0), np.arange(1.0, 41.0)),
     }
     for label, a in cases.items():
         oracle = np.linalg.svd(a, compute_uv=False)[0]
@@ -64,6 +69,29 @@ def test_spectral_norm_large_matrix():
 
 def test_spectral_norm_symmetric_indefinite():
     assert spectral_norm(np.diag([1.0, -5.0, 2.0])) == pytest.approx(5.0)
+
+
+def test_spectral_norm_sees_an_odd_top_eigenvector():
+    # 2 u u^T + e e^T with u odd and e even about the centre, as on a
+    # symmetric grid: a start vector without an odd part never sees u
+    # and returns 1
+    u = np.linspace(-1.0, 1.0, 60)
+    u /= np.linalg.norm(u)
+    e = np.full(60, 1.0 / np.sqrt(60))
+    a = 2.0 * np.outer(u, u) + np.outer(e, e)
+    assert spectral_norm(a) == pytest.approx(2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (50, 30), (30, 50)])
+def test_spectral_norm_past_the_step_cap_is_the_dense_eigvalsh(monkeypatch, shape):
+    a = random_matrix(*shape, 11)
+    if shape[0] == shape[1]:
+        a = a + a.T
+        dense = np.max(np.abs(np.linalg.eigvalsh(a)))
+    else:
+        dense = np.sqrt(np.linalg.eigvalsh(a.T @ a if shape[0] > shape[1] else a @ a.T)[-1])
+    monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 1)
+    assert spectral_norm(a) == dense
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from illposed import analysis, discretize, linalg, problems
 from illposed.analysis import build_cell, l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
@@ -64,19 +65,28 @@ def test_second_l2_error_samples_no_kernel(monkeypatch, scheme):
 def test_a_replayed_cell_is_factored_once(monkeypatch, scheme):
     problem = get_problem("green-m1")
     matrix = build_system(problem.kernel, scheme, 8).matrix
-    calls = []
-    eigh = np.linalg.eigh
+    calls, in_lanczos = [], []
+    eigh, lanczos = np.linalg.eigh, linalg._lanczos
 
     def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        if not in_lanczos:  # a norm's Ritz solves are k x k tridiagonals, not factorizations
+            calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
+    def marking(*args):
+        in_lanczos.append(True)
+        try:
+            return lanczos(*args)
+        finally:
+            in_lanczos.pop()
+
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(linalg, "_lanczos", marking)
     build_cell(problem, scheme, 8, 64, 4)
     assembled, calls[:] = list(calls), []
     build_cell(problem, scheme, 8, 64, 4, matrix=matrix)
     # the interpolatory hat Gram metric is decomposed once per (n, h), not per build
-    assert len(assembled) == len(calls) == 1, (assembled, calls)
+    assert assembled == calls == [(8, 8)], (assembled, calls)
 
 
 def test_verify_takes_no_svd(tmp_path, monkeypatch):
@@ -112,19 +122,27 @@ def test_verify_forms_normal_gram_once_per_kernel(tmp_path, monkeypatch):
 
 
 def test_verify_takes_three_reference_grid_eigenproblems_per_cell(tmp_path, monkeypatch):
-    # eps_n, the lhs and the defect's Gram per cell; ||T|| once per kernel
+    # eps_n, the lhs and the defect per cell; ||T|| once per kernel; all of
+    # them by Lanczos, so no dense eigensolver runs on a reference grid
     gauss_nodes(REFERENCE_POINTS)  # leggauss's own eigvalsh stays out of the count
-    sizes = []
+    norms, dense = [], []
     eigvalsh = np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
+    def counting(a):
+        norms.append(min(np.shape(a)))
+        return spectral_norm(a)
+
+    def counting_dense(a, *args, **kwargs):
+        dense.append(np.shape(a)[0])
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for module in (discretize, analysis, problems):  # each imports it by name
+        monkeypatch.setattr(module, "spectral_norm", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_dense)
     assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
-    problems, cells = len(problem_catalog()), len(problem_catalog()) * 3 * 2
-    assert sum(m >= REFERENCE_POINTS for m in sizes) == 3 * cells + problems
+    kernels, cells = len(problem_catalog()), len(problem_catalog()) * 3 * 2
+    assert sum(m >= REFERENCE_POINTS for m in norms) == 3 * cells + kernels
+    assert [m for m in dense if m >= REFERENCE_POINTS] == []
 
 
 def _fresh_normal_gram(kernel, rule):
@@ -166,14 +184,16 @@ def test_epsilon_from_a_memo_hit_matches_a_fresh_kernel(scheme):
 def _fresh_operator_norm(kernel, rule):
     sqrt_rho = np.sqrt(rule.weights)
     kmat = kernel(rule.nodes[:, None], rule.nodes[None, :])
-    return spectral_norm(kmat * np.outer(sqrt_rho, sqrt_rho))
+    return np.linalg.norm(kmat * np.outer(sqrt_rho, sqrt_rho), 2)
 
 
 def test_operator_norm_memo_hit_is_the_same_value(monkeypatch):
     kernel = get_problem("green-m1").kernel
     first = kernel.operator_norm(reference_rule(kernel.domain, 64))
     gram = kernel.normal_gram(reference_rule(kernel.domain, 64))
-    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # a hit solves no eigenproblem
+    # a hit solves no eigenproblem, neither Lanczos's Ritz solves nor a dense one
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
     assert kernel.operator_norm(reference_rule(kernel.domain, 64)) == first
     # the norm rides on the continuous half's memo entry, which stays put
     assert kernel.normal_gram(reference_rule(kernel.domain, 64)) is gram
