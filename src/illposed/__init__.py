@@ -31,7 +31,6 @@ from .problems import (
     Kernel,
     SeparableExpansion,
     TestProblem,
-    apply_operator,
     get_problem,
     green_problem,
     make_separable_problem,
@@ -46,7 +45,6 @@ from .regularize import (
     SourcePhi,
     add_noise,
     choose_alpha,
-    log_phi,
     min_norm_solution,
     phi_eval,
     power_phi,

@@ -56,7 +56,6 @@ __all__ = [
     "build_cell",
     "measure_cell",
     "convergence_study",
-    "pinverse_norm",
     "reports_to_csv",
     "rows_to_csv",
 ]
@@ -169,17 +168,25 @@ def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=(),
 
     For each shift ``alpha`` the measured ``||x - x_n||`` is compared with
     ``(1 + eps_n / alpha) ||x - x_alpha||``; the a-priori choice
-    ``alpha = eps_n`` makes the factor two and is always included.
+    ``alpha = eps_n`` makes the factor two and is always included.  Every
+    report is skipped, with the solver's message as the reason, when the
+    projected data falls outside the numerical range (data that is pure
+    rounding, say a mode that vanishes at every node).
     """
     eps = _require_epsilon(system)
     if ref_rule is None:
         ref_rule = reference_rule(problem.kernel.domain)
+    checks = [("Th-1", a) for a in alphas] + [("Th-1-factor2", eps)]
     y_n = project_data(system, problem.y)
-    rec = min_norm_solution(system, y_n)
+    try:
+        rec = min_norm_solution(system, y_n)
+    except InconsistentDataError as exc:
+        return [skipped_report(bound_id, _context(problem, system, alpha=alpha), str(exc))
+                for bound_id, alpha in checks]
     lhs = l2_error(problem.x_dagger, rec.function, ref_rule)
 
     reports = []
-    for bound_id, alpha in [("Th-1", a) for a in alphas] + [("Th-1-factor2", eps)]:
+    for bound_id, alpha in checks:
         x_alpha = tikhonov_continuous_reference(problem, ref_rule, alpha)
         tik_err = l2_error(problem.x_dagger, x_alpha, ref_rule)
         rhs = (1.0 + eps / alpha) * tik_err
@@ -397,19 +404,6 @@ def verify_special(problem: TestProblem, system: DiscreteSystem,
 
 # ---------------------------------------------------------------------------
 # Structural identities and studies
-
-
-def pinverse_norm(system: DiscreteSystem) -> float:
-    """Norm of the discrete generalized inverse, measured on the stored factor.
-
-    Builds the pseudo-inverse of the symmetrized normal matrix from its
-    eigendecomposition and takes its spectral norm; the square root equals
-    ``1 / sigma_min`` up to rounding, which the structural tests assert.
-    """
-    keep = system.kept()
-    q = system.eigvecs[:, keep]
-    pinv = (q / system.eigvals[keep]) @ q.T
-    return float(np.sqrt(spectral_norm(0.5 * (pinv + pinv.T))))
 
 
 def build_cell(problem: TestProblem, scheme, n: int, ref_points: int, inner_factor: int,

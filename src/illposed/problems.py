@@ -6,10 +6,11 @@ singular expansion.  These problems are the ground truth against which every
 solver and every error bound in the package is verified.
 
 The repo-wide measurement standard for "exact" L2 quantities is the 256-point
-Gauss-Legendre rule returned by :func:`reference_rule`.  Kernels that are
-continuous but kinked along the diagonal (Green's functions) additionally get
-a split-quadrature application path, because a single global rule cannot
-integrate across the kink to machine accuracy.
+Gauss-Legendre rule returned by :func:`reference_rule`.  The operator is
+applied by :func:`apply_operator_split`, which splits the integral at the
+diagonal: kernels that are continuous but kinked there (Green's functions)
+are then integrated to machine accuracy, where a single global rule stalls
+near 1e-6.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "SourceRepresentation",
     "TestProblem",
     "reference_rule",
-    "apply_operator",
     "apply_operator_split",
     "make_separable_problem",
     "green_problem",
@@ -135,8 +135,9 @@ class Kernel:
 class SourceRepresentation:
     """Smoothness certificate ``x = phi(T*T) u`` for the true solution.
 
-    ``kind`` is ``"power"`` or ``"log"``, ``param`` the exponent, ``u_norm``
-    an upper bound for the norm of the source element ``u``.
+    ``kind`` is ``"power"`` (``phi(t) = t^nu``), ``param`` the exponent
+    ``nu``, ``u_norm`` an upper bound for the norm of the source element
+    ``u``.
     """
 
     kind: str
@@ -262,27 +263,6 @@ class TestProblem:
                     f"problem {self.problem_id!r}: x lies outside the expansion span "
                     f"(residual {res:.2e})"
                 )
-
-
-def apply_operator(kernel: Kernel, rule: QuadratureRule, x):
-    """Quadrature application of the integral operator.
-
-    Returns the function ``s -> sum_i w_i k(s, t_i) x(t_i)``; the quadrature
-    error is the caller's responsibility and is governed by the rule's
-    exactness degree.
-    """
-    if not (abs(rule.domain.a - kernel.domain.a) < 1e-12
-            and abs(rule.domain.b - kernel.domain.b) < 1e-12):
-        raise ValueError("rule must live on the kernel's domain")
-    xw = np.asarray(x(rule.nodes), dtype=float) * rule.weights
-    nodes = rule.nodes
-
-    def tx(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        vals = kernel(s_arr[:, None], nodes[None, :]) @ xw
-        return vals if np.ndim(s) else float(vals[0])
-
-    return tx
 
 
 def apply_operator_split(kernel: Kernel, x, s_points, points_per_side: int = 48) -> np.ndarray:

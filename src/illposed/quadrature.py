@@ -37,7 +37,6 @@ __all__ = [
     "gauss_legendre",
     "composite_gauss",
     "aligned_rule",
-    "integrate",
 ]
 
 
@@ -189,11 +188,3 @@ def aligned_rule(knots, min_points: int, min_per_panel: int = 4) -> QuadratureRu
         raise ValueError("need at least two distinct knots")
     q = max(min_per_panel, math.ceil(int(min_points) / panels))
     return composite_gauss(knots, q)
-
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """Apply the rule to a callable or an array of node values."""
-    values = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-    if values.shape != rule.nodes.shape:
-        raise ValueError("value array does not match the rule's nodes")
-    return float(np.sum(rule.weights * values))

@@ -11,8 +11,12 @@ solve costs two matrix-vector products.
 The continuous Tikhonov solution is the yardstick the error bounds compare
 against.  Problems carrying a closed-form singular expansion use the spectral
 filter formula directly; otherwise the regularized normal equation is solved
-densely on the reference grid.  Both paths are exposed so they can be checked
-against each other.
+densely on the reference grid, with ``T*T`` and ``T*y`` integrated on one
+rule whose panels break at every grid node.  Both paths are exposed so they
+can be checked against each other.
+
+The source function of a smoothness certificate is of power type,
+``phi(t) = t^nu``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 
 from .discretize import DiscreteSystem, apply_adjoint
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
-from .problems import Kernel, SourceRepresentation, TestProblem
-from .quadrature import QuadratureRule, segment_gauss
+from .problems import SourceRepresentation, TestProblem
+from .quadrature import QuadratureRule, aligned_rule
 from .validation import as_vector, check_positive
 
 __all__ = [
@@ -33,7 +37,6 @@ __all__ = [
     "Reconstruction",
     "NoiseSpec",
     "power_phi",
-    "log_phi",
     "phi_from_source",
     "phi_eval",
     "choose_alpha",
@@ -44,11 +47,6 @@ __all__ = [
     "tikhonov_continuous_reference",
     "add_noise",
 ]
-
-# Validity window used to calibrate the log source function numerically;
-# the log filter is only meaningful for spectra well below one.
-_LOG_REGIME_TOP = 1e-1
-
 
 class InconsistentDataError(NumericalError):
     """Discrete data falls outside the numerical range of the operator."""
@@ -62,10 +60,9 @@ class InconsistentDataError(NumericalError):
 class SourcePhi:
     """Index function ``phi`` of a source condition, with its sup constant.
 
-    ``kind`` is ``"power"`` (``phi(t) = t^nu``, ``nu`` in (0, 1]) or
-    ``"log"`` (``phi(t) = log(1/t)^-p``, ``p > 0``); ``c0`` is a constant for
-    which ``sup_t alpha phi(t) / (t + alpha) <= c0 phi(alpha)`` holds on the
-    calibration grid.
+    ``kind`` is ``"power"`` (``phi(t) = t^nu``, ``nu = param`` in (0, 1]);
+    ``c0`` is a constant for which
+    ``sup_t alpha phi(t) / (t + alpha) <= c0 phi(alpha)`` holds.
     """
 
     kind: str
@@ -81,40 +78,16 @@ def power_phi(nu: float) -> SourcePhi:
     return SourcePhi(kind="power", param=nu, c0=1.0)
 
 
-def log_phi(p: float) -> SourcePhi:
-    """Logarithmic index function, calibrated numerically on its regime."""
-    p = check_positive(p, "p")
-    lam = np.geomspace(1e-12, _LOG_REGIME_TOP, 200)
-    alphas = np.geomspace(1e-12, _LOG_REGIME_TOP, 60)
-    phi_lam = np.log(1.0 / lam) ** (-p)
-    ratios = [
-        np.max(alpha * phi_lam / (lam + alpha)) / (np.log(1.0 / alpha) ** (-p))
-        for alpha in alphas
-    ]
-    return SourcePhi(kind="log", param=p, c0=float(np.max(ratios)))
-
-
 def phi_from_source(source: SourceRepresentation) -> SourcePhi:
     if source.kind == "power":
         return power_phi(source.param)
-    if source.kind == "log":
-        return log_phi(source.param)
     raise ValueError(f"unknown source kind {source.kind!r}")
 
 
 def phi_eval(phi: SourcePhi, lam: float) -> float:
-    """Evaluate the index function at ``lam > 0``.
-
-    The log kind is restricted to ``lam < 1``; outside that regime the
-    formula is meaningless and an error is raised rather than a garbage
-    value returned.
-    """
+    """Evaluate the index function at ``lam > 0``."""
     lam = check_positive(lam, "lambda")
-    if phi.kind == "power":
-        return float(lam ** phi.param)
-    if lam >= 1.0:
-        raise ValueError(f"log index function is outside the asymptotic regime at {lam!r}")
-    return float(np.log(1.0 / lam) ** (-phi.param))
+    return float(lam ** phi.param)
 
 
 def choose_alpha(eps_n: float) -> float:
@@ -215,25 +188,28 @@ def tikhonov_spectral_reference(problem: TestProblem, ref_rule: QuadratureRule,
 def dense_reference_solver(problem: TestProblem, ref_rule: QuadratureRule):
     """Grid Tikhonov solver: factor once, solve for many shifts.
 
-    The continuous normal operator is represented on the reference grid with
-    entries ``integral k(s, t_l) k(s, t_m) ds`` computed by a per-entry
-    quadrature split at the kernel's diagonal, so kinked kernels are
-    assembled to machine accuracy.  Returns ``solve(alpha) -> function``;
-    the returned function interpolates the grid solution piecewise-linearly
-    off the grid.
+    With ``t`` the reference nodes, ``s`` is integrated on the composite
+    Gauss rule (weights ``W``) of ``4 (m + 1)`` points whose panels break at
+    ``a``, every ``t`` and ``b``, so each column ``k(., t_l)`` is smooth on
+    every panel and kinked kernels are integrated to machine accuracy.  One
+    kernel sample ``K = k(s, t)`` gives the weighted normal matrix
+    ``(K sqrt(rho))^T W (K sqrt(rho))`` and ``T*y = K^T (W y(s))`` on that
+    rule.  Returns ``solve(alpha) -> function``; the returned function
+    interpolates the grid solution piecewise-linearly off the grid.
     """
-    kernel = problem.kernel
+    dom = problem.kernel.domain
     nodes = ref_rule.nodes
-    rho = ref_rule.weights
-    sqrt_rho = np.sqrt(rho)
-    normal = _normal_matrix_split(kernel, nodes)
-    tsty = _adjoint_data_values(kernel, problem.y, nodes)
-    sym = (normal * np.outer(sqrt_rho, sqrt_rho))
-    vals, vecs = eigh_symmetric(0.5 * (sym + sym.T))
+    sqrt_rho = np.sqrt(ref_rule.weights)
+    s_rule = aligned_rule(np.concatenate(([dom.a], nodes, [dom.b])), 4 * (nodes.size + 1))
+    sqrt_w = np.sqrt(s_rule.weights)
+    # sqrt(W) K sqrt(rho): its Gram matrix is the weighted normal matrix
+    k_w = sqrt_w[:, None] * problem.kernel(s_rule.nodes[:, None], nodes[None, :])
+    k_w *= sqrt_rho
+    vals, vecs = eigh_symmetric(k_w.T @ k_w)
     # the grid normal matrix is a Gram matrix: negative eigenvalues are
     # rounding and are clipped, as in tikhonov_discrete
     vals = np.maximum(vals, 0.0)
-    coeffs = vecs.T @ (sqrt_rho * tsty)
+    coeffs = vecs.T @ (k_w.T @ (sqrt_w * np.asarray(problem.y(s_rule.nodes), dtype=float)))
 
     def solve(alpha: float):
         alpha = check_positive(alpha, "alpha")
@@ -259,38 +235,6 @@ def tikhonov_continuous_reference(problem: TestProblem, ref_rule: QuadratureRule
     if problem.svd is not None:
         return tikhonov_spectral_reference(problem, ref_rule, alpha)
     return dense_reference_solver(problem, ref_rule)(alpha)
-
-
-def _normal_matrix_split(kernel: Kernel, t_nodes: np.ndarray,
-                         points_per_segment: int = 12) -> np.ndarray:
-    """Entries ``integral k(s, t_l) k(s, t_m) ds`` with splits at t_l, t_m."""
-    m = t_nodes.size
-    a, b = kernel.domain.a, kernel.domain.b
-    iu, ju = np.triu_indices(m)
-    t_lo = np.minimum(t_nodes[iu], t_nodes[ju])
-    t_hi = np.maximum(t_nodes[iu], t_nodes[ju])
-    acc = np.zeros(iu.size)
-    for lo, hi in ((np.full_like(t_lo, a), t_lo), (t_lo, t_hi),
-                   (t_hi, np.full_like(t_hi, b))):
-        s, w = segment_gauss(lo, hi, points_per_segment)
-        vals = kernel(s, t_nodes[iu][:, None]) * kernel(s, t_nodes[ju][:, None])
-        acc += np.einsum("ij,ij->i", vals, w)
-    normal = np.zeros((m, m))
-    normal[iu, ju] = acc
-    normal[ju, iu] = acc
-    return normal
-
-
-def _adjoint_data_values(kernel: Kernel, y, t_nodes: np.ndarray,
-                         points_per_segment: int = 32) -> np.ndarray:
-    """Values ``(T* y)(t_l) = integral k(s, t_l) y(s) ds`` split at t_l."""
-    a, b = kernel.domain.a, kernel.domain.b
-    out = np.zeros(t_nodes.size)
-    for lo, hi in ((np.full_like(t_nodes, a), t_nodes),
-                   (t_nodes, np.full_like(t_nodes, b))):
-        s, w = segment_gauss(lo, hi, points_per_segment)
-        out += np.einsum("ij,ij->i", kernel(s, t_nodes[:, None]) * np.asarray(y(s)), w)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from illposed.analysis import (
     convergence_study,
     default_tolerance,
     l2_error,
-    pinverse_norm,
     reports_to_csv,
     rows_to_csv,
     verify_special,
@@ -26,6 +25,7 @@ from illposed.problems import (
     Domain,
     SeparableExpansion,
     get_problem,
+    green_problem,
     make_separable_problem,
     reference_rule,
 )
@@ -104,6 +104,17 @@ def test_verify_th1_zero_data(zero_problem):
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
+
+
+def test_verify_th1_skips_data_that_is_rounding():
+    # sin(3 pi t) vanishes at every interpolation node at n = 4, so the
+    # projected data is rounding (~7e-18) outside the numerical range
+    prob = green_problem(3)
+    system = analysis.build_cell(prob, "interpolatory", 4, REFERENCE_POINTS, 4)
+    reports = verify_th1(prob, system, alphas=(1e-2,))
+    assert [r.bound_id for r in reports] == ["Th-1", "Th-1-factor2"]
+    assert [r.context.alpha for r in reports] == [1e-2, system.epsilon_n]
+    assert all(r.skipped and "inconsistent discrete data" in r.reason for r in reports)
 
 
 def test_verify_th1_green_error_decreases(grid_systems, catalog):
@@ -209,7 +220,9 @@ def test_sigma_relation(grid_systems):
 def test_pinverse_norm_identity(grid_systems):
     for key in [("rank1-sine", "collocation", 8), ("green-m1", "interpolatory", 16)]:
         system = grid_systems[key]
-        assert pinverse_norm(system) * system.sigma_min == pytest.approx(1.0, rel=1e-10)
+        pinv = np.linalg.pinv(system.sym_matrix, rcond=system.rel_tol, hermitian=True)
+        assert np.sqrt(np.linalg.norm(pinv, 2)) * system.sigma_min == pytest.approx(
+            1.0, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

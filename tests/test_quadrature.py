@@ -13,7 +13,6 @@ from illposed.quadrature import (
     composite_trapezoid,
     gauss_legendre,
     gauss_nodes,
-    integrate,
     segment_gauss,
 )
 
@@ -34,12 +33,12 @@ def test_trapezoid_n3_nodes_and_weights():
 @pytest.mark.parametrize("n", [2, 5, 17])
 def test_trapezoid_exact_for_linear(n):
     rule = composite_trapezoid(n, UNIT)
-    assert integrate(rule, lambda t: t) == pytest.approx(0.5, abs=1e-14)
+    assert rule.weights @ rule.nodes == pytest.approx(0.5, abs=1e-14)
 
 
 def test_trapezoid_quadratic_error_model():
     rule = composite_trapezoid(101, UNIT)
-    assert integrate(rule, lambda t: t * t) == pytest.approx(1.0 / 3.0, abs=1e-4)
+    assert rule.weights @ rule.nodes**2 == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
 def test_trapezoid_rejects_small_n():
@@ -55,13 +54,13 @@ def test_gauss_one_point_is_midpoint():
 
 def test_gauss_two_point_exactness():
     rule = gauss_legendre(2, Domain(-1.0, 1.0))
-    assert integrate(rule, lambda t: t**3) == pytest.approx(0.0, abs=1e-14)
-    assert integrate(rule, lambda t: t**2) == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert rule.weights @ rule.nodes**3 == pytest.approx(0.0, abs=1e-14)
+    assert rule.weights @ rule.nodes**2 == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
 def test_gauss_16_exponential():
     rule = gauss_legendre(16, UNIT)
-    assert integrate(rule, np.exp) == pytest.approx(math.e - 1.0, abs=1e-14)
+    assert rule.weights @ np.exp(rule.nodes) == pytest.approx(math.e - 1.0, abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,7 +71,7 @@ def test_gauss_exact_up_to_degree(n, degree_offset, seed):
     degree = max(0, 2 * n - 1 - degree_offset)
     coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=degree + 1)
     rule = gauss_legendre(n, UNIT)
-    value = integrate(rule, lambda t: np.polynomial.polynomial.polyval(t, coeffs))
+    value = rule.weights @ np.polynomial.polynomial.polyval(rule.nodes, coeffs)
     exact = np.sum(coeffs / (np.arange(degree + 1) + 1.0))
     assert value == pytest.approx(exact, abs=1e-13)
 
@@ -84,7 +83,7 @@ def test_composite_gauss_panels():
     # exact for piecewise polynomials of degree 7 with a break at 0.25
     f = lambda t: np.where(t < 0.25, t**7, (1.0 - t) ** 5)
     exact = 0.25**8 / 8 + 0.75**6 / 6
-    assert integrate(rule, f) == pytest.approx(exact, abs=1e-15)
+    assert rule.weights @ f(rule.nodes) == pytest.approx(exact, abs=1e-15)
 
 
 def test_aligned_rule_minimum_points():
@@ -101,14 +100,6 @@ def test_rule_invariants_enforced():
     with pytest.raises(ValueError):
         # weights must sum to the interval length
         QuadratureRule(np.array([0.2, 0.8]), np.array([0.5, 0.6]), 1, UNIT)
-
-
-def test_integrate_accepts_values():
-    rule = composite_trapezoid(5, UNIT)
-    values = rule.nodes.copy()
-    assert integrate(rule, values) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        integrate(rule, values[:-1])
 
 
 def test_gauss_nodes_are_cached_and_read_only():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from illposed.problems import (
     Domain,
     Kernel,
     SeparableExpansion,
+    SourceRepresentation,
     get_problem,
     make_separable_problem,
     reference_rule,
@@ -20,7 +23,6 @@ from illposed.regularize import (
     add_noise,
     choose_alpha,
     dense_reference_solver,
-    log_phi,
     min_norm_solution,
     phi_eval,
     phi_from_source,
@@ -281,6 +283,11 @@ def test_two_path_agreement(pid):
     for alpha in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         spectral = tikhonov_spectral_reference(prob, REF, alpha)
         assert l2_error(spectral, solver(alpha), REF) <= 1e-7
+    # a problem without its expansion takes the dense path
+    bare = dataclasses.replace(prob, svd=None)
+    for alpha in (1e-2, 1e-6):
+        dense = tikhonov_continuous_reference(bare, REF, alpha)
+        assert np.array_equal(dense(REF.nodes), solver(alpha)(REF.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +297,6 @@ def test_two_path_agreement(pid):
 def test_phi_eval_power():
     assert phi_eval(power_phi(0.5), 0.04) == pytest.approx(0.2)
     assert phi_eval(power_phi(1.0), 0.37) == pytest.approx(0.37)
-
-
-def test_phi_eval_log():
-    assert phi_eval(log_phi(1.0), np.exp(-2.0)) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        phi_eval(log_phi(1.0), 1.0)
     with pytest.raises(ValueError):
         phi_eval(power_phi(0.5), 0.0)
 
@@ -305,8 +306,11 @@ def test_phi_constructors_validate():
         power_phi(0.0)
     with pytest.raises(ValueError):
         power_phi(1.5)
-    with pytest.raises(ValueError):
-        log_phi(-1.0)
+
+
+def test_phi_from_source_rejects_other_kinds():
+    with pytest.raises(ValueError, match="unknown source kind 'log'"):
+        phi_from_source(SourceRepresentation("log", 1.0, 1.0))
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
@@ -317,15 +321,6 @@ def test_source_condition_sup_power(nu):
     lam = np.geomspace(1e-12, 1e2, 200)
     for alpha in np.geomspace(1e-6, 1e-1, 25):
         ratio = np.max(alpha * lam**nu / (lam + alpha)) / phi_eval(phi, alpha)
-        assert ratio <= phi.c0 + 1e-12
-
-
-def test_source_condition_sup_log():
-    phi = log_phi(1.5)
-    lam = np.geomspace(1e-12, 1e-1, 200)
-    phi_lam = np.array([phi_eval(phi, x) for x in lam])
-    for alpha in np.geomspace(1e-10, 1e-2, 20):
-        ratio = np.max(alpha * phi_lam / (lam + alpha)) / phi_eval(phi, alpha)
         assert ratio <= phi.c0 + 1e-12
 
 
