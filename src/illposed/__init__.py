@@ -42,12 +42,9 @@ from .regularize import (
     InconsistentDataError,
     NoiseSpec,
     Reconstruction,
-    SourcePhi,
     add_noise,
     choose_alpha,
     min_norm_solution,
-    phi_eval,
-    power_phi,
     tikhonov_continuous_reference,
     tikhonov_discrete,
 )

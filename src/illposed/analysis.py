@@ -37,11 +37,10 @@ from .regularize import (
     add_noise,
     choose_alpha,
     min_norm_solution,
-    phi_eval,
-    phi_from_source,
     tikhonov_continuous_reference,
     tikhonov_discrete,
 )
+from .validation import check_integer
 
 __all__ = [
     "ReportContext",
@@ -207,7 +206,8 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec,
     skipped when the noisy data leaves the numerical range of the operator
     (rank-deficient systems reject generic noise).  The second checks the
     combined bound ``||x - x~_n|| <= 2 ||x - x_eps|| + delta / sigma`` under
-    its hypothesis ``delta <= sigma phi(eps)``.
+    its hypothesis ``delta <= sigma phi(eps)``.  When the exact data itself
+    is rejected (pure rounding), both are skipped with the solver's message.
     """
     if ref_rule is None:
         ref_rule = reference_rule(problem.kernel.domain)
@@ -216,29 +216,30 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec,
     delta = system.space.norm(y_tilde - y_n)
     sigma = system.sigma_min
 
-    reports = []
     ctx = _context(problem, system, delta=spec.delta_n)
     try:
         rec = min_norm_solution(system, y_n)
+    except InconsistentDataError as exc:
+        return [skipped_report(bound_id, ctx, str(exc))
+                for bound_id in ("Th-3-stability", "Th-3-combined")]
+    try:
         # range components of the noise up to delta are expected; anything
         # beyond that means the data is genuinely outside the range
         rec_noisy = min_norm_solution(system, y_tilde,
                                       residual_allowance=delta * (1.0 + 1e-9))
     except InconsistentDataError as exc:
-        reports.append(skipped_report("Th-3-stability", ctx, str(exc)))
-        reports.append(skipped_report("Th-3-combined", ctx,
-                                      "noisy data outside the numerical range"))
-        return reports
+        return [skipped_report("Th-3-stability", ctx, str(exc)),
+                skipped_report("Th-3-combined", ctx,
+                               "noisy data outside the numerical range")]
 
     lhs = l2_error(rec.function, rec_noisy.function, ref_rule)
-    reports.append(_measured_report("Th-3-stability", lhs, delta / sigma, ctx))
+    reports = [_measured_report("Th-3-stability", lhs, delta / sigma, ctx)]
 
     if problem.source_repr is None:
         reports.append(skipped_report("Th-3-combined", ctx, "no source representation"))
         return reports
     eps = _require_epsilon(system)
-    phi = phi_from_source(problem.source_repr)
-    threshold = sigma * phi_eval(phi, eps)
+    threshold = sigma * problem.source_repr.phi(eps)
     if delta > threshold:
         reports.append(skipped_report(
             "Th-3-combined", ctx,
@@ -300,8 +301,7 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
     if problem.source_repr is None:
         reports.append(skipped_report("Th-5-rate", ctx, "no source representation"))
         return reports
-    phi = phi_from_source(problem.source_repr)
-    phi_eps = phi_eval(phi, eps)
+    phi_eps = problem.source_repr.phi(eps)
     rate_spec = NoiseSpec(delta_n=float(np.sqrt(eps) * phi_eps), seed=spec.seed)
     y_rate = add_noise(y_n, system.space, rate_spec)
     rec_rate = tikhonov_discrete(system, y_rate, eps)
@@ -451,7 +451,7 @@ def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | No
                       matrix=None) -> list[ConvergenceRow]:
     """Measured error quantities over a ladder of discretization sizes: one
     :func:`build_cell` and one :func:`measure_cell` per size."""
-    n_list = [int(n) for n in n_list]
+    n_list = [check_integer(n, "n") for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and increasing")
     ref_rule = reference_rule(problem.kernel.domain, ref_points)

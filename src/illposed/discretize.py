@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ from .quadrature import (
     gauss_nodes,
     segment_gauss,
 )
-from .validation import as_matrix, as_vector, check_in_open_interval
+from .validation import as_matrix, as_vector, check_in_open_interval, check_integer
 
 __all__ = [
     "SchemeKind",
@@ -189,11 +188,6 @@ class DiscreteSystem:
             return np.linspace(a, b, self.n + 1)
         return np.unique(np.concatenate(([a], self.rule.nodes, [b])))
 
-    def cell_edges(self) -> np.ndarray:
-        if self.scheme is not SchemeKind.ORTHO_PC:
-            raise ValueError("cell_edges is only defined for the ortho-pc scheme")
-        return np.linspace(self.domain.a, self.domain.b, self.n + 1)
-
     # -- slice and basis evaluation ------------------------------------------
 
     def slice_values(self, t_points) -> np.ndarray:
@@ -217,7 +211,7 @@ class DiscreteSystem:
                 f"[{t.min()!r}, {t.max()!r}]"
             )
         if self.scheme is SchemeKind.ORTHO_PC:
-            values = _cell_average_slices(self.kernel, self.cell_edges(), t)
+            values = _cell_average_slices(self.kernel, self.grid_knots(), t)
         else:
             values = self.kernel(self.rule.nodes[:, None], t[None, :])
         values.flags.writeable = False
@@ -233,7 +227,7 @@ class DiscreteSystem:
         """
         s = np.atleast_1d(np.asarray(s_points, dtype=float))
         if self.scheme is SchemeKind.ORTHO_PC:
-            edges = self.cell_edges()
+            edges = self.grid_knots()
             idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, self.n - 1)
             out = np.zeros((s.size, self.n))
             out[np.arange(s.size), idx] = 1.0
@@ -318,8 +312,7 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
     return out
 
 
-def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | None = None,
-                 outer_rule: QuadratureRule | None = None,
+def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | None = None,
                  rel_tol: float = 1e-10, inner_factor: int = 4,
                  matrix=None) -> DiscreteSystem:
     """Assemble, validate and factor the discrete normal system.
@@ -331,10 +324,6 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
     n : int
         Dimension of the data space (collocation/interpolation nodes, or
         number of cells); an integral number, not a bool or a float.
-    inner_rule : QuadratureRule, optional
-        Rule for the entry integrals; must hold at least ``4 n`` points.
-        Defaults to a composite Gauss rule aligned with the scheme grid,
-        with at least ``inner_factor * n`` points and 8 per panel.
     outer_rule : QuadratureRule, optional
         Collocation only: the node/weight rule defining the scheme (default
         Gauss-Legendre, which has the required positive weights).
@@ -342,7 +331,9 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         Relative truncation threshold in (0, 1) separating the numerical
         rank from quadrature noise; the system's one threshold.
     inner_factor : int
-        Point budget of the default inner rule, per unit of ``n``.
+        Size of the rule for the entry integrals (``inner_rule``): a
+        composite Gauss rule aligned with the scheme grid, with at least
+        ``inner_factor * n`` points and 8 per panel.
     matrix : array_like, optional
         Normal matrix to use in place of the assembled one (a replayed
         dump); slice sampling and assembly are skipped, the checks and the
@@ -351,17 +342,14 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
     Raises
     ------
     ValueError
-        If ``n`` is not an integer or is too small for the scheme, or a
-        rule does not fit the scheme.
+        If ``n`` is not an integer or is too small for the scheme, or the
+        outer rule does not fit the scheme.
     NumericalError
         If the matrix has the wrong shape or is not self-adjoint PSD in the
         data-space metric, which indicates a broken kernel, rule or dump.
     """
     scheme = SchemeKind.parse(scheme)
-    # int() would quietly turn 8.7 into 8 and True into 1
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n = check_integer(n, "n")
     rel_tol = check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
     dom = kernel.domain
 
@@ -386,7 +374,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
             raise ValueError("outer_rule applies to the collocation scheme only")
         h = dom.length / n
         mids = dom.a + h * (np.arange(n) + 0.5)
-        rule = QuadratureRule(mids, np.full(n, h), exactness_degree=1, domain=dom)
+        rule = QuadratureRule(mids, np.full(n, h), domain=dom)
         space = WeightedSpace(weights=np.full(n, h))
 
     system = DiscreteSystem(
@@ -396,13 +384,7 @@ def build_system(kernel: Kernel, scheme, n: int, inner_rule: QuadratureRule | No
         inner_rule=rule, rel_tol=rel_tol,
     )
 
-    if inner_rule is None:
-        inner_rule = aligned_rule(system.grid_knots(), int(inner_factor) * n,
-                                  min_per_panel=8)
-    if inner_rule.n_points < 4 * n:
-        raise ValueError(
-            f"inner rule has {inner_rule.n_points} points; need at least 4 n = {4 * n}"
-        )
+    inner_rule = aligned_rule(system.grid_knots(), int(inner_factor) * n, min_per_panel=8)
     system.inner_rule = inner_rule
 
     if matrix is None:
@@ -459,7 +441,7 @@ def project_data(system: DiscreteSystem, f) -> np.ndarray:
     averages for the orthogonal piecewise-constant scheme.
     """
     if system.scheme is SchemeKind.ORTHO_PC:
-        edges = system.cell_edges()
+        edges = system.grid_knots()
         nodes, weights = segment_gauss(edges[:-1], edges[1:], _CELL_GAUSS)
         vals = np.asarray(f(nodes), dtype=float)
         return np.einsum("ij,ij->i", vals, weights) / (edges[1] - edges[0])

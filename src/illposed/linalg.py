@@ -99,11 +99,6 @@ class WeightedSpace:
             return np.diag(self.weights)
         return self.matrix.copy()
 
-    def inner(self, u, v) -> float:
-        u = as_vector(u, "u")
-        v = as_vector(v, "v")
-        return float(u @ self.apply_metric(v))
-
     def norm(self, v) -> float:
         v = as_vector(v, "v")
         return float(np.sqrt(max(v @ self.apply_metric(v), 0.0)))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import spectral_norm
 from .quadrature import Domain, QuadratureRule, gauss_legendre, segment_gauss
+from .validation import check_integer, check_positive
 
 __all__ = [
     "Domain",
@@ -135,14 +136,22 @@ class Kernel:
 class SourceRepresentation:
     """Smoothness certificate ``x = phi(T*T) u`` for the true solution.
 
-    ``kind`` is ``"power"`` (``phi(t) = t^nu``), ``param`` the exponent
-    ``nu``, ``u_norm`` an upper bound for the norm of the source element
-    ``u``.
+    ``phi(t) = t^nu`` with ``nu`` in (0, 1], Tikhonov's qualification
+    range, where ``sup_t alpha phi(t) / (t + alpha) <= c0 phi(alpha)``
+    holds with ``c0 = 1``; ``u_norm`` is an upper bound for the norm of the
+    source element ``u``.
     """
 
-    kind: str
-    param: float
+    nu: float
     u_norm: float
+
+    def __post_init__(self):
+        if not (0.0 < self.nu <= 1.0):
+            raise ValueError(f"power exponent must lie in (0, 1], got {self.nu!r}")
+
+    def phi(self, lam: float) -> float:
+        """The index function at ``lam > 0``."""
+        return float(check_positive(lam, "lambda") ** self.nu)
 
 
 class SeparableExpansion:
@@ -298,8 +307,7 @@ def make_separable_problem(expansion: SeparableExpansion, coefficients,
     x_fn = expansion.synthesize(coeffs, side="u")
     y_fn = expansion.synthesize(coeffs * expansion.sigmas, side="v")
     source = SourceRepresentation(
-        kind="power", param=1.0,
-        u_norm=float(np.linalg.norm(coeffs / expansion.sigmas**2)),
+        nu=1.0, u_norm=float(np.linalg.norm(coeffs / expansion.sigmas**2)),
     )
     return TestProblem(problem_id, kernel, x_fn, y_fn, svd=expansion, source_repr=source)
 
@@ -319,7 +327,7 @@ def green_problem(m: int = 1) -> TestProblem:
     sin(j pi .)``.  The true solution is the m-th singular function, so the
     data has the closed form ``y = (m pi)^-2 sqrt(2) sin(m pi .)``.
     """
-    m = int(m)
+    m = check_integer(m, "mode index m")
     if m < 1:
         raise ValueError("mode index m must be >= 1")
     if m > GREEN_EXPANSION_TERMS:
@@ -351,7 +359,7 @@ def green_problem(m: int = 1) -> TestProblem:
     def y_fn(t):
         return scale * np.sqrt(2.0) * np.sin(m * np.pi * np.asarray(t, dtype=float))
 
-    source = SourceRepresentation(kind="power", param=1.0, u_norm=float((m * np.pi) ** 4))
+    source = SourceRepresentation(nu=1.0, u_norm=float((m * np.pi) ** 4))
     return TestProblem(f"green-m{m}", kernel, x_fn, y_fn, svd=expansion, source_repr=source)
 
 

@@ -1,9 +1,8 @@
 """Quadrature rules on an interval.
 
 The package measures every "exact" L2 quantity through a quadrature rule, so
-rules carry their exactness degree and validate the basic sanity invariants
-(strictly increasing nodes, positive weights, weights summing to the interval
-length) at construction.
+rules validate the basic sanity invariants (strictly increasing nodes,
+positive weights, weights summing to the interval length) at construction.
 
 Besides the plain composite trapezoid and Gauss-Legendre rules there is a
 composite Gauss rule over caller-supplied panels.  Panel-aligned rules matter
@@ -58,16 +57,14 @@ class Domain:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights on a domain, with a known exactness degree.
+    """Nodes and positive weights on a domain.
 
-    Integrates every polynomial up to ``exactness_degree`` exactly; all
-    built-in rules integrate constants exactly, so the weights sum to the
-    interval length (checked to 1e-12 relative at construction).
+    All built-in rules integrate constants exactly, so the weights sum to
+    the interval length (checked to 1e-12 relative at construction).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
     domain: Domain
 
     def __post_init__(self):
@@ -93,12 +90,6 @@ class QuadratureRule:
     @property
     def n_points(self) -> int:
         return self.nodes.size
-
-    def inner(self, f_values, g_values) -> float:
-        """Discrete L2 inner product of two node-value arrays."""
-        f = np.asarray(f_values, dtype=float)
-        g = np.asarray(g_values, dtype=float)
-        return float(np.sum(self.weights * f * g))
 
     def norm(self, f_values) -> float:
         f = np.asarray(f_values, dtype=float)
@@ -144,7 +135,7 @@ def composite_trapezoid(n: int, dom: Domain) -> QuadratureRule:
     h = dom.length / (n - 1)
     weights = np.full(n, h)
     weights[0] = weights[-1] = 0.5 * h
-    return QuadratureRule(nodes, weights, exactness_degree=1, domain=dom)
+    return QuadratureRule(nodes, weights, domain=dom)
 
 
 def gauss_legendre(n: int, dom: Domain) -> QuadratureRule:
@@ -155,7 +146,7 @@ def gauss_legendre(n: int, dom: Domain) -> QuadratureRule:
     x, w = gauss_nodes(n)
     half = 0.5 * dom.length
     mid = 0.5 * (dom.a + dom.b)
-    return QuadratureRule(mid + half * x, half * w, exactness_degree=2 * n - 1, domain=dom)
+    return QuadratureRule(mid + half * x, half * w, domain=dom)
 
 
 def composite_gauss(knots, points_per_panel: int) -> QuadratureRule:
@@ -172,8 +163,7 @@ def composite_gauss(knots, points_per_panel: int) -> QuadratureRule:
         raise ValueError("points_per_panel must be >= 1")
     nodes, weights = segment_gauss(knots[:-1], knots[1:], q)
     dom = Domain(float(knots[0]), float(knots[-1]))
-    return QuadratureRule(nodes.ravel(), weights.ravel(), exactness_degree=2 * q - 1,
-                          domain=dom)
+    return QuadratureRule(nodes.ravel(), weights.ravel(), domain=dom)
 
 
 def aligned_rule(knots, min_points: int, min_per_panel: int = 4) -> QuadratureRule:

@@ -15,8 +15,9 @@ densely on the reference grid, with ``T*T`` and ``T*y`` integrated on one
 rule whose panels break at every grid node.  Both paths are exposed so they
 can be checked against each other.
 
-The source function of a smoothness certificate is of power type,
-``phi(t) = t^nu``.
+The source condition ``x = phi(T*T) u`` the rate bounds assume is the power
+family ``phi(t) = t^nu``; it lives on
+:class:`~illposed.problems.SourceRepresentation`, which evaluates it.
 """
 
 from __future__ import annotations
@@ -27,18 +28,14 @@ import numpy as np
 
 from .discretize import DiscreteSystem, apply_adjoint
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
-from .problems import SourceRepresentation, TestProblem
+from .problems import TestProblem
 from .quadrature import QuadratureRule, aligned_rule
 from .validation import as_vector, check_positive
 
 __all__ = [
     "InconsistentDataError",
-    "SourcePhi",
     "Reconstruction",
     "NoiseSpec",
-    "power_phi",
-    "phi_from_source",
-    "phi_eval",
     "choose_alpha",
     "min_norm_solution",
     "tikhonov_discrete",
@@ -50,44 +47,6 @@ __all__ = [
 
 class InconsistentDataError(NumericalError):
     """Discrete data falls outside the numerical range of the operator."""
-
-
-# ---------------------------------------------------------------------------
-# Source functions
-
-
-@dataclass(frozen=True)
-class SourcePhi:
-    """Index function ``phi`` of a source condition, with its sup constant.
-
-    ``kind`` is ``"power"`` (``phi(t) = t^nu``, ``nu = param`` in (0, 1]);
-    ``c0`` is a constant for which
-    ``sup_t alpha phi(t) / (t + alpha) <= c0 phi(alpha)`` holds.
-    """
-
-    kind: str
-    param: float
-    c0: float
-
-
-def power_phi(nu: float) -> SourcePhi:
-    """Power-type index function; the sup constant one is exact here."""
-    nu = float(nu)
-    if not (0.0 < nu <= 1.0):
-        raise ValueError(f"power exponent must lie in (0, 1], got {nu!r}")
-    return SourcePhi(kind="power", param=nu, c0=1.0)
-
-
-def phi_from_source(source: SourceRepresentation) -> SourcePhi:
-    if source.kind == "power":
-        return power_phi(source.param)
-    raise ValueError(f"unknown source kind {source.kind!r}")
-
-
-def phi_eval(phi: SourcePhi, lam: float) -> float:
-    """Evaluate the index function at ``lam > 0``."""
-    lam = check_positive(lam, "lambda")
-    return float(lam ** phi.param)
 
 
 def choose_alpha(eps_n: float) -> float:
@@ -103,14 +62,11 @@ def choose_alpha(eps_n: float) -> float:
 class Reconstruction:
     """Coordinate solution plus its function-space realization.
 
-    ``function`` is exactly the adjoint applied to ``coordinates``;
-    ``alpha_used`` is zero on the pseudo-inverse path.
+    ``function`` is exactly the adjoint applied to ``coordinates``.
     """
 
     coordinates: np.ndarray
     function: object
-    alpha_used: float
-    system: DiscreteSystem
 
 
 def min_norm_solution(system: DiscreteSystem, y_n, *,
@@ -142,8 +98,7 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
             f"inconsistent discrete data: residual {residual:.3e} exceeds "
             f"{threshold:.3e}"
         )
-    return Reconstruction(coordinates=v, function=apply_adjoint(system, v),
-                          alpha_used=0.0, system=system)
+    return Reconstruction(coordinates=v, function=apply_adjoint(system, v))
 
 
 def tikhonov_discrete(system: DiscreteSystem, y_tilde_n, alpha: float) -> Reconstruction:
@@ -158,8 +113,7 @@ def tikhonov_discrete(system: DiscreteSystem, y_tilde_n, alpha: float) -> Recons
     if y_tilde_n.size != system.n:
         raise ValueError(f"data has length {y_tilde_n.size}, expected {system.n}")
     v = _filter(system, 1.0 / (np.maximum(system.eigvals, 0.0) + alpha), y_tilde_n)
-    return Reconstruction(coordinates=v, function=apply_adjoint(system, v),
-                          alpha_used=alpha, system=system)
+    return Reconstruction(coordinates=v, function=apply_adjoint(system, v))
 
 
 def _filter(system: DiscreteSystem, gains: np.ndarray, y_n: np.ndarray) -> np.ndarray:

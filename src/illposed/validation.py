@@ -7,6 +7,8 @@ propagating NaNs into an iteration.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -14,6 +16,7 @@ __all__ = [
     "as_matrix",
     "check_finite",
     "check_positive",
+    "check_integer",
     "check_in_open_interval",
 ]
 
@@ -48,6 +51,13 @@ def check_positive(value: float, name: str = "value") -> float:
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def check_integer(value, name: str = "value") -> int:
+    # int() would quietly turn 8.7 into 8 and True into 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_in_open_interval(value: float, lo: float, hi: float, name: str) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illposed import analysis
 from illposed.analysis import (
@@ -115,6 +117,17 @@ def test_verify_th1_skips_data_that_is_rounding():
     assert [r.bound_id for r in reports] == ["Th-1", "Th-1-factor2"]
     assert [r.context.alpha for r in reports] == [1e-2, system.epsilon_n]
     assert all(r.skipped and "inconsistent discrete data" in r.reason for r in reports)
+
+
+def test_verify_th3_names_the_rejected_exact_data():
+    # the same cell: the exact data is rejected (residual ~1.8e-18), so both
+    # rows carry that solver message and neither blames the noise
+    prob = green_problem(3)
+    system = analysis.build_cell(prob, "interpolatory", 4, REFERENCE_POINTS, 4)
+    reports = verify_th3(prob, system, NoiseSpec(1e-4, 0))
+    assert [r.bound_id for r in reports] == ["Th-3-stability", "Th-3-combined"]
+    assert all(r.skipped and "inconsistent discrete data" in r.reason for r in reports)
+    assert reports[0].reason == reports[1].reason
 
 
 def test_verify_th1_green_error_decreases(grid_systems, catalog):
@@ -263,6 +276,17 @@ def test_convergence_validates_n_list():
         convergence_study(prob, "collocation", [])
 
 
+@pytest.mark.parametrize("n_list", [[8.7, 16.2], [True, 16]])
+def test_convergence_takes_only_integer_sizes(n_list, monkeypatch):
+    # int() would have run n = 8, 16 and n = 1, 16; the ladder is checked
+    # before any cell is built
+    built = []
+    monkeypatch.setattr(analysis, "build_cell", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        convergence_study(get_problem("rank1-sine"), "collocation", n_list)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # CSV rendering
 
@@ -357,3 +381,47 @@ def test_special_norms_reject_a_singular_basis(grid_systems, monkeypatch):
     monkeypatch.setattr(system, "basis_values", lambda s: np.zeros((np.size(s), system.n)))
     with pytest.raises(NumericalError, match="not positive definite"):
         _special_norms(system)
+
+
+# ---------------------------------------------------------------------------
+# the paper's inequalities as properties of drawn problems
+
+
+@st.composite
+def drawn_cells(draw):
+    """A problem nobody picked and a cell to verify it on: green_problem(m)
+    with m <= 6, or a separable problem on 1-4 sine modes out of 1-12 with
+    singular values decaying by a power or geometrically and coefficients
+    of magnitude above 0.05; any scheme, n in [4, 32] and a noise level."""
+    if draw(st.booleans()):
+        problem = green_problem(draw(st.integers(1, 6)))
+    else:
+        modes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+        k = np.arange(len(modes))
+        if draw(st.booleans()):
+            sigmas = (1.0 + k) ** -draw(st.floats(0.0, 4.9))
+        else:
+            sigmas = draw(st.floats(0.1, 1.0)) ** k
+        coeffs = [draw(st.sampled_from([-1.0, 1.0]))
+                  * draw(st.floats(0.05, 1.0, exclude_min=True)) for _ in modes]
+        funcs = [sine_mode(j) for j in modes]
+        expansion = SeparableExpansion(sigmas, funcs, funcs, UNIT)
+        problem = make_separable_problem(expansion, coeffs)
+    scheme = draw(st.sampled_from([kind.value for kind in SchemeKind]))
+    n = draw(st.integers(4, 32))
+    spec = NoiseSpec(draw(st.sampled_from([1e-6, 1e-4, 1e-2])), draw(st.integers(0, 99)))
+    return problem, scheme, n, spec
+
+
+@settings(max_examples=60)
+@given(cell=drawn_cells())
+def test_bounds_hold_on_drawn_problems(cell):
+    # every theorem the grid checks, on problems and cells the grid does
+    # not hold: each measured report passes, and each skip says why
+    problem, scheme, n, spec = cell
+    system = analysis.build_cell(problem, scheme, n, REFERENCE_POINTS, 4)
+    alphas = (1e-2, 1e-4)
+    reports = (verify_th1(problem, system, alphas) + verify_th3(problem, system, spec)
+               + verify_th5(problem, system, alphas, spec) + verify_special(problem, system))
+    assert [r for r in reports if not (r.skipped or r.passed)] == []
+    assert all(r.reason for r in reports if r.skipped)

@@ -120,7 +120,7 @@ def test_green_solution_normalized():
     prob = green_problem(1)
     rule = reference_rule(UNIT)
     values = np.asarray(prob.x_dagger(rule.nodes))
-    assert rule.inner(values, values) == pytest.approx(1.0, abs=1e-10)
+    assert rule.norm(values) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
@@ -143,6 +143,13 @@ def test_green_mode_bounds():
         green_problem(0)
     with pytest.raises(ValueError):
         green_problem(100)
+
+
+@pytest.mark.parametrize("m", [1.5, True, 2.0, "2"])
+def test_green_mode_must_be_an_integer(m):
+    # int() would have built m = 1 from 1.5 and from True
+    with pytest.raises(ValueError, match="mode index m must be an integer"):
+        green_problem(m)
 
 
 @pytest.mark.parametrize("pid", ["rank1-sine", "rank3-decay", "green-m1"])

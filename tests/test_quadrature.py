@@ -94,12 +94,12 @@ def test_aligned_rule_minimum_points():
 
 def test_rule_invariants_enforced():
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1, UNIT)
+        QuadratureRule(np.array([0.5, 0.5]), np.array([0.5, 0.5]), UNIT)
     with pytest.raises(ValueError):
-        QuadratureRule(np.array([0.2, 0.8]), np.array([0.5, -0.5]), 1, UNIT)
+        QuadratureRule(np.array([0.2, 0.8]), np.array([0.5, -0.5]), UNIT)
     with pytest.raises(ValueError):
         # weights must sum to the interval length
-        QuadratureRule(np.array([0.2, 0.8]), np.array([0.5, 0.6]), 1, UNIT)
+        QuadratureRule(np.array([0.2, 0.8]), np.array([0.5, 0.6]), UNIT)
 
 
 def test_gauss_nodes_are_cached_and_read_only():
