@@ -11,7 +11,8 @@ The tolerance policy is one global formula, ``1e-6 * (1 + rhs)``, so that
 reports across problems, schemes and sizes stay comparable.  The one
 exception is the squared-projection estimate, whose tolerance is pinned to
 an absolute 1e-8 because the two sides coincide up to rounding for an
-orthogonal projection scheme.
+orthogonal projection scheme.  Every verifier reads ``eps_n`` from
+``system.epsilon_n``, measured once per system.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import (
-    DiscreteSystem,
-    SchemeKind,
-    build_system,
-    estimate_epsilon,
-    project_data,
-)
+from .discretize import DiscreteSystem, SchemeKind, build_system, project_data
 from .linalg import NumericalError, spectral_norm
 from .problems import REFERENCE_POINTS, TestProblem, reference_rule
 from .quadrature import QuadratureRule, aligned_rule
@@ -52,7 +47,6 @@ __all__ = [
     "verify_th3",
     "verify_th5",
     "verify_special",
-    "build_cell",
     "measure_cell",
     "convergence_study",
     "reports_to_csv",
@@ -146,12 +140,6 @@ def _measured_report(bound_id, lhs, rhs, context, tol=None) -> BoundReport:
                        tol=float(tol), context=context)
 
 
-def _require_epsilon(system: DiscreteSystem) -> float:
-    if system.epsilon_n is None:
-        raise ValueError("system has no cached epsilon; run estimate_epsilon first")
-    return system.epsilon_n
-
-
 def _context(problem, system, alpha=None, delta=None, note="") -> ReportContext:
     return ReportContext(problem=problem.problem_id, scheme=system.scheme.value,
                          n=system.n, alpha=alpha, delta=delta, note=note)
@@ -172,7 +160,7 @@ def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=(),
     projected data falls outside the numerical range (data that is pure
     rounding, say a mode that vanishes at every node).
     """
-    eps = _require_epsilon(system)
+    eps = system.epsilon_n
     if ref_rule is None:
         ref_rule = reference_rule(problem.kernel.domain)
     checks = [("Th-1", a) for a in alphas] + [("Th-1-factor2", eps)]
@@ -238,7 +226,7 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec,
     if problem.source_repr is None:
         reports.append(skipped_report("Th-3-combined", ctx, "no source representation"))
         return reports
-    eps = _require_epsilon(system)
+    eps = system.epsilon_n
     threshold = sigma * problem.source_repr.phi(eps)
     if delta > threshold:
         reports.append(skipped_report(
@@ -269,7 +257,7 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
     level ``sqrt(eps) phi(eps)``, whose constant is recorded rather than
     asserted.
     """
-    eps = _require_epsilon(system)
+    eps = system.epsilon_n
     if ref_rule is None:
         ref_rule = reference_rule(problem.kernel.domain)
     y_n = project_data(system, problem.y)
@@ -318,7 +306,7 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
 # Projection-defect estimates for the operator-level error
 
 
-def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
+def _special_norms(system: DiscreteSystem):
     """The four operator norms of :func:`verify_special`.
 
     Returns ``(lhs, defect, norm_t, norm_tn)``: ``||T*T - T_n*T_n||``,
@@ -328,9 +316,10 @@ def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
     rule, kept with the continuous half ``estimate_epsilon`` formed there.
 
     The other three depend on the cell and are measured on a composite rule
-    aligned with the system's breakpoints, which keeps basis-function
-    products and kinked kernels exactly integrable; lhs and defect share it
-    because the squared estimate compares them at an absolute 1e-8.  Each
+    of ``ref_points`` points aligned with the system's breakpoints, which
+    keeps basis-function products and kinked kernels exactly integrable; lhs
+    and defect share it because the squared estimate compares them at an
+    absolute 1e-8.  Each
     is the 2-norm of a matrix in the weighted forms ``k_w = D K D``,
     ``b_w = D B`` and ``c_w = C D`` (``D`` the square roots of the grid
     weights, ``B`` the basis and ``C`` the coordinate map on the grid):
@@ -345,7 +334,7 @@ def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
     NumericalError
         If the basis Gram matrix on the grid is not positive definite.
     """
-    rule = aligned_rule(system.grid_knots(), ref_points)
+    rule = aligned_rule(system.grid_knots(), system.ref_points)
     nodes, rho = rule.nodes, rule.weights
     sqrt_rho = np.sqrt(rho)
 
@@ -372,12 +361,11 @@ def _special_norms(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS):
     r = chol.T @ c_w
     lhs = spectral_norm(k_w.T @ k_w - r.T @ r)
     defect = spectral_norm(k_w - b_w @ c_w)
-    norm_t = system.kernel.operator_norm(system.epsilon_rule(ref_points))
+    norm_t = system.kernel.operator_norm(system.epsilon_rule())
     return lhs, defect, norm_t, spectral_norm(r)
 
 
-def verify_special(problem: TestProblem, system: DiscreteSystem,
-                   ref_points: int = REFERENCE_POINTS) -> list[BoundReport]:
+def verify_special(problem: TestProblem, system: DiscreteSystem) -> list[BoundReport]:
     """Operator-norm estimates relating the normal-operator error to the
     projection defect.
 
@@ -391,7 +379,7 @@ def verify_special(problem: TestProblem, system: DiscreteSystem,
     squared estimate holds for the orthogonal projection scheme only and
     gets its own report.
     """
-    lhs, defect, norm_t, norm_tn = _special_norms(system, ref_points)
+    lhs, defect, norm_t, norm_tn = _special_norms(system)
     note = "embedded piecewise-linear data space" if system.embedded_basis else ""
     ctx = _context(problem, system, note=note)
     rhs1 = (norm_t + norm_tn) * defect
@@ -406,21 +394,6 @@ def verify_special(problem: TestProblem, system: DiscreteSystem,
 # Structural identities and studies
 
 
-def build_cell(problem: TestProblem, scheme, n: int, ref_points: int, inner_factor: int,
-               matrix=None) -> DiscreteSystem:
-    """Build the system of one (problem, scheme, n) cell and measure eps_n.
-
-    ``matrix`` replays a dumped normal matrix in place of the assembly;
-    :func:`build_system` validates and factors it like an assembled one.
-    ``eps_n`` is measured by :func:`estimate_epsilon` at ``ref_points`` and
-    cached on the system.
-    """
-    system = build_system(problem.kernel, scheme, n, inner_factor=inner_factor,
-                          matrix=matrix)
-    estimate_epsilon(system, ref_points)
-    return system
-
-
 def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: QuadratureRule,
                  alpha="eps", spec: NoiseSpec | None = None):
     """Solve one cell and measure its errors against ``x_dagger``.
@@ -431,7 +404,7 @@ def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: Quadrat
     the :class:`ConvergenceRow` and the reconstruction to report: the noisy
     one when there is noise, the exact-data Tikhonov one otherwise.
     """
-    eps = _require_epsilon(system)
+    eps = system.epsilon_n
     alpha = choose_alpha(eps) if alpha == "eps" else float(alpha)
     y_n = project_data(system, problem.y)
     err_min = l2_error(problem.x_dagger, min_norm_solution(system, y_n).function, ref_rule)
@@ -447,17 +420,18 @@ def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: Quadrat
 
 
 def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | None = None,
-                      ref_points: int = REFERENCE_POINTS, inner_factor: int = 4, alpha="eps",
+                      ref_points: int = REFERENCE_POINTS, alpha="eps",
                       matrix=None) -> list[ConvergenceRow]:
     """Measured error quantities over a ladder of discretization sizes: one
-    :func:`build_cell` and one :func:`measure_cell` per size."""
+    :func:`build_system` and one :func:`measure_cell` per size; ``matrix``
+    replays a dumped normal matrix in place of every assembly."""
     n_list = [check_integer(n, "n") for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and increasing")
     ref_rule = reference_rule(problem.kernel.domain, ref_points)
     rows = []
     for n in n_list:
-        system = build_cell(problem, scheme, n, ref_points, inner_factor, matrix)
+        system = build_system(problem.kernel, scheme, n, ref_points=ref_points, matrix=matrix)
         rows.append(measure_cell(problem, system, ref_rule, alpha, spec)[0])
     return rows
 

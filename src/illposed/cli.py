@@ -14,11 +14,13 @@ Three subcommands operate on a JSON config (flags override config fields):
     ``bounds.csv``; exits 0 iff every non-skipped report passed.
 
 Every command builds each (problem, scheme, n) cell with
-``analysis.build_cell``; ``solve`` and ``study`` measure it with
-``analysis.measure_cell``, ``verify`` with the bound verifiers.
+``discretize.build_system`` at the configured ``ref_points``; ``solve`` and
+``study`` measure it with ``analysis.measure_cell``, ``verify`` with the
+bound verifiers.
 
 Exit codes: 0 success, 2 configuration/usage error (including a request for
-more problems or schemes than the command runs), 3 numerical failure.
+more problems or schemes than the command runs, or a repeated one), 3
+numerical failure.
 Outputs are written only after every cell has succeeded, so a failed run
 writes none.  Each is written atomically (temp file, then rename) and is
 byte-for-byte reproducible for a fixed config, seed, machine and BLAS thread
@@ -39,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    build_cell,
     convergence_study,
     measure_cell,
     reports_to_csv,
@@ -49,7 +50,7 @@ from .analysis import (
     verify_th3,
     verify_th5,
 )
-from .discretize import SchemeKind, load_matrix
+from .discretize import SchemeKind, build_system, load_matrix
 from .linalg import NumericalError
 from .problems import REFERENCE_POINTS, get_problem, problem_catalog, reference_rule
 from .regularize import NoiseSpec
@@ -84,7 +85,6 @@ class RunConfig:
     seed: int = 0
     output_dir: Path = Path(".")
     ref_points: int = REFERENCE_POINTS
-    inner_factor: int = 4
     matrix_dump: Path | None = None
 
     def __post_init__(self):
@@ -103,8 +103,6 @@ class RunConfig:
             raise ConfigError(f"delta must be finite and >= 0, got {self.delta!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.inner_factor < 4:
-            raise ConfigError("inner_factor must be >= 4")
         if isinstance(self.alpha_rule, float) and not 0.0 < self.alpha_rule < math.inf:
             raise ConfigError(f"fixed alpha must be positive and finite, got {self.alpha_rule!r}")
 
@@ -145,11 +143,15 @@ def _parse_alpha(value, label: str):
     return _as_float(value, label)
 
 
-def _parse_ids(value, catalog, parse) -> list:
-    """One id, a list of ids, or ``all`` for every entry of ``catalog``."""
+def _parse_ids(value, catalog, parse, label: str) -> list:
+    """One id, a list of ids, or ``all`` for every entry of ``catalog``; an
+    id named twice, also through an alias, is rejected."""
     if isinstance(value, str) and value.strip().lower() == "all":
         return list(catalog)
-    return [parse(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
+    ids = [parse(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
+    if len(set(ids)) < len(ids):
+        raise ConfigError(f"{label} names one id more than once: {value!r}")
+    return ids
 
 
 def _problem_id(value) -> str:
@@ -162,7 +164,7 @@ def _problem_id(value) -> str:
 
 _CONFIG_KEYS = frozenset({
     "problem", "scheme", "n", "alpha", "delta", "seed", "out",
-    "ref_points", "inner_factor", "matrix_dump",
+    "ref_points", "matrix_dump",
 })
 
 
@@ -190,8 +192,10 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
     delta = merged.get("delta")
     try:
         return RunConfig(
-            problem_ids=_parse_ids(merged["problem"], problem_catalog(), _problem_id),
-            schemes=_parse_ids(merged["scheme"], SchemeKind, SchemeKind.parse),
+            problem_ids=_parse_ids(merged["problem"], problem_catalog(), _problem_id,
+                                   label["problem"]),
+            schemes=_parse_ids(merged["scheme"], SchemeKind, SchemeKind.parse,
+                               label["scheme"]),
             n_list=_parse_n(merged.get("n", [16]), label["n"]),
             alpha_rule=_parse_alpha(merged.get("alpha"), label["alpha"]),
             delta=None if delta is None else _as_float(delta, label["delta"]),
@@ -199,7 +203,6 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
             output_dir=Path(merged.get("out", ".")),
             ref_points=_as_int(merged.get("ref_points", REFERENCE_POINTS),
                                label["ref_points"]),
-            inner_factor=_as_int(merged.get("inner_factor", 4), label["inner_factor"]),
             matrix_dump=(Path(merged["matrix_dump"])
                          if merged.get("matrix_dump") else None),
         )
@@ -254,8 +257,8 @@ def cmd_solve(config: RunConfig) -> int:
     x_true = np.asarray(problem.x_dagger(s_grid), dtype=float)
     rows, solutions = [], []
     for n in config.n_list:
-        system = build_cell(problem, config.schemes[0], n, config.ref_points,
-                            config.inner_factor, matrix)
+        system = build_system(problem.kernel, config.schemes[0], n,
+                              ref_points=config.ref_points, matrix=matrix)
         row, reconstruction = measure_cell(problem, system, ref_rule, config.alpha_rule,
                                            _noise(config))
         rows.append(row)
@@ -275,9 +278,8 @@ def cmd_study(config: RunConfig) -> int:
     problem = get_problem(config.problem_ids[0])
     matrix = _replayed_matrix(config)
     studies = [convergence_study(problem, scheme, config.n_list, _noise(config),
-                                 ref_points=config.ref_points,
-                                 inner_factor=config.inner_factor,
-                                 alpha=config.alpha_rule, matrix=matrix)
+                                 ref_points=config.ref_points, alpha=config.alpha_rule,
+                                 matrix=matrix)
                for scheme in config.schemes]
     multi = len(config.schemes) > 1
     for scheme, rows in zip(config.schemes, studies):
@@ -297,8 +299,8 @@ def cmd_verify(config: RunConfig) -> int:
         ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
         for scheme in config.schemes:
             for n in config.n_list:
-                system = build_cell(problem, scheme, n, config.ref_points,
-                                    config.inner_factor, matrix)
+                system = build_system(problem.kernel, scheme, n,
+                                      ref_points=config.ref_points, matrix=matrix)
                 reports.extend(verify_th1(problem, system, ref_rule=ref_rule))
                 for delta in th3_deltas:
                     reports.extend(verify_th3(
@@ -308,7 +310,7 @@ def cmd_verify(config: RunConfig) -> int:
                     reports.extend(verify_th5(
                         problem, system, th5_alphas,
                         NoiseSpec(delta_n=delta, seed=config.seed), ref_rule=ref_rule))
-                reports.extend(verify_special(problem, system, config.ref_points))
+                reports.extend(verify_special(problem, system))
     _atomic_write(config.output_dir / "bounds.csv", reports_to_csv(reports))
     failed = [r for r in reports if not r.skipped and not r.passed]
     return EXIT_OK if not failed else EXIT_NUMERICAL

@@ -25,7 +25,8 @@ positive semidefinite by construction.
 factored: it checks that ``M A`` is self-adjoint PSD, then stores one
 eigendecomposition that every solve filters.  A matrix handed to it (a
 replayed dump) skips the assembly and goes through the same checks and the
-same factorization.
+same factorization.  It also fixes the size of the system's reference rule,
+on which ``eps_n`` is measured at its first read.
 
 Entry integrals use a panel-aligned composite Gauss rule by default: panels
 break at the scheme's nodes/cell boundaries, where diagonally kinked kernels
@@ -125,12 +126,16 @@ class DiscreteSystem:
         Smallest positive singular value of the discretized operator.
     inner_rule : QuadratureRule
         Rule used for the entry integrals.
+    ref_points : int
+        Size of the reference rule: ``eps_n`` and ``||T||`` are measured on
+        :meth:`epsilon_rule`, the projection-defect norms on a rule of this
+        size aligned with the scheme grid.
 
-    Two caches sit beside the fixed fields.  The epsilon cache is write-once
-    and idempotent.  :meth:`slice_values` keeps the last grid it sampled
-    and the slice values there as one read-only ``(grid, values)`` tuple,
-    replaced by a single attribute store; concurrent readers therefore see
-    either the old or the new pair and at worst recompute.
+    Two caches sit beside the fixed fields.  :attr:`epsilon_n` is measured
+    on its first read and kept.  :meth:`slice_values` keeps the last grid it
+    sampled and the slice values there as one read-only ``(grid, values)``
+    tuple, replaced by a single attribute store; concurrent readers
+    therefore see either the old or the new pair and at worst recompute.
     """
 
     scheme: SchemeKind
@@ -145,32 +150,18 @@ class DiscreteSystem:
     sigma_min: float
     inner_rule: QuadratureRule
     rel_tol: float
-    _epsilon: float | None = field(default=None, repr=False)
+    ref_points: int
     _slices: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def domain(self) -> Domain:
         return self.kernel.domain
 
-    @property
-    def epsilon_n(self) -> float | None:
-        """Cached operator-level discretization error bound, if estimated."""
-        return self._epsilon
-
-    def cache_epsilon(self, value: float) -> float:
-        # Write-once: concurrent writers recompute the same number, so an
-        # identical value is accepted and a conflicting one is a bug.  The
-        # test is relative: eps_n can lie near 1e-16, far below any
-        # absolute tolerance.
-        value = float(value)
-        if self._epsilon is not None and abs(self._epsilon - value) > 1e-12 * abs(
-            self._epsilon
-        ):
-            raise NumericalError(
-                f"epsilon cache conflict: {self._epsilon!r} vs {value!r}"
-            )
-        self._epsilon = value
-        return value
+    @functools.cached_property
+    def epsilon_n(self) -> float:
+        """Operator-level discretization error bound, measured by
+        :func:`estimate_epsilon` on the first read and kept."""
+        return estimate_epsilon(self)
 
     def kept(self) -> np.ndarray:
         """Mask of the eigenvalues above ``rel_tol * max|lambda|``, the
@@ -247,10 +238,10 @@ class DiscreteSystem:
         out[rows, left + 1] = frac
         return out
 
-    def epsilon_rule(self, ref_points: int = REFERENCE_POINTS) -> QuadratureRule:
+    def epsilon_rule(self) -> QuadratureRule:
         """The ``max(ref_points, 4 n)``-point Gauss rule that ``eps_n`` is
         measured on, and with it ``||T||`` (:meth:`Kernel.operator_norm`)."""
-        return gauss_legendre(max(int(ref_points), 4 * self.n), self.domain)
+        return gauss_legendre(max(self.ref_points, 4 * self.n), self.domain)
 
     @property
     def embedded_basis(self) -> bool:
@@ -313,7 +304,7 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
 
 
 def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | None = None,
-                 rel_tol: float = 1e-10, inner_factor: int = 4,
+                 rel_tol: float = 1e-10, ref_points: int = REFERENCE_POINTS,
                  matrix=None) -> DiscreteSystem:
     """Assemble, validate and factor the discrete normal system.
 
@@ -330,19 +321,21 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
     rel_tol : float
         Relative truncation threshold in (0, 1) separating the numerical
         rank from quadrature noise; the system's one threshold.
-    inner_factor : int
-        Size of the rule for the entry integrals (``inner_rule``): a
-        composite Gauss rule aligned with the scheme grid, with at least
-        ``inner_factor * n`` points and 8 per panel.
+    ref_points : int
+        Size of the reference rule the system's ``eps_n`` and norms are
+        measured on (:meth:`DiscreteSystem.epsilon_rule`); at least 1.
     matrix : array_like, optional
         Normal matrix to use in place of the assembled one (a replayed
         dump); slice sampling and assembly are skipped, the checks and the
         factorization are the same.
 
+    The entry integrals use ``inner_rule``: a composite Gauss rule aligned
+    with the scheme grid, with at least ``4 n`` points and 8 per panel.
+
     Raises
     ------
     ValueError
-        If ``n`` is not an integer or is too small for the scheme, or the
+        If ``n`` or ``ref_points`` is not an integer or is too small, or the
         outer rule does not fit the scheme.
     NumericalError
         If the matrix has the wrong shape or is not self-adjoint PSD in the
@@ -351,6 +344,9 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
     scheme = SchemeKind.parse(scheme)
     n = check_integer(n, "n")
     rel_tol = check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
+    ref_points = check_integer(ref_points, "ref_points")
+    if ref_points < 1:
+        raise ValueError(f"ref_points must be at least 1, got {ref_points}")
     dom = kernel.domain
 
     if scheme is SchemeKind.COLLOCATION:
@@ -381,10 +377,10 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
         matrix=np.empty(0), sym_matrix=np.empty(0),
         eigvals=np.empty(0), eigvecs=np.empty(0), sigma_min=0.0,
-        inner_rule=rule, rel_tol=rel_tol,
+        inner_rule=rule, rel_tol=rel_tol, ref_points=ref_points,
     )
 
-    inner_rule = aligned_rule(system.grid_knots(), int(inner_factor) * n, min_per_panel=8)
+    inner_rule = aligned_rule(system.grid_knots(), 4 * n, min_per_panel=8)
     system.inner_rule = inner_rule
 
     if matrix is None:
@@ -470,7 +466,7 @@ def apply_adjoint(system: DiscreteSystem, v):
     return reconstruction
 
 
-def estimate_epsilon(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS) -> float:
+def estimate_epsilon(system: DiscreteSystem) -> float:
     """Measured upper bound for the operator-level discretization error.
 
     Builds matrix representations of the continuous and discretized normal
@@ -481,10 +477,10 @@ def estimate_epsilon(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS)
     only and comes from :meth:`Kernel.normal_gram`, which keeps it for the
     last rule.  The difference is weighted and symmetrized in two reused
     m x m buffers, and its norm comes from :func:`spectral_norm` (Lanczos,
-    within 1e-13 relative of LAPACK's).  The result is cached on the
-    system (write-once).
+    within 1e-13 relative of LAPACK's).  Each call measures afresh;
+    :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
     """
-    ref_rule = system.epsilon_rule(ref_points)
+    ref_rule = system.epsilon_rule()
     sqrt_rho = np.sqrt(ref_rule.weights)
 
     normal_cont = system.kernel.normal_gram(ref_rule)
@@ -501,7 +497,7 @@ def estimate_epsilon(system: DiscreteSystem, ref_points: int = REFERENCE_POINTS)
     diff *= sym
     np.add(diff, diff.T, out=sym)
     sym *= 0.5
-    return system.cache_epsilon(_EPS_SAFETY * spectral_norm(sym))
+    return _EPS_SAFETY * spectral_norm(sym)
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import build_system, estimate_epsilon, project_data
+from .discretize import build_system, project_data
 from .problems import Kernel
 from .regularize import choose_alpha, min_norm_solution, tikhonov_discrete
 from .validation import as_vector
@@ -140,7 +140,7 @@ class TikhonovSolver(_BaseSolver):
         self._build(y_extra)
         y_n = self._project(y)
         if isinstance(self.alpha, str):
-            self.alpha_ = choose_alpha(estimate_epsilon(self.system_))
+            self.alpha_ = choose_alpha(self.system_.epsilon_n)
         else:
             self.alpha_ = float(self.alpha)
         self.reconstruction_ = tikhonov_discrete(self.system_, y_n, self.alpha_)

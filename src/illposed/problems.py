@@ -208,13 +208,13 @@ class SeparableExpansion:
             return self.v_funcs
         raise ValueError(f"unknown side {side!r}; expected 'u' or 'v'")
 
-    def _check_orthonormal(self, tol: float = 1e-8):
+    def _check_orthonormal(self):
         rule = reference_rule(self.domain)
         for label in ("u", "v"):
             vals = self.mode_table(rule.nodes, label)
             gram = (vals * rule.weights) @ vals.T
             defect = np.max(np.abs(gram - np.eye(self.rank)))
-            if defect > tol:
+            if defect > 1e-8:
                 raise ValueError(
                     f"{label}-functions are not orthonormal (defect {defect:.2e})"
                 )
@@ -274,18 +274,18 @@ class TestProblem:
                 )
 
 
-def apply_operator_split(kernel: Kernel, x, s_points, points_per_side: int = 48) -> np.ndarray:
+def apply_operator_split(kernel: Kernel, x, s_points) -> np.ndarray:
     """Evaluate ``(T x)(s)`` at given points with the integral split at ``t = s``.
 
     For diagonally kinked kernels this restores machine accuracy; for smooth
-    kernels it simply behaves like a fine two-panel Gauss rule.  Returns the
-    array of values at ``s_points``.
+    kernels it is a fine two-panel Gauss rule, 48 points a side.  Returns
+    the array of values at ``s_points``.
     """
     s_arr = np.atleast_1d(np.asarray(s_points, dtype=float))
     a, b = kernel.domain.a, kernel.domain.b
     out = np.zeros(s_arr.size)
     for left, right in ((np.full_like(s_arr, a), s_arr), (s_arr, np.full_like(s_arr, b))):
-        t, w = segment_gauss(left, right, points_per_side)
+        t, w = segment_gauss(left, right, 48)
         out += np.einsum("ij,ij->i", kernel(s_arr[:, None], t) * np.asarray(x(t)), w)
     return out
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from illposed.discretize import build_system, estimate_epsilon
+from illposed.discretize import build_system
 from illposed.problems import get_problem, problem_catalog
 
 GRID_N = (8, 16, 32)
@@ -21,12 +21,12 @@ def catalog():
 @pytest.fixture(scope="session")
 def grid_systems(catalog):
     """All (problem, scheme, n) systems of the verification grid, with
-    epsilon estimated once; building these dominates the suite runtime."""
+    epsilon measured; building these dominates the suite runtime."""
     systems = {}
     for pid, problem in catalog.items():
         for scheme in SCHEMES:
             for n in GRID_N:
                 system = build_system(problem.kernel, scheme, n)
-                estimate_epsilon(system)
+                system.epsilon_n  # measured on first read, then kept
                 systems[pid, scheme, n] = system
     return systems

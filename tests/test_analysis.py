@@ -20,7 +20,7 @@ from illposed.analysis import (
     verify_th5,
     _special_norms,
 )
-from illposed.discretize import SchemeKind, build_system, estimate_epsilon
+from illposed.discretize import SchemeKind, build_system
 from illposed.linalg import NumericalError, spectral_norm
 from illposed.problems import (
     REFERENCE_POINTS,
@@ -47,9 +47,7 @@ def zero_problem():
     exp = SeparableExpansion([1.0, 0.5], [sine_mode(1), sine_mode(2)],
                              [sine_mode(1), sine_mode(2)], UNIT)
     prob = make_separable_problem(exp, [0.0, 0.0], problem_id="zero-data")
-    system = build_system(prob.kernel, "collocation", 8)
-    estimate_epsilon(system)
-    return prob, system
+    return prob, build_system(prob.kernel, "collocation", 8)
 
 
 def test_l2_error_basics():
@@ -76,13 +74,6 @@ def test_bound_report_semantics():
 
 # ---------------------------------------------------------------------------
 # the three theorem verifiers
-
-
-def test_verify_th1_requires_epsilon():
-    prob = get_problem("rank1-sine")
-    system = build_system(prob.kernel, "collocation", 8)
-    with pytest.raises(ValueError):
-        verify_th1(prob, system)
 
 
 def test_verify_th1_rank1(grid_systems, catalog):
@@ -112,7 +103,7 @@ def test_verify_th1_skips_data_that_is_rounding():
     # sin(3 pi t) vanishes at every interpolation node at n = 4, so the
     # projected data is rounding (~7e-18) outside the numerical range
     prob = green_problem(3)
-    system = analysis.build_cell(prob, "interpolatory", 4, REFERENCE_POINTS, 4)
+    system = build_system(prob.kernel, "interpolatory", 4)
     reports = verify_th1(prob, system, alphas=(1e-2,))
     assert [r.bound_id for r in reports] == ["Th-1", "Th-1-factor2"]
     assert [r.context.alpha for r in reports] == [1e-2, system.epsilon_n]
@@ -123,7 +114,7 @@ def test_verify_th3_names_the_rejected_exact_data():
     # the same cell: the exact data is rejected (residual ~1.8e-18), so both
     # rows carry that solver message and neither blames the noise
     prob = green_problem(3)
-    system = analysis.build_cell(prob, "interpolatory", 4, REFERENCE_POINTS, 4)
+    system = build_system(prob.kernel, "interpolatory", 4)
     reports = verify_th3(prob, system, NoiseSpec(1e-4, 0))
     assert [r.bound_id for r in reports] == ["Th-3-stability", "Th-3-combined"]
     assert all(r.skipped and "inconsistent discrete data" in r.reason for r in reports)
@@ -281,7 +272,7 @@ def test_convergence_takes_only_integer_sizes(n_list, monkeypatch):
     # int() would have run n = 8, 16 and n = 1, 16; the ladder is checked
     # before any cell is built
     built = []
-    monkeypatch.setattr(analysis, "build_cell", lambda *args: built.append(args))
+    monkeypatch.setattr(analysis, "build_system", lambda *args, **kwargs: built.append(args))
     with pytest.raises(ValueError, match="n must be an integer"):
         convergence_study(get_problem("rank1-sine"), "collocation", n_list)
     assert built == []
@@ -419,7 +410,7 @@ def test_bounds_hold_on_drawn_problems(cell):
     # every theorem the grid checks, on problems and cells the grid does
     # not hold: each measured report passes, and each skip says why
     problem, scheme, n, spec = cell
-    system = analysis.build_cell(problem, scheme, n, REFERENCE_POINTS, 4)
+    system = build_system(problem.kernel, scheme, n)
     alphas = (1e-2, 1e-4)
     reports = (verify_th1(problem, system, alphas) + verify_th3(problem, system, spec)
                + verify_th5(problem, system, alphas, spec) + verify_special(problem, system))

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from illposed.analysis import build_cell
 from illposed.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from illposed.discretize import build_system, dump_matrix
 from illposed.problems import get_problem
@@ -44,10 +43,13 @@ def test_invalid_json_config(tmp_path):
     assert main(["solve", str(path)]) == EXIT_CONFIG
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"problem": "rank1-sine", "schme": "ortho"}))
-    assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    for key, value in (("schme", "ortho"), ("inner_factor", 4)):
+        path.write_text(json.dumps({"problem": "rank1-sine", key: value}))
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_problem_and_scheme(tmp_path):
@@ -57,7 +59,7 @@ def test_unknown_problem_and_scheme(tmp_path):
 
 def test_unknown_problem_id_exits_before_any_cell_is_built(tmp_path, monkeypatch):
     built = []
-    monkeypatch.setattr("illposed.cli.build_cell", lambda *args: built.append(args))
+    monkeypatch.setattr("illposed.cli.build_system", lambda *args, **kwargs: built.append(args))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": ["green-m1", "bogus"]}))
     out = tmp_path / "out"
@@ -266,7 +268,8 @@ def test_requests_for_more_work_than_a_command_runs_are_rejected(
 
 
 @pytest.mark.parametrize("command", ["solve", "study", "verify"])
-def test_inner_factor_reaches_the_assembly(tmp_path, monkeypatch, command):
+def test_ref_points_reaches_every_system(tmp_path, monkeypatch, command):
+    # each command's cell measures eps_n on the configured rule, not the default
     built = []
 
     def spy(*args, **kwargs):
@@ -274,14 +277,32 @@ def test_inner_factor_reaches_the_assembly(tmp_path, monkeypatch, command):
         built.append(system)
         return system
 
+    monkeypatch.setattr("illposed.cli.build_system", spy)
     monkeypatch.setattr("illposed.analysis.build_system", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "green-m1", "scheme": "collocation",
-                               "n": [8], "inner_factor": 16}))
+                               "n": [8], "ref_points": 300}))
     assert main([command, str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     (system,) = built
-    default = build_system(get_problem("green-m1").kernel, "collocation", 8)
-    assert system.inner_rule.n_points >= 16 * 8 > default.inner_rule.n_points
+    assert system.ref_points == 300 and system.epsilon_rule().n_points == 300
+    assert "epsilon_n" in vars(system)  # measured during the run, not here
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("verify", {"problem": ["rank1-sine", "rank1-sine"], "scheme": "collocation"}, "problem"),
+    ("verify", {"problem": "rank1-sine", "scheme": ["ortho", "ortho-pc"]}, "scheme"),
+    ("study", {"problem": "green-m1", "scheme": ["collocation", "interp", "collocation"]},
+     "scheme"),
+])
+def test_a_repeated_problem_or_scheme_is_rejected(tmp_path, capsys, command, config, key):
+    # a repeat would run its cells twice: verify would write each row twice,
+    # study would overwrite the scheme's file; an alias counts as a repeat
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, n=[8])))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{key} names" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, word", [
@@ -306,7 +327,7 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, word):
     ("n", [True, 8]),
     ("seed", 1.7),
     ("ref_points", 300.9),
-    ("inner_factor", 4.5),
+    ("inner_factor", 4.5),  # no longer a key: rejected as unknown
     ("delta", True),
     ("alpha", True),
 ])
@@ -388,7 +409,7 @@ def test_missing_matrix_dump_file_is_a_config_error(tmp_path, capsys, command):
 def test_verify_fixed_alpha_replaces_the_th5_grid(tmp_path):
     assert main(["verify", "--alpha", "1e-3", "--n", "8", "--problem", "rank1-sine",
                  "--scheme", "collocation", "--out", str(tmp_path)]) == EXIT_OK
-    eps = build_cell(get_problem("rank1-sine"), "collocation", 8, 256, 4).epsilon_n
+    eps = build_system(get_problem("rank1-sine").kernel, "collocation", 8).epsilon_n
     alphas = {float(r["alpha"]) for r in read_csv(tmp_path / "bounds.csv")
               if r["bound_id"].startswith("Th-5")}
     assert alphas == {1e-3, eps}

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from illposed import discretize
+from illposed.analysis import (
+    _special_norms,
+    measure_cell,
+    verify_special,
+    verify_th1,
+    verify_th3,
+    verify_th5,
+)
 from illposed.discretize import (
     _CELL_GAUSS,
     DiscreteSystem,
@@ -23,6 +32,7 @@ from illposed.quadrature import (
     gauss_nodes,
     segment_gauss,
 )
+from illposed.regularize import NoiseSpec
 
 UNIT = Domain(0.0, 1.0)
 
@@ -83,15 +93,6 @@ def test_nonfinite_kernel_sample_rejected():
         build_system(kernel, "collocation", 4)
 
 
-def test_inner_factor_sizes_the_default_inner_rule():
-    kernel = get_problem("green-m1").kernel
-    default = build_system(kernel, "collocation", 8)
-    wide = build_system(kernel, "collocation", 8, inner_factor=16)
-    assert default.inner_rule.n_points == build_system(
-        kernel, "collocation", 8, inner_factor=4).inner_rule.n_points
-    assert wide.inner_rule.n_points >= 16 * 8 > default.inner_rule.n_points
-
-
 def test_build_argument_validation():
     kernel = constant_kernel()
     with pytest.raises(ValueError):
@@ -111,6 +112,13 @@ def test_build_system_rejects_rel_tol_outside_unit_interval(rel_tol):
         build_system(kernel, "collocation", 8, rel_tol=rel_tol)
     with pytest.raises(ValueError, match="rel_tol"):
         MinimumNormSolver(kernel, n=8, rel_tol=rel_tol).fit(np.zeros(8))
+
+
+@pytest.mark.parametrize("ref_points", [True, 8.0, 0])
+def test_build_system_rejects_a_bad_ref_points(ref_points):
+    # a bool or a fraction is never coerced, and the rule needs a point
+    with pytest.raises(ValueError, match="ref_points"):
+        build_system(get_problem("green-m1").kernel, "collocation", 8, ref_points=ref_points)
 
 
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
@@ -302,9 +310,9 @@ def test_epsilon_monotone_trend_all_schemes(catalog, grid_systems):
                 assert eps[2 * n] <= eps[n] + floor, (pid, scheme, n, eps)
 
 
-def _dense_difference(system):
+def _dense_difference(system, ref_points=REFERENCE_POINTS):
     # the dense expression the in-place difference reproduces bit for bit
-    rule = gauss_legendre(max(REFERENCE_POINTS, 4 * system.n), system.domain)
+    rule = gauss_legendre(max(ref_points, 4 * system.n), system.domain)
     sqrt_rho = np.sqrt(rule.weights)
     kmat = system.kernel(rule.nodes[:, None], rule.nodes[None, :])
     gv = system.slice_values(rule.nodes)
@@ -313,8 +321,8 @@ def _dense_difference(system):
     return 0.5 * (d + d.T)
 
 
-def _dense_epsilon(system):
-    return 1.1 * spectral_norm(_dense_difference(system))
+def _dense_epsilon(system, ref_points=REFERENCE_POINTS):
+    return 1.1 * spectral_norm(_dense_difference(system, ref_points))
 
 
 def test_epsilon_has_the_bits_of_the_dense_expression(grid_systems):
@@ -351,24 +359,56 @@ def test_collocation_normal_operator_is_nystrom_composition():
     assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
 
 
-def test_epsilon_cache_write_once():
-    prob = get_problem("rank1-sine")
-    system = build_system(prob.kernel, "collocation", 8)
-    value = estimate_epsilon(system)
-    assert system.cache_epsilon(value) == value  # idempotent
-    with pytest.raises(NumericalError):
-        system.cache_epsilon(value + 1.0)
+def test_a_cell_measures_epsilon_once(monkeypatch):
+    # every verifier and the solve pipeline read the one measured eps_n
+    problem = get_problem("green-m1")
+    system = build_system(problem.kernel, "ortho-pc", 8)
+    measured = []
+    original = discretize.estimate_epsilon
+
+    def counting(target):
+        measured.append(target)
+        return original(target)
+
+    monkeypatch.setattr(discretize, "estimate_epsilon", counting)
+    spec = NoiseSpec(1e-4, 0)
+    verify_th1(problem, system, alphas=(1e-2,))
+    verify_th3(problem, system, spec)
+    verify_th5(problem, system, (1e-2,), spec)
+    verify_special(problem, system)
+    row, _ = measure_cell(problem, system, reference_rule(problem.kernel.domain))
+    assert measured == [system]
+    assert row.eps_n == system.epsilon_n == original(system)
 
 
 @pytest.mark.parametrize("pid", ["rank1-sine", "green-m1"])
-def test_epsilon_cache_rejects_a_value_from_another_rule(pid):
+def test_ref_points_fixes_the_epsilon_rule(monkeypatch, pid):
     # rank1-sine: 1.4e-16 at 256 points against 3.9e-15 at 512, both far
     # below any absolute tolerance; green-m1: 3.377e-5 against 3.366e-5
-    system = build_system(get_problem(pid).kernel, "collocation", 16)
-    first = estimate_epsilon(system, 256)
-    with pytest.raises(NumericalError, match="epsilon cache conflict"):
-        estimate_epsilon(system, 512)
-    assert estimate_epsilon(system, 256) == first
+    problem = get_problem(pid)
+    system = build_system(problem.kernel, "collocation", 16, ref_points=512)
+    rule = gauss_legendre(512, UNIT)
+    formed = []
+    original = Kernel.__call__
+
+    def counting(self, s, t):
+        if np.shape(s) == (512, 1) and np.array_equal(np.ravel(s), rule.nodes):
+            formed.append(np.shape(t))
+        return original(self, s, t)
+
+    monkeypatch.setattr(Kernel, "__call__", counting)
+    eps = system.epsilon_n
+    estimate_epsilon(system)
+    norm_t = _special_norms(system)[2]
+    # eps_n, a second measurement and ||T|| share one continuous half
+    assert formed == [(1, 512)]
+    monkeypatch.undo()
+    assert system.epsilon_rule().n_points == 512
+    assert eps == _dense_epsilon(system, 512) != _dense_epsilon(system, 256)
+    sqrt_rho = np.sqrt(rule.weights)
+    kmat = problem.kernel(rule.nodes[:, None], rule.nodes[None, :])
+    assert norm_t == pytest.approx(
+        np.linalg.norm(kmat * np.outer(sqrt_rho, sqrt_rho), 2), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

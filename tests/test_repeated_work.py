@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from illposed import analysis, discretize, linalg, problems
-from illposed.analysis import build_cell, l2_error
+from illposed.analysis import l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
 from illposed.linalg import spectral_norm
@@ -82,9 +82,9 @@ def test_a_replayed_cell_is_factored_once(monkeypatch, scheme):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(linalg, "_lanczos", marking)
-    build_cell(problem, scheme, 8, 64, 4)
+    build_system(problem.kernel, scheme, 8, ref_points=64).epsilon_n
     assembled, calls[:] = list(calls), []
-    build_cell(problem, scheme, 8, 64, 4, matrix=matrix)
+    build_system(problem.kernel, scheme, 8, ref_points=64, matrix=matrix).epsilon_n
     # the interpolatory hat Gram metric is decomposed once per (n, h), not per build
     assert assembled == calls == [(8, 8)], (assembled, calls)
 
