@@ -12,7 +12,8 @@ reports across problems, schemes and sizes stay comparable.  The one
 exception is the squared-projection estimate, whose tolerance is pinned to
 an absolute 1e-8 because the two sides coincide up to rounding for an
 orthogonal projection scheme.  Every verifier reads ``eps_n`` from
-``system.epsilon_n``, measured once per system.
+``system.epsilon_n`` and measures every L2 error on ``system.reference_rule``,
+the rule ``eps_n`` is measured on, so both sides of a bound share one L2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .discretize import DiscreteSystem, SchemeKind, build_system, project_data
 from .linalg import NumericalError, spectral_norm
-from .problems import REFERENCE_POINTS, TestProblem, reference_rule
+from .problems import REFERENCE_POINTS, TestProblem
 from .quadrature import QuadratureRule, aligned_rule
 from .regularize import (
     InconsistentDataError,
@@ -149,8 +150,7 @@ def _context(problem, system, alpha=None, delta=None, note="") -> ReportContext:
 # Convergence of the minimum-norm solution (exact data)
 
 
-def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=(),
-               ref_rule: QuadratureRule | None = None) -> list[BoundReport]:
+def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=()) -> list[BoundReport]:
     """Error of the minimum-norm solution against the shifted-reference bound.
 
     For each shift ``alpha`` the measured ``||x - x_n||`` is compared with
@@ -161,8 +161,7 @@ def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=(),
     rounding, say a mode that vanishes at every node).
     """
     eps = system.epsilon_n
-    if ref_rule is None:
-        ref_rule = reference_rule(problem.kernel.domain)
+    ref_rule = system.reference_rule
     checks = [("Th-1", a) for a in alphas] + [("Th-1-factor2", eps)]
     y_n = project_data(system, problem.y)
     try:
@@ -186,8 +185,7 @@ def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=(),
 # Stability of the unregularized solve under noise
 
 
-def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec,
-               ref_rule: QuadratureRule | None = None) -> list[BoundReport]:
+def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec) -> list[BoundReport]:
     """Noise amplification of the pseudo-inverse path.
 
     The first report checks ``||x_n - x~_n|| <= delta / sigma_min``; it is
@@ -197,8 +195,7 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec,
     its hypothesis ``delta <= sigma phi(eps)``.  When the exact data itself
     is rejected (pure rounding), both are skipped with the solver's message.
     """
-    if ref_rule is None:
-        ref_rule = reference_rule(problem.kernel.domain)
+    ref_rule = system.reference_rule
     y_n = project_data(system, problem.y)
     y_tilde = add_noise(y_n, system.space, spec)
     delta = system.space.norm(y_tilde - y_n)
@@ -246,8 +243,8 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec,
 # The regularized discrete solve
 
 
-def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: NoiseSpec,
-               ref_rule: QuadratureRule | None = None) -> list[BoundReport]:
+def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas,
+               spec: NoiseSpec) -> list[BoundReport]:
     """Bounds for the shifted discrete solve, with and without noise.
 
     Per shift: the noiseless bound ``(1 + eps/alpha) ||x - x_alpha||``, the
@@ -258,8 +255,7 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, spec: Noise
     asserted.
     """
     eps = system.epsilon_n
-    if ref_rule is None:
-        ref_rule = reference_rule(problem.kernel.domain)
+    ref_rule = system.reference_rule
     y_n = project_data(system, problem.y)
     y_tilde = add_noise(y_n, system.space, spec)
     delta = system.space.norm(y_tilde - y_n)
@@ -311,20 +307,19 @@ def _special_norms(system: DiscreteSystem):
 
     Returns ``(lhs, defect, norm_t, norm_tn)``: ``||T*T - T_n*T_n||``,
     ``||(I - pi_n) T||``, ``||T||`` and ``||T_n||``.  ``||T||`` belongs to
-    the operator, not to the cell: it is :meth:`Kernel.operator_norm` on the
-    rule ``eps_n`` was measured on, one eigenvalue problem per kernel and
-    rule, kept with the continuous half ``estimate_epsilon`` formed there.
+    the operator, not to the cell: it is :meth:`Kernel.operator_norm` on
+    ``system.reference_rule``, one eigenvalue problem per kernel and rule,
+    kept with the continuous half ``estimate_epsilon`` formed there.
 
     The other three depend on the cell and are measured on a composite rule
     of ``ref_points`` points aligned with the system's breakpoints, which
     keeps basis-function products and kinked kernels exactly integrable; lhs
     and defect share it because the squared estimate compares them at an
-    absolute 1e-8.  Each
-    is the 2-norm of a matrix in the weighted forms ``k_w = D K D``,
-    ``b_w = D B`` and ``c_w = C D`` (``D`` the square roots of the grid
-    weights, ``B`` the basis and ``C`` the coordinate map on the grid):
-    with ``L`` the Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T`` for
-    orthonormal ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n
+    absolute 1e-8.  Each is the 2-norm of a matrix in the weighted forms
+    ``k_w = D K D``, ``b_w = D B`` and ``c_w = C D`` (``D`` the square roots
+    of the grid weights, ``B`` the basis and ``C`` the coordinate map on the
+    grid): with ``L`` the Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T``
+    for orthonormal ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n
     ``r = L^T c_w`` and ``T_n*T_n`` is ``r^T r``.  For collocation ``B`` is
     the piecewise-linear embedding, so ``||T_n||`` is the embedded-basis
     quantity, not a norm of the stored factor.  No norm needs an SVD.
@@ -361,7 +356,7 @@ def _special_norms(system: DiscreteSystem):
     r = chol.T @ c_w
     lhs = spectral_norm(k_w.T @ k_w - r.T @ r)
     defect = spectral_norm(k_w - b_w @ c_w)
-    norm_t = system.kernel.operator_norm(system.epsilon_rule())
+    norm_t = system.kernel.operator_norm(system.reference_rule)
     return lhs, defect, norm_t, spectral_norm(r)
 
 
@@ -371,16 +366,16 @@ def verify_special(problem: TestProblem, system: DiscreteSystem) -> list[BoundRe
 
     Both sides come from :func:`_special_norms`: ``||T||`` from the kernel's
     norm on the ``eps_n`` rule (measured once per kernel), the cell's norms
-    on its aligned grid.  For the subspace schemes
-    (interpolation, cell averages) the first report instantiates the general
-    bound ``(||T|| + ||T_n||) ||(I - pi_n) T||``; collocation has no
-    function-space data space, so its row is measured through the
-    piecewise-linear embedding of nodal values (noted in the context).  The
-    squared estimate holds for the orthogonal projection scheme only and
-    gets its own report.
+    on its aligned grid.  For the subspace schemes (interpolation, cell
+    averages) the first report instantiates the general bound
+    ``(||T|| + ||T_n||) ||(I - pi_n) T||``; collocation has no function-space
+    data space, so its row is measured through the piecewise-linear embedding
+    of nodal values (noted in the context).  The squared estimate holds for
+    the orthogonal projection scheme only and gets its own report.
     """
     lhs, defect, norm_t, norm_tn = _special_norms(system)
-    note = "embedded piecewise-linear data space" if system.embedded_basis else ""
+    embedded = system.scheme is SchemeKind.COLLOCATION
+    note = "embedded piecewise-linear data space" if embedded else ""
     ctx = _context(problem, system, note=note)
     rhs1 = (norm_t + norm_tn) * defect
     reports = [_measured_report("Th-special-1", lhs, rhs1, ctx)]
@@ -394,9 +389,10 @@ def verify_special(problem: TestProblem, system: DiscreteSystem) -> list[BoundRe
 # Structural identities and studies
 
 
-def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: QuadratureRule,
-                 alpha="eps", spec: NoiseSpec | None = None):
-    """Solve one cell and measure its errors against ``x_dagger``.
+def measure_cell(problem: TestProblem, system: DiscreteSystem, alpha="eps",
+                 spec: NoiseSpec | None = None):
+    """Solve one cell and measure its errors against ``x_dagger`` (on
+    ``system.reference_rule``).
 
     Projects the exact data, solves min-norm and Tikhonov at ``alpha`` (a
     positive float, or ``"eps"`` for the a-priori shift ``eps_n``) and, for
@@ -405,6 +401,7 @@ def measure_cell(problem: TestProblem, system: DiscreteSystem, ref_rule: Quadrat
     one when there is noise, the exact-data Tikhonov one otherwise.
     """
     eps = system.epsilon_n
+    ref_rule = system.reference_rule
     alpha = choose_alpha(eps) if alpha == "eps" else float(alpha)
     y_n = project_data(system, problem.y)
     err_min = l2_error(problem.x_dagger, min_norm_solution(system, y_n).function, ref_rule)
@@ -428,11 +425,10 @@ def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | No
     n_list = [check_integer(n, "n") for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and increasing")
-    ref_rule = reference_rule(problem.kernel.domain, ref_points)
     rows = []
     for n in n_list:
         system = build_system(problem.kernel, scheme, n, ref_points=ref_points, matrix=matrix)
-        rows.append(measure_cell(problem, system, ref_rule, alpha, spec)[0])
+        rows.append(measure_cell(problem, system, alpha, spec)[0])
     return rows
 
 

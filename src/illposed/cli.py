@@ -16,7 +16,7 @@ Three subcommands operate on a JSON config (flags override config fields):
 Every command builds each (problem, scheme, n) cell with
 ``discretize.build_system`` at the configured ``ref_points``; ``solve`` and
 ``study`` measure it with ``analysis.measure_cell``, ``verify`` with the
-bound verifiers.
+bound verifiers, each on the system's own reference rule.
 
 Exit codes: 0 success, 2 configuration/usage error (including a request for
 more problems or schemes than the command runs, or a repeated one), 3
@@ -60,8 +60,6 @@ __all__ = ["RunConfig", "main", "cmd_solve", "cmd_verify", "cmd_study"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-REF_POINTS_ENV = "ILLPOSED_REF_POINTS"
 
 # Default verification grids; --delta narrows the noise levels.
 VERIFY_TH3_DELTAS = (1e-6, 1e-4)
@@ -162,6 +160,17 @@ def _problem_id(value) -> str:
     return value
 
 
+def _output_dir(value, label: str) -> Path:
+    """The output directory, checked before any cell is built: its nearest
+    existing ancestor, or the path itself, must be a directory."""
+    path = Path(value)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{label} {str(path)!r} cannot be an output directory: "
+                          f"{str(existing)!r} is not a directory")
+    return path
+
+
 _CONFIG_KEYS = frozenset({
     "problem", "scheme", "n", "alpha", "delta", "seed", "out",
     "ref_points", "matrix_dump",
@@ -169,7 +178,7 @@ _CONFIG_KEYS = frozenset({
 
 
 def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) -> RunConfig:
-    """Merge config file, environment and flags (flags win)."""
+    """Merge config file and flags (flags win)."""
     unknown = set(config_data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(
@@ -180,10 +189,6 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
     merged.update({k: v for k, v in config_data.items() if v is not None})
     # where each value came from, for the error messages
     label = {key: key for key in _CONFIG_KEYS}
-    env_ref = os.environ.get(REF_POINTS_ENV)
-    if env_ref is not None:
-        merged["ref_points"] = env_ref
-        label["ref_points"] = REF_POINTS_ENV
     for key in _CONFIG_KEYS - {"matrix_dump"}:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -200,7 +205,7 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
             alpha_rule=_parse_alpha(merged.get("alpha"), label["alpha"]),
             delta=None if delta is None else _as_float(delta, label["delta"]),
             seed=_as_int(merged.get("seed", 0), label["seed"]),
-            output_dir=Path(merged.get("out", ".")),
+            output_dir=_output_dir(merged.get("out", "."), label["out"]),
             ref_points=_as_int(merged.get("ref_points", REFERENCE_POINTS),
                                label["ref_points"]),
             matrix_dump=(Path(merged["matrix_dump"])
@@ -252,14 +257,13 @@ def cmd_solve(config: RunConfig) -> int:
                     scheme=[s.value for s in config.schemes])
     problem = get_problem(config.problem_ids[0])
     matrix = _replayed_matrix(config)
-    ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
-    s_grid = ref_rule.nodes
+    s_grid = reference_rule(problem.kernel.domain, config.ref_points).nodes
     x_true = np.asarray(problem.x_dagger(s_grid), dtype=float)
     rows, solutions = [], []
     for n in config.n_list:
         system = build_system(problem.kernel, config.schemes[0], n,
                               ref_points=config.ref_points, matrix=matrix)
-        row, reconstruction = measure_cell(problem, system, ref_rule, config.alpha_rule,
+        row, reconstruction = measure_cell(problem, system, config.alpha_rule,
                                            _noise(config))
         rows.append(row)
         solutions.append(np.asarray(reconstruction.function(s_grid), dtype=float))
@@ -296,20 +300,18 @@ def cmd_verify(config: RunConfig) -> int:
     reports = []
     for problem_id in config.problem_ids:
         problem = get_problem(problem_id)
-        ref_rule = reference_rule(problem.kernel.domain, config.ref_points)
         for scheme in config.schemes:
             for n in config.n_list:
                 system = build_system(problem.kernel, scheme, n,
                                       ref_points=config.ref_points, matrix=matrix)
-                reports.extend(verify_th1(problem, system, ref_rule=ref_rule))
+                reports.extend(verify_th1(problem, system))
                 for delta in th3_deltas:
                     reports.extend(verify_th3(
-                        problem, system, NoiseSpec(delta_n=delta, seed=config.seed),
-                        ref_rule=ref_rule))
+                        problem, system, NoiseSpec(delta_n=delta, seed=config.seed)))
                 for delta in th5_deltas:
                     reports.extend(verify_th5(
                         problem, system, th5_alphas,
-                        NoiseSpec(delta_n=delta, seed=config.seed), ref_rule=ref_rule))
+                        NoiseSpec(delta_n=delta, seed=config.seed)))
                 reports.extend(verify_special(problem, system))
     _atomic_write(config.output_dir / "bounds.csv", reports_to_csv(reports))
     failed = [r for r in reports if not r.skipped and not r.passed]

@@ -26,7 +26,7 @@ factored: it checks that ``M A`` is self-adjoint PSD, then stores one
 eigendecomposition that every solve filters.  A matrix handed to it (a
 replayed dump) skips the assembly and goes through the same checks and the
 same factorization.  It also fixes the size of the system's reference rule,
-on which ``eps_n`` is measured at its first read.
+on which ``eps_n``, ``||T||`` and every L2 error of the system are measured.
 
 Entry integrals use a panel-aligned composite Gauss rule by default: panels
 break at the scheme's nodes/cell boundaries, where diagonally kinked kernels
@@ -116,26 +116,22 @@ class DiscreteSystem:
     matrix : ndarray
         Matrix of the composed operator (the normal operator on data space)
         in the scheme basis; ``A = K M`` with ``K_ij = integral g_i g_j``.
-    sym_matrix : ndarray
-        ``M^(1/2) A M^(-1/2)``, symmetric PSD; its eigenvalues are the
-        squared singular values of the discretized operator.
     eigvals, eigvecs : ndarray
-        Eigendecomposition of ``sym_matrix`` (values non-increasing), the
-        one factorization every solve of the system filters.
+        Eigendecomposition of the symmetric PSD ``M^(1/2) A M^(-1/2)``
+        (``space.symmetrize(matrix)``; values non-increasing), the one
+        factorization every solve of the system filters.
     sigma_min : float
         Smallest positive singular value of the discretized operator.
-    inner_rule : QuadratureRule
-        Rule used for the entry integrals.
     ref_points : int
-        Size of the reference rule: ``eps_n`` and ``||T||`` are measured on
-        :meth:`epsilon_rule`, the projection-defect norms on a rule of this
-        size aligned with the scheme grid.
+        Size of the reference rule: ``eps_n``, ``||T||`` and every L2 error
+        are measured on :attr:`reference_rule`, the projection-defect norms
+        on a rule of this size aligned with the scheme grid.
 
-    Two caches sit beside the fixed fields.  :attr:`epsilon_n` is measured
-    on its first read and kept.  :meth:`slice_values` keeps the last grid it
-    sampled and the slice values there as one read-only ``(grid, values)``
-    tuple, replaced by a single attribute store; concurrent readers
-    therefore see either the old or the new pair and at worst recompute.
+    Three caches sit beside the fixed fields: :attr:`reference_rule` and
+    :attr:`epsilon_n`, formed on their first read, and the last grid that
+    :meth:`slice_values` sampled with the slice values there, one read-only
+    ``(grid, values)`` tuple replaced by a single attribute store; concurrent
+    readers therefore see either the old or the new pair and at worst recompute.
     """
 
     scheme: SchemeKind
@@ -144,11 +140,9 @@ class DiscreteSystem:
     rule: QuadratureRule
     space: WeightedSpace
     matrix: np.ndarray
-    sym_matrix: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
     sigma_min: float
-    inner_rule: QuadratureRule
     rel_tol: float
     ref_points: int
     _slices: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -156,6 +150,12 @@ class DiscreteSystem:
     @property
     def domain(self) -> Domain:
         return self.kernel.domain
+
+    @functools.cached_property
+    def reference_rule(self) -> QuadratureRule:
+        """The ``max(ref_points, 4 n)``-point Gauss rule on which ``eps_n``,
+        ``||T||`` and every L2 error of the system are measured."""
+        return gauss_legendre(max(self.ref_points, 4 * self.n), self.domain)
 
     @functools.cached_property
     def epsilon_n(self) -> float:
@@ -238,16 +238,6 @@ class DiscreteSystem:
         out[rows, left + 1] = frac
         return out
 
-    def epsilon_rule(self) -> QuadratureRule:
-        """The ``max(ref_points, 4 n)``-point Gauss rule that ``eps_n`` is
-        measured on, and with it ``||T||`` (:meth:`Kernel.operator_norm`)."""
-        return gauss_legendre(max(self.ref_points, 4 * self.n), self.domain)
-
-    @property
-    def embedded_basis(self) -> bool:
-        """True when basis_values is an embedding proxy (collocation)."""
-        return self.scheme is SchemeKind.COLLOCATION
-
 
 def _hat_gram(n: int, h: float) -> np.ndarray:
     # Closed-form L2 Gram of piecewise-linear hats on an equispaced grid:
@@ -280,14 +270,12 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
     """
     n = edges.size - 1
     h = edges[1] - edges[0]
-    gx, gw = gauss_nodes(_CELL_GAUSS)
+    _, gw = gauss_nodes(_CELL_GAUSS)
+    s_nodes, _ = segment_gauss(edges[:-1], edges[1:], _CELL_GAUSS)
+    half = 0.5 * (edges[1:] - edges[:-1])
     out = np.empty((n, t.size))
     for i in range(n):
-        left, right = edges[i], edges[i + 1]
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        s_nodes = mid + half * gx
-        out[i] = (kernel(s_nodes[:, None], t[None, :]).T @ gw) * half / h
+        out[i] = (kernel(s_nodes[i][:, None], t[None, :]).T @ gw) * half[i] / h
     if not kernel.diagonal_kink:
         return out
     cell = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, n - 1)
@@ -322,15 +310,15 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         Relative truncation threshold in (0, 1) separating the numerical
         rank from quadrature noise; the system's one threshold.
     ref_points : int
-        Size of the reference rule the system's ``eps_n`` and norms are
-        measured on (:meth:`DiscreteSystem.epsilon_rule`); at least 1.
+        Size of the rule every measurement of the system is made on
+        (:attr:`DiscreteSystem.reference_rule`); at least 1.
     matrix : array_like, optional
         Normal matrix to use in place of the assembled one (a replayed
         dump); slice sampling and assembly are skipped, the checks and the
         factorization are the same.
 
-    The entry integrals use ``inner_rule``: a composite Gauss rule aligned
-    with the scheme grid, with at least ``4 n`` points and 8 per panel.
+    The entry integrals use a composite Gauss rule aligned with the scheme
+    grid, with at least ``4 n`` points and 8 per panel.
 
     Raises
     ------
@@ -375,27 +363,24 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
 
     system = DiscreteSystem(
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
-        matrix=np.empty(0), sym_matrix=np.empty(0),
-        eigvals=np.empty(0), eigvecs=np.empty(0), sigma_min=0.0,
-        inner_rule=rule, rel_tol=rel_tol, ref_points=ref_points,
+        matrix=np.empty(0), eigvals=np.empty(0), eigvecs=np.empty(0),
+        sigma_min=0.0, rel_tol=rel_tol, ref_points=ref_points,
     )
 
-    inner_rule = aligned_rule(system.grid_knots(), 4 * n, min_per_panel=8)
-    system.inner_rule = inner_rule
-
     if matrix is None:
-        gv = system.slice_values(inner_rule.nodes)
+        inner = aligned_rule(system.grid_knots(), 4 * n, min_per_panel=8)
+        gv = system.slice_values(inner.nodes)
         if not np.all(np.isfinite(gv)):
             raise NumericalError("kernel produced non-finite slice samples")
-        slice_gram = (gv * inner_rule.weights) @ gv.T
+        slice_gram = (gv * inner.weights) @ gv.T
         matrix = 0.5 * (slice_gram + slice_gram.T) @ space.metric_dense()
     _factor_system(system, matrix)
     return system
 
 
 def _factor_system(system: DiscreteSystem, matrix) -> None:
-    """Check ``M A`` is self-adjoint PSD, then store the matrix, its
-    symmetrization, its eigendecomposition and ``sigma_min`` on the system."""
+    """Check ``M A`` is self-adjoint PSD, then store the matrix, the
+    eigenpairs of its symmetrization and ``sigma_min`` on the system."""
     matrix = as_matrix(matrix, "matrix")
     if matrix.shape != (system.n, system.n):
         raise NumericalError(
@@ -422,7 +407,6 @@ def _factor_system(system: DiscreteSystem, matrix) -> None:
         )
 
     system.matrix = matrix
-    system.sym_matrix = sym
     system.eigvals = vals
     system.eigvecs = vecs
     kept = system.kept()
@@ -470,7 +454,7 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     """Measured upper bound for the operator-level discretization error.
 
     Builds matrix representations of the continuous and discretized normal
-    operators on :meth:`DiscreteSystem.epsilon_rule`, symmetrized by the
+    operators on :attr:`DiscreteSystem.reference_rule`, symmetrized by the
     square root of the grid weights so the matrix 2-norm approximates the L2
     operator norm, and returns the norm of the difference times a safety
     factor of 1.1.  The continuous half depends on the kernel and the rule
@@ -480,11 +464,11 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     within 1e-13 relative of LAPACK's).  Each call measures afresh;
     :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
     """
-    ref_rule = system.epsilon_rule()
-    sqrt_rho = np.sqrt(ref_rule.weights)
+    rule = system.reference_rule
+    sqrt_rho = np.sqrt(rule.weights)
 
-    normal_cont = system.kernel.normal_gram(ref_rule)
-    gv = system.slice_values(ref_rule.nodes)
+    normal_cont = system.kernel.normal_gram(rule)
+    gv = system.slice_values(rule.nodes)
     space = system.space
     metric_gv = space.weights[:, None] * gv if space.is_diagonal else space.matrix @ gv
     # (normal_cont - normal_disc) * outer(sqrt_rho, sqrt_rho), then the

@@ -140,13 +140,8 @@ def composite_trapezoid(n: int, dom: Domain) -> QuadratureRule:
 
 def gauss_legendre(n: int, dom: Domain) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` nodes mapped to ``dom`` (degree 2n-1)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("gauss_legendre needs n >= 1")
-    x, w = gauss_nodes(n)
-    half = 0.5 * dom.length
-    mid = 0.5 * (dom.a + dom.b)
-    return QuadratureRule(mid + half * x, half * w, domain=dom)
+    nodes, weights = segment_gauss([dom.a], [dom.b], n)
+    return QuadratureRule(nodes[0], weights[0], domain=dom)
 
 
 def composite_gauss(knots, points_per_panel: int) -> QuadratureRule:

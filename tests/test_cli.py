@@ -74,23 +74,6 @@ def test_ref_points_guard(tmp_path):
     assert main(["solve", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_env_var_overrides_ref_points(tmp_path, monkeypatch):
-    monkeypatch.setenv("ILLPOSED_REF_POINTS", "16")
-    assert main(["solve", "--problem", "rank1-sine", "--n", "8",
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-    monkeypatch.setenv("ILLPOSED_REF_POINTS", "300")
-    out = tmp_path / "wide"
-    assert main(["solve", "--problem", "rank1-sine", "--n", "8",
-                 "--out", str(out)]) == EXIT_OK
-    assert len(read_csv(out / "solution_8.csv")) == 300
-
-
-def test_env_var_ref_points_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ILLPOSED_REF_POINTS", "abc")
-    assert main(["solve", "--n", "8", "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "ILLPOSED_REF_POINTS" in capsys.readouterr().err
-
-
 def test_solve_noisy_runs_are_bytewise_deterministic(tmp_path):
     args = ["solve", "--problem", "green-m1", "--n", "8,16", "--delta", "1e-3",
             "--seed", "7"]
@@ -226,7 +209,6 @@ def _verify_in_subprocess(out, threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("ILLPOSED_REF_POINTS", None)
     subprocess.run([sys.executable, "-m", "illposed.cli", "verify", "--n", "4,8",
                     "--out", str(out)], env=env, check=True, timeout=300)
     return (out / "bounds.csv").read_bytes()
@@ -284,8 +266,30 @@ def test_ref_points_reaches_every_system(tmp_path, monkeypatch, command):
                                "n": [8], "ref_points": 300}))
     assert main([command, str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     (system,) = built
-    assert system.ref_points == 300 and system.epsilon_rule().n_points == 300
+    assert system.ref_points == 300 and system.reference_rule.n_points == 300
     assert "epsilon_n" in vars(system)  # measured during the run, not here
+    if command == "solve":  # the output grid has the configured size too
+        assert len(read_csv(tmp_path / "solution_8.csv")) == 300
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
+def test_an_out_that_is_not_a_directory_is_rejected(tmp_path, monkeypatch, capsys,
+                                                     command, below):
+    # a file, or a path below one, cannot hold the outputs: exit 2 before any
+    # cell is built, with the path named and the file left as it was
+    built = []
+    monkeypatch.setattr("illposed.cli.build_system", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr("illposed.analysis.build_system",
+                        lambda *args, **kwargs: built.append(args))
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if below else blocker
+    assert main([command, "--n", "8", "--out", str(out)]) == EXIT_CONFIG
+    assert str(out) in capsys.readouterr().err
+    assert built == []
+    assert blocker.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("command, config, key", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from illposed import discretize
+from illposed import analysis, discretize
 from illposed.analysis import (
     _special_norms,
     measure_cell,
@@ -70,7 +70,7 @@ def test_hat_gram_closed_form():
 def test_separable_kernel_has_numerical_rank_one():
     prob = get_problem("rank1-sine")
     system = build_system(prob.kernel, "collocation", 16)
-    s = np.linalg.svd(system.sym_matrix, compute_uv=False)
+    s = np.linalg.svd(system.space.symmetrize(system.matrix), compute_uv=False)
     assert s[1] <= 1e-8 * s[0]
 
 
@@ -131,7 +131,8 @@ def test_metric_symmetry_and_psd(scheme, n):
     metric_a = system.space.metric_dense() @ system.matrix
     scale = np.max(np.abs(metric_a))
     assert np.max(np.abs(metric_a - metric_a.T)) <= 1e-8 * scale
-    eigvals = np.linalg.eigvalsh(0.5 * (system.sym_matrix + system.sym_matrix.T))
+    sym = system.space.symmetrize(system.matrix)
+    eigvals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     assert eigvals[0] >= -1e-8 * eigvals[-1]
 
 
@@ -140,7 +141,7 @@ def test_sigma_min_matches_symmetrized_svd():
     # w-symmetrized matrix via LAPACK
     prob = get_problem("rank1-sine")
     system = build_system(prob.kernel, "collocation", 8)
-    s = np.linalg.svd(system.sym_matrix, compute_uv=False)
+    s = np.linalg.svd(system.space.symmetrize(system.matrix), compute_uv=False)
     positive = s[s > 1e-10 * s[0]]
     assert system.sigma_min**2 == pytest.approx(positive[-1], rel=1e-10)
 
@@ -149,8 +150,9 @@ def test_sigma_min_matches_symmetrized_svd():
 def test_stored_factor_reproduces_symmetrized_matrix(scheme):
     system = build_system(get_problem("green-m1").kernel, scheme, 12)
     q, lam = system.eigvecs, system.eigvals
-    scale = np.max(np.abs(system.sym_matrix))
-    assert np.max(np.abs((q * lam) @ q.T - system.sym_matrix)) <= 1e-12 * scale
+    sym = system.space.symmetrize(system.matrix)
+    scale = np.max(np.abs(sym))
+    assert np.max(np.abs((q * lam) @ q.T - sym)) <= 1e-12 * scale
     assert np.max(np.abs(q.T @ q - np.eye(12))) <= 1e-12
     assert np.all(np.diff(lam) <= 0.0)
 
@@ -260,7 +262,7 @@ def test_adjoint_identity(pid, scheme):
     poly = lambda t: np.polynomial.polynomial.polyval(np.asarray(t), coeffs)
     v = rng.standard_normal(8)
 
-    inner = system.inner_rule
+    inner = aligned_rule(system.grid_knots(), 4 * 8, min_per_panel=8)
     tnx = system.slice_values(inner.nodes) @ (inner.weights * poly(inner.nodes))
     lhs = tnx @ system.space.apply_metric(v)
 
@@ -349,7 +351,7 @@ def test_collocation_normal_operator_is_nystrom_composition():
     coeffs = rng.standard_normal(6)
     poly = lambda t: np.polynomial.polynomial.polyval(np.asarray(t), coeffs)
 
-    inner = system.inner_rule
+    inner = aligned_rule(system.grid_knots(), 4 * 8, min_per_panel=8)
     tnx = system.slice_values(inner.nodes) @ (inner.weights * poly(inner.nodes))
     lhs = tnx @ system.space.apply_metric(tnx)
 
@@ -376,9 +378,31 @@ def test_a_cell_measures_epsilon_once(monkeypatch):
     verify_th3(problem, system, spec)
     verify_th5(problem, system, (1e-2,), spec)
     verify_special(problem, system)
-    row, _ = measure_cell(problem, system, reference_rule(problem.kernel.domain))
+    row, _ = measure_cell(problem, system)
     assert measured == [system]
     assert row.eps_n == system.epsilon_n == original(system)
+
+
+def test_a_cell_measures_every_l2_error_on_its_reference_rule(monkeypatch):
+    # both sides of (1 + eps_n / alpha) ||x - x_alpha|| are measured on the
+    # rule eps_n is measured on, here 512 points rather than the default 256
+    problem = get_problem("rank3-decay")
+    system = build_system(problem.kernel, "ortho-pc", 16, ref_points=512)
+    sizes = []
+    for name, position in (("l2_error", 2), ("tikhonov_continuous_reference", 1)):
+        original = getattr(analysis, name)
+
+        def spy(*args, original=original, position=position):
+            sizes.append(args[position].n_points)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, name, spy)
+    spec = NoiseSpec(1e-8, 0)  # small enough for every hypothesis to hold
+    reports = (verify_th1(problem, system, alphas=(1e-2,)) + verify_th3(problem, system, spec)
+               + verify_th5(problem, system, (1e-2,), spec))
+    measure_cell(problem, system, spec=spec)
+    assert not any(report.skipped for report in reports)
+    assert len(sizes) > 20 and set(sizes) == {512}
 
 
 @pytest.mark.parametrize("pid", ["rank1-sine", "green-m1"])
@@ -403,7 +427,7 @@ def test_ref_points_fixes_the_epsilon_rule(monkeypatch, pid):
     # eps_n, a second measurement and ||T|| share one continuous half
     assert formed == [(1, 512)]
     monkeypatch.undo()
-    assert system.epsilon_rule().n_points == 512
+    assert system.reference_rule.n_points == 512
     assert eps == _dense_epsilon(system, 512) != _dense_epsilon(system, 256)
     sqrt_rho = np.sqrt(rule.weights)
     kmat = problem.kernel(rule.nodes[:, None], rule.nodes[None, :])

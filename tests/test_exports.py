@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ import illposed
 
 MODULES = ["illposed"] + [f"illposed.{info.name}"
                           for info in pkgutil.iter_modules(illposed.__path__)]
+SOURCES = sorted(path.name for path in Path(illposed.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
 
 
 def _exported(module):
@@ -38,3 +42,21 @@ def test_package_exports_are_public_in_their_modules():
         home = getattr(value, "__module__", None)
         if home is not None and home.startswith("illposed."):
             assert attr in importlib.import_module(home).__all__, (attr, home)
+
+
+@pytest.mark.parametrize("filename", SOURCES)
+def test_every_imported_name_is_used(filename):
+    # an import that the module neither reads nor exports is a leftover of
+    # removed code
+    path = Path(illposed.__file__).parent / filename
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(f"illposed.{path.stem}")
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []

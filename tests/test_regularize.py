@@ -147,7 +147,7 @@ def min_norm_oracle(system, y_n):
     # numpy's SVD pseudo-inverse of the symmetrized matrix; it keeps the
     # singular values above rel_tol * s_max, the system's truncation rule
     space = system.space
-    pinv = np.linalg.pinv(system.sym_matrix, rcond=system.rel_tol)
+    pinv = np.linalg.pinv(space.symmetrize(system.matrix), rcond=system.rel_tol)
     return space.isqrt_apply(pinv @ space.sqrt_apply(y_n))
 
 
