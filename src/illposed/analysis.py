@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretize import DiscreteSystem, SchemeKind, build_system, project_data
-from .linalg import NumericalError, spectral_norm
+from .linalg import NumericalError, spectral_norm, symmetric_norm
 from .problems import REFERENCE_POINTS, TestProblem
 from .quadrature import QuadratureRule, aligned_rule
 from .regularize import (
@@ -322,7 +322,10 @@ def _special_norms(system: DiscreteSystem):
     for orthonormal ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n
     ``r = L^T c_w`` and ``T_n*T_n`` is ``r^T r``.  For collocation ``B`` is
     the piecewise-linear embedding, so ``||T_n||`` is the embedded-basis
-    quantity, not a norm of the stored factor.  No norm needs an SVD.
+    quantity, not a norm of the stored factor.  No norm needs an SVD, and
+    lhs and defect form no m x m product: Lanczos runs on
+    ``x -> k_w^T (k_w x) - r^T (r x)`` and, for the square of the defect,
+    on ``x -> E^T (E x)`` with ``E x = k_w x - b_w (c_w x)``.
 
     Raises
     ------
@@ -354,8 +357,14 @@ def _special_norms(system: DiscreteSystem):
             f"is not positive definite on the reference grid"
         ) from None
     r = chol.T @ c_w
-    lhs = spectral_norm(k_w.T @ k_w - r.T @ r)
-    defect = spectral_norm(k_w - b_w @ c_w)
+    m = nodes.size
+    lhs = symmetric_norm(lambda x: k_w.T @ (k_w @ x) - r.T @ (r @ x), m)
+
+    def defect_sq(x):
+        d = k_w @ x - b_w @ (c_w @ x)
+        return k_w.T @ d - c_w.T @ (b_w.T @ d)
+
+    defect = float(np.sqrt(symmetric_norm(defect_sq, m)))
     norm_t = system.kernel.operator_norm(system.reference_rule)
     return lhs, defect, norm_t, spectral_norm(r)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalError, WeightedSpace, eigh_symmetric, spectral_norm
+from .linalg import NumericalError, WeightedSpace, eigh_symmetric, symmetric_norm
 from .problems import REFERENCE_POINTS, Kernel
 from .quadrature import (
     Domain,
@@ -460,8 +460,9 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     factor of 1.1.  The continuous half depends on the kernel and the rule
     only and comes from :meth:`Kernel.normal_gram`, which keeps it for the
     last rule.  The difference is weighted and symmetrized in two reused
-    m x m buffers, and its norm comes from :func:`spectral_norm` (Lanczos,
-    within 1e-13 relative of LAPACK's).  Each call measures afresh;
+    m x m buffers, symmetric by construction, and its norm comes from
+    :func:`symmetric_norm` on ``x -> sym @ x`` (Lanczos, within 1e-13
+    relative of LAPACK's).  Each call measures afresh;
     :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
     """
     rule = system.reference_rule
@@ -481,7 +482,7 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     diff *= sym
     np.add(diff, diff.T, out=sym)
     sym *= 0.5
-    return _EPS_SAFETY * spectral_norm(sym)
+    return _EPS_SAFETY * symmetric_norm(lambda x: sym @ x, sym.shape[0])
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -4,11 +4,14 @@ Everything in this package reduces to small dense problems (n below ~1000).
 The one decomposition is LAPACK's symmetric eigensolver, through
 ``numpy.linalg``: :func:`eigh_symmetric` factors each system once and every
 solve is a spectral filter of that factor.  Norm measurement needs one
-eigenvalue, not all of them: :func:`spectral_norm` runs Lanczos on
-matrix-vector products and takes the dense ``eigvalsh`` only when Lanczos
-does not converge.  The functions here add the contracts the rest of the
-package relies on: validated input, non-increasing ordering, and
-:class:`NumericalError` for matrices that break their preconditions.
+eigenvalue, not all of them: :func:`symmetric_norm` runs Lanczos on a
+symmetric operator given only by its product ``x -> apply(x)``, so a
+product of matrices is never formed, and takes the dense ``eigvalsh`` of
+``apply(I)`` only when Lanczos does not converge; :func:`spectral_norm`
+applies it to an arbitrary matrix.  The functions here add the contracts
+the rest of the package relies on: validated input, non-increasing
+ordering, and :class:`NumericalError` for matrices that break their
+preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space: a diagonal metric of quadrature weights, or a dense SPD Gram matrix
@@ -28,6 +31,7 @@ __all__ = [
     "WeightedSpace",
     "eigh_symmetric",
     "spectral_norm",
+    "symmetric_norm",
 ]
 
 
@@ -195,17 +199,30 @@ def _lanczos(apply, dim: int):
     return None
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value of ``A``, from matrix-vector products.
+def symmetric_norm(apply, dim: int) -> float:
+    """Largest eigenvalue modulus of a symmetric operator on ``R^dim``.
 
-    Exactly symmetric input takes its largest eigenvalue modulus by Lanczos
-    on ``x -> A x``; anything else the square root of the largest
-    eigenvalue of ``A^T A`` (or ``A A^T``, on the smaller side) by Lanczos
-    on ``x -> A^T (A x)``, with no Gram matrix formed.  Lanczos stops at a
-    relative Ritz residual of 1e-13; if it has not converged after
-    ``_LANCZOS_STEPS`` steps the norm comes from the dense ``eigvalsh`` of
-    the matrix or of its smaller Gram matrix instead.  Either way the
+    The operator is given by its product ``x -> apply(x)`` alone; nothing
+    checks that it is symmetric.  Lanczos stops at a relative Ritz residual
+    of 1e-13; if it has not converged after ``_LANCZOS_STEPS`` steps the
+    norm is the dense ``eigvalsh`` of ``apply(I)`` instead.  Either way the
     result agrees with LAPACK's to about 1e-13 relative.
+    """
+    if dim == 0:
+        return 0.0
+    top = _lanczos(apply, dim)
+    if top is None:
+        top = float(np.max(np.abs(np.linalg.eigvalsh(apply(np.eye(dim))))))
+    return top
+
+
+def spectral_norm(a) -> float:
+    """Largest singular value of ``A``, by :func:`symmetric_norm`.
+
+    Exactly symmetric input takes its largest eigenvalue modulus on
+    ``x -> A x``; anything else the square root of the largest eigenvalue
+    of ``A^T A`` (or ``A A^T``, on the smaller side) on ``x -> A^T (A x)``,
+    with no Gram matrix formed.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
@@ -213,12 +230,6 @@ def spectral_norm(a) -> float:
     a = as_matrix(a, "A")
     rows, cols = a.shape
     if rows == cols and np.array_equal(a, a.T):
-        top = _lanczos(lambda x: a @ x, rows)
-        if top is None:
-            top = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        return top
+        return symmetric_norm(lambda x: a @ x, rows)
     tall = a if rows >= cols else a.T
-    top = _lanczos(lambda x: tall.T @ (tall @ x), tall.shape[1])
-    if top is None:
-        top = float(np.linalg.eigvalsh(tall.T @ tall)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.sqrt(symmetric_norm(lambda x: tall.T @ (tall @ x), tall.shape[1])))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import symmetric_norm
 from .quadrature import Domain, QuadratureRule, gauss_legendre, segment_gauss
 from .validation import check_integer, check_positive
 
@@ -112,7 +112,8 @@ class Kernel:
         if norm is None:
             sqrt_rho = np.sqrt(rho)
             weighted = gram * np.outer(sqrt_rho, sqrt_rho)
-            norm = float(np.sqrt(spectral_norm(0.5 * (weighted + weighted.T))))
+            sym = 0.5 * (weighted + weighted.T)
+            norm = float(np.sqrt(symmetric_norm(lambda x: sym @ x, nodes.size)))
             self._normal_gram = (nodes, rho, gram, norm)
         return norm
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from illposed import analysis
+from illposed import analysis, linalg
 from illposed.analysis import (
     BoundReport,
     ReportContext,
@@ -21,7 +22,7 @@ from illposed.analysis import (
     _special_norms,
 )
 from illposed.discretize import SchemeKind, build_system
-from illposed.linalg import NumericalError, spectral_norm
+from illposed.linalg import NumericalError, symmetric_norm
 from illposed.problems import (
     REFERENCE_POINTS,
     Domain,
@@ -348,24 +349,23 @@ def test_special_norms_match_the_dense_svd_formulas(grid_systems, pid, scheme):
 
 
 def test_special_norms_agree_with_lapack(grid_systems, monkeypatch):
-    # each norm Lanczos takes, against LAPACK on the same matrix
+    # each operator Lanczos takes (lhs, defect^2, the Gram of ||T_n||),
+    # against LAPACK on the matrix the operator applies
     seen = []
 
-    def recording(a):
-        seen.append((a, spectral_norm(a)))
-        return seen[-1][1]
+    def recording(apply, dim):
+        seen.append((apply, dim, symmetric_norm(apply, dim)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(analysis, "spectral_norm", recording)
+    for module in (analysis, linalg):  # spectral_norm reads it from linalg
+        monkeypatch.setattr(module, "symmetric_norm", recording)
     for key, system in grid_systems.items():
         seen.clear()
         _special_norms(system)
         assert len(seen) == 3, key
-        for a, got in seen:
-            if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
-                lapack = np.max(np.abs(np.linalg.eigvalsh(a)))
-            else:
-                lapack = np.linalg.norm(a, 2)
-            assert got == pytest.approx(lapack, rel=1e-12, abs=0.0), (key, a.shape)
+        for apply, dim, got in seen:
+            lapack = np.max(np.abs(np.linalg.eigvalsh(apply(np.eye(dim)))))
+            assert got == pytest.approx(lapack, rel=1e-12, abs=0.0), (key, dim)
 
 
 def test_special_norms_reject_a_singular_basis(grid_systems, monkeypatch):
@@ -373,6 +373,22 @@ def test_special_norms_reject_a_singular_basis(grid_systems, monkeypatch):
     monkeypatch.setattr(system, "basis_values", lambda s: np.zeros((np.size(s), system.n)))
     with pytest.raises(NumericalError, match="not positive definite"):
         _special_norms(system)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_special_norms_form_no_m_by_m_product(scheme):
+    # the kernel sample and its weighted copy are the only m x m arrays;
+    # an m x m product such as k_w^T k_w would add at least one more
+    system = build_system(get_problem("green-m1").kernel, scheme, 16, ref_points=1024)
+    _special_norms(system)  # fills the kernel's norm memo and the system's slice memo
+    m = aligned_rule(system.grid_knots(), system.ref_points).nodes.size
+    tracemalloc.start()
+    try:
+        _special_norms(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * m * m * 8, peak / (m * m * 8)
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,53 @@ def test_spectral_norm_past_the_step_cap_is_the_dense_eigvalsh(monkeypatch, shap
         a = a + a.T
         dense = np.max(np.abs(np.linalg.eigvalsh(a)))
     else:
-        dense = np.sqrt(np.linalg.eigvalsh(a.T @ a if shape[0] > shape[1] else a @ a.T)[-1])
+        # the smaller Gram matrix as the fallback forms it, A^T (A I): GEMM,
+        # not the SYRK of A^T A, whose last bits differ
+        tall = a if shape[0] > shape[1] else a.T
+        dense = np.sqrt(np.max(np.abs(np.linalg.eigvalsh(tall.T @ (tall @ np.eye(tall.shape[1]))))))
     monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 1)
     assert spectral_norm(a) == dense
+
+
+# ---------------------------------------------------------------------------
+# symmetric_norm
+
+
+def _gram_difference(seed):
+    # x -> A^T (A x) - B^T (B x): symmetric, indefinite and of rank 6 on
+    # R^40, given by products only
+    a, b = random_matrix(3, 40, seed), random_matrix(3, 40, seed + 1)
+    return lambda x: a.T @ (a @ x) - b.T @ (b @ x), a.T @ a - b.T @ b
+
+
+def test_symmetric_norm_of_an_indefinite_operator():
+    q, _ = np.linalg.qr(random_matrix(30, 30, 12))
+    vals = np.linspace(-1.0, 3.0, 30)
+    vals[7] = -7.0  # the largest modulus is a negative eigenvalue
+    a = (q * vals) @ q.T
+    assert linalg.symmetric_norm(lambda x: a @ x, 30) == pytest.approx(7.0, rel=1e-12)
+
+
+def test_symmetric_norm_of_dim_zero_and_one():
+    def never(x):
+        raise AssertionError("no product on an empty space")
+
+    assert linalg.symmetric_norm(never, 0) == 0.0
+    assert linalg.symmetric_norm(lambda x: -2.5 * x, 1) == 2.5
+
+
+@pytest.mark.parametrize("seed", [13, 21, 34])
+def test_symmetric_norm_of_a_low_rank_difference_matches_lapack(seed):
+    apply, dense = _gram_difference(seed)
+    lapack = np.max(np.abs(np.linalg.eigvalsh(dense)))
+    assert linalg.symmetric_norm(apply, 40) == pytest.approx(lapack, rel=1e-12, abs=0.0)
+
+
+def test_symmetric_norm_past_the_step_cap_is_the_dense_eigvalsh_of_apply_eye(monkeypatch):
+    apply, _ = _gram_difference(55)
+    dense = np.max(np.abs(np.linalg.eigvalsh(apply(np.eye(40)))))
+    monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 1)
+    assert linalg.symmetric_norm(apply, 40) == dense
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from illposed import analysis, discretize, linalg, problems
 from illposed.analysis import l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
-from illposed.linalg import spectral_norm
+from illposed.linalg import symmetric_norm
 from illposed.problems import (
     REFERENCE_POINTS,
     Kernel,
@@ -128,16 +128,16 @@ def test_verify_takes_three_reference_grid_eigenproblems_per_cell(tmp_path, monk
     norms, dense = [], []
     eigvalsh = np.linalg.eigvalsh
 
-    def counting(a):
-        norms.append(min(np.shape(a)))
-        return spectral_norm(a)
+    def counting(apply, dim):
+        norms.append(dim)
+        return symmetric_norm(apply, dim)
 
     def counting_dense(a, *args, **kwargs):
         dense.append(np.shape(a)[0])
         return eigvalsh(a, *args, **kwargs)
 
-    for module in (discretize, analysis, problems):  # each imports it by name
-        monkeypatch.setattr(module, "spectral_norm", counting)
+    for module in (discretize, analysis, problems, linalg):  # each reads it by name
+        monkeypatch.setattr(module, "symmetric_norm", counting)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_dense)
     assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
     kernels, cells = len(problem_catalog()), len(problem_catalog()) * 3 * 2
