@@ -9,7 +9,6 @@ the error bounds the construction satisfies.
 from .analysis import (
     BoundReport,
     ConvergenceRow,
-    convergence_study,
     l2_error,
     verify_special,
     verify_th1,

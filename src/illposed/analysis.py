@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import DiscreteSystem, SchemeKind, build_system, project_data
+from .discretize import DiscreteSystem, SchemeKind, project_data
 from .linalg import NumericalError, spectral_norm, symmetric_norm
-from .problems import REFERENCE_POINTS, TestProblem
+from .problems import TestProblem
 from .quadrature import QuadratureRule, aligned_rule
 from .regularize import (
     InconsistentDataError,
@@ -36,7 +36,6 @@ from .regularize import (
     tikhonov_continuous_reference,
     tikhonov_discrete,
 )
-from .validation import check_integer
 
 __all__ = [
     "ReportContext",
@@ -49,7 +48,6 @@ __all__ = [
     "verify_th5",
     "verify_special",
     "measure_cell",
-    "convergence_study",
     "reports_to_csv",
     "rows_to_csv",
 ]
@@ -395,7 +393,7 @@ def verify_special(problem: TestProblem, system: DiscreteSystem) -> list[BoundRe
 
 
 # ---------------------------------------------------------------------------
-# Structural identities and studies
+# Per-cell measurement
 
 
 def measure_cell(problem: TestProblem, system: DiscreteSystem, alpha="eps",
@@ -423,22 +421,6 @@ def measure_cell(problem: TestProblem, system: DiscreteSystem, alpha="eps",
     row = ConvergenceRow(n=system.n, eps_n=eps, sigma_min=system.sigma_min,
                          err_min_norm=err_min, err_tikh=err_tikh, err_noisy=err_noisy)
     return row, rec
-
-
-def convergence_study(problem: TestProblem, scheme, n_list, spec: NoiseSpec | None = None,
-                      ref_points: int = REFERENCE_POINTS, alpha="eps",
-                      matrix=None) -> list[ConvergenceRow]:
-    """Measured error quantities over a ladder of discretization sizes: one
-    :func:`build_system` and one :func:`measure_cell` per size; ``matrix``
-    replays a dumped normal matrix in place of every assembly."""
-    n_list = [check_integer(n, "n") for n in n_list]
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be nonempty and increasing")
-    rows = []
-    for n in n_list:
-        system = build_system(problem.kernel, scheme, n, ref_points=ref_points, matrix=matrix)
-        rows.append(measure_cell(problem, system, alpha, spec)[0])
-    return rows
 
 
 # ---------------------------------------------------------------------------

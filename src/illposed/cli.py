@@ -4,8 +4,8 @@ Three subcommands operate on a JSON config (flags override config fields):
 
 ``solve``
     One discrete solve per requested size, for one problem and one scheme;
-    writes ``solution_<n>.csv`` with the reconstruction on the reference grid
-    and ``summary.csv`` with the measured quantities.
+    writes ``summary.csv`` and ``solution_<n>.csv`` with the reconstruction
+    and ``x_dagger`` on the system's reference rule.
 ``study``
     Convergence study of one problem over the size ladder; writes
     ``convergence.csv`` (one file per scheme when scheme is ``all``).
@@ -13,14 +13,15 @@ Three subcommands operate on a JSON config (flags override config fields):
     Runs every bound verification on the configured grid and writes
     ``bounds.csv``; exits 0 iff every non-skipped report passed.
 
-Every command builds each (problem, scheme, n) cell with
-``discretize.build_system`` at the configured ``ref_points``; ``solve`` and
-``study`` measure it with ``analysis.measure_cell``, ``verify`` with the
-bound verifiers, each on the system's own reference rule.
+Every command walks the same cells, problem by problem, scheme by scheme and
+size by size, each built once by ``discretize.build_system`` at the
+configured ``ref_points`` (:func:`_cells`).  ``solve`` and ``study`` measure a
+cell with ``analysis.measure_cell``, ``verify`` with the bound verifiers, each
+on the system's own reference rule.
 
-Exit codes: 0 success, 2 configuration/usage error (including a request for
-more problems or schemes than the command runs, or a repeated one), 3
-numerical failure.
+Exit codes: 0 success, 3 numerical failure, 2 configuration/usage error,
+including an empty or repeated problem or scheme list, or one the command
+cannot run in full (``solve`` runs one of each, ``study`` one problem).
 Outputs are written only after every cell has succeeded, so a failed run
 writes none.  Each is written atomically (temp file, then rename) and is
 byte-for-byte reproducible for a fixed config, seed, machine and BLAS thread
@@ -38,10 +39,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
-    convergence_study,
     measure_cell,
     reports_to_csv,
     rows_to_csv,
@@ -52,7 +50,7 @@ from .analysis import (
 )
 from .discretize import SchemeKind, build_system, load_matrix
 from .linalg import NumericalError
-from .problems import REFERENCE_POINTS, get_problem, problem_catalog, reference_rule
+from .problems import REFERENCE_POINTS, get_problem, problem_catalog
 from .regularize import NoiseSpec
 
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_verify", "cmd_study"]
@@ -143,10 +141,12 @@ def _parse_alpha(value, label: str):
 
 def _parse_ids(value, catalog, parse, label: str) -> list:
     """One id, a list of ids, or ``all`` for every entry of ``catalog``; an
-    id named twice, also through an alias, is rejected."""
+    empty list, and an id named twice, also through an alias, are rejected."""
     if isinstance(value, str) and value.strip().lower() == "all":
         return list(catalog)
     ids = [parse(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
+    if not ids:
+        raise ConfigError(f"{label} names no id; name one, or 'all'")
     if len(set(ids)) < len(ids):
         raise ConfigError(f"{label} names one id more than once: {value!r}")
     return ids
@@ -160,10 +160,17 @@ def _problem_id(value) -> str:
     return value
 
 
+def _path(value, label: str) -> Path:
+    """A path, which a config gives as a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{label} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def _output_dir(value, label: str) -> Path:
     """The output directory, checked before any cell is built: its nearest
     existing ancestor, or the path itself, must be a directory."""
-    path = Path(value)
+    path = _path(value, label)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"{label} {str(path)!r} cannot be an output directory: "
@@ -194,7 +201,7 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
         if flag is not None:
             merged[key] = flag
             label[key] = f"--{key}"
-    delta = merged.get("delta")
+    delta, dump = merged.get("delta"), merged.get("matrix_dump", "")
     try:
         return RunConfig(
             problem_ids=_parse_ids(merged["problem"], problem_catalog(), _problem_id,
@@ -208,8 +215,7 @@ def build_config(config_data: dict, args: argparse.Namespace, defaults: dict) ->
             output_dir=_output_dir(merged.get("out", "."), label["out"]),
             ref_points=_as_int(merged.get("ref_points", REFERENCE_POINTS),
                                label["ref_points"]),
-            matrix_dump=(Path(merged["matrix_dump"])
-                         if merged.get("matrix_dump") else None),
+            matrix_dump=_path(dump, label["matrix_dump"]) if dump != "" else None,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -242,35 +248,36 @@ def _noise(config: RunConfig) -> NoiseSpec | None:
     return None if config.delta is None else NoiseSpec(delta_n=config.delta, seed=config.seed)
 
 
-def _replayed_matrix(config: RunConfig):
-    """The ``matrix_dump`` to replay in place of every assembly, or None."""
-    if config.matrix_dump is None:
-        return None
-    try:
-        return load_matrix(config.matrix_dump)
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix_dump: {exc}") from None
+def _cells(config: RunConfig):
+    """Every configured ``(problem, system)`` cell, problem-, scheme- then n-wise,
+    from the CLI's one ``build_system`` call; ``matrix_dump`` is read once."""
+    matrix = None
+    if config.matrix_dump is not None:
+        try:
+            matrix = load_matrix(config.matrix_dump)
+        except OSError as exc:
+            raise ConfigError(f"cannot read matrix_dump: {exc}") from None
+    for problem_id in config.problem_ids:
+        problem = get_problem(problem_id)
+        for scheme in config.schemes:
+            for n in config.n_list:
+                yield problem, build_system(problem.kernel, scheme, n,
+                                            ref_points=config.ref_points, matrix=matrix)
 
 
 def cmd_solve(config: RunConfig) -> int:
     _require_single("solve", problem=config.problem_ids,
                     scheme=[s.value for s in config.schemes])
-    problem = get_problem(config.problem_ids[0])
-    matrix = _replayed_matrix(config)
-    s_grid = reference_rule(problem.kernel.domain, config.ref_points).nodes
-    x_true = np.asarray(problem.x_dagger(s_grid), dtype=float)
     rows, solutions = [], []
-    for n in config.n_list:
-        system = build_system(problem.kernel, config.schemes[0], n,
-                              ref_points=config.ref_points, matrix=matrix)
-        row, reconstruction = measure_cell(problem, system, config.alpha_rule,
-                                           _noise(config))
+    for problem, system in _cells(config):
+        row, rec = measure_cell(problem, system, config.alpha_rule, _noise(config))
+        nodes = system.reference_rule.nodes
         rows.append(row)
-        solutions.append(np.asarray(reconstruction.function(s_grid), dtype=float))
+        solutions.append((system.n, nodes, rec.function(nodes), problem.x_dagger(nodes)))
     # every cell succeeded: only now write, so a failed run leaves no files
-    for n, x_rec in zip(config.n_list, solutions):
+    for n, nodes, x_rec, x_true in solutions:
         lines = ["s,x_reconstructed,x_true"]
-        for s, xr, xt in zip(s_grid, x_rec, x_true):
+        for s, xr, xt in zip(nodes, x_rec, x_true):
             lines.append(f"{s:.17g},{xr:.17g},{xt:.17g}")
         _atomic_write(config.output_dir / f"solution_{n}.csv", "\n".join(lines) + "\n")
     _atomic_write(config.output_dir / "summary.csv", rows_to_csv(rows))
@@ -279,15 +286,12 @@ def cmd_solve(config: RunConfig) -> int:
 
 def cmd_study(config: RunConfig) -> int:
     _require_single("study", problem=config.problem_ids)
-    problem = get_problem(config.problem_ids[0])
-    matrix = _replayed_matrix(config)
-    studies = [convergence_study(problem, scheme, config.n_list, _noise(config),
-                                 ref_points=config.ref_points, alpha=config.alpha_rule,
-                                 matrix=matrix)
-               for scheme in config.schemes]
-    multi = len(config.schemes) > 1
-    for scheme, rows in zip(config.schemes, studies):
-        name = f"convergence_{scheme.value}.csv" if multi else "convergence.csv"
+    studies = {scheme: [] for scheme in config.schemes}
+    for problem, system in _cells(config):
+        studies[system.scheme].append(
+            measure_cell(problem, system, config.alpha_rule, _noise(config))[0])
+    for scheme, rows in studies.items():
+        name = f"convergence_{scheme.value}.csv" if len(studies) > 1 else "convergence.csv"
         _atomic_write(config.output_dir / name, rows_to_csv(rows))
     return EXIT_OK
 
@@ -296,23 +300,15 @@ def cmd_verify(config: RunConfig) -> int:
     th3_deltas = VERIFY_TH3_DELTAS if config.delta is None else (config.delta,)
     th5_deltas = VERIFY_TH5_DELTAS if config.delta is None else (config.delta,)
     th5_alphas = VERIFY_TH5_ALPHAS if config.alpha_rule == "eps" else (config.alpha_rule,)
-    matrix = _replayed_matrix(config)
     reports = []
-    for problem_id in config.problem_ids:
-        problem = get_problem(problem_id)
-        for scheme in config.schemes:
-            for n in config.n_list:
-                system = build_system(problem.kernel, scheme, n,
-                                      ref_points=config.ref_points, matrix=matrix)
-                reports.extend(verify_th1(problem, system))
-                for delta in th3_deltas:
-                    reports.extend(verify_th3(
-                        problem, system, NoiseSpec(delta_n=delta, seed=config.seed)))
-                for delta in th5_deltas:
-                    reports.extend(verify_th5(
-                        problem, system, th5_alphas,
-                        NoiseSpec(delta_n=delta, seed=config.seed)))
-                reports.extend(verify_special(problem, system))
+    for problem, system in _cells(config):
+        reports.extend(verify_th1(problem, system))
+        for delta in th3_deltas:
+            reports.extend(verify_th3(problem, system, NoiseSpec(delta_n=delta, seed=config.seed)))
+        for delta in th5_deltas:
+            reports.extend(verify_th5(problem, system, th5_alphas,
+                                      NoiseSpec(delta_n=delta, seed=config.seed)))
+        reports.extend(verify_special(problem, system))
     _atomic_write(config.output_dir / "bounds.csv", reports_to_csv(reports))
     failed = [r for r in reports if not r.skipped and not r.passed]
     return EXIT_OK if not failed else EXIT_NUMERICAL

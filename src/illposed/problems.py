@@ -5,12 +5,13 @@ solution and the exact data ``y = T x``, optionally with a closed-form
 singular expansion.  These problems are the ground truth against which every
 solver and every error bound in the package is verified.
 
-The repo-wide measurement standard for "exact" L2 quantities is the 256-point
-Gauss-Legendre rule returned by :func:`reference_rule`.  The operator is
-applied by :func:`apply_operator_split`, which splits the integral at the
-diagonal: kernels that are continuous but kinked there (Green's functions)
-are then integrated to machine accuracy, where a single global rule stalls
-near 1e-6.
+A discrete system measures its L2 quantities on its own
+``DiscreteSystem.reference_rule``; the 256-point Gauss-Legendre rule of
+:func:`reference_rule` checks each problem when it is built and is the
+``perfbench`` harness's grid.  The operator is applied by
+:func:`apply_operator_split`, which splits the integral at the diagonal:
+kernels that are continuous but kinked there (Green's functions) are then
+integrated to machine accuracy, where a single global rule stalls near 1e-6.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ GREEN_EXPANSION_TERMS = 64
 
 
 def reference_rule(domain: Domain, n_points: int = REFERENCE_POINTS) -> QuadratureRule:
-    """The measurement rule used for all reported L2 quantities."""
+    """The ``n_points``-point Gauss-Legendre rule on ``domain``."""
     return gauss_legendre(n_points, domain)
 
 

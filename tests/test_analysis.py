@@ -10,9 +10,9 @@ from illposed import analysis, linalg
 from illposed.analysis import (
     BoundReport,
     ReportContext,
-    convergence_study,
     default_tolerance,
     l2_error,
+    measure_cell,
     reports_to_csv,
     rows_to_csv,
     verify_special,
@@ -235,9 +235,15 @@ def test_pinverse_norm_identity(grid_systems):
 # convergence studies
 
 
+def convergence_rows(problem, scheme, n_list, spec=None):
+    """One measured row per size: the cells ``illposed study`` runs."""
+    return [measure_cell(problem, build_system(problem.kernel, scheme, n), spec=spec)[0]
+            for n in n_list]
+
+
 def test_convergence_rank1():
     prob = get_problem("rank1-sine")
-    rows = convergence_study(prob, "collocation", [4, 8, 16])
+    rows = convergence_rows(prob, "collocation", [4, 8, 16])
     assert rows[-1].err_min_norm <= 1e-6
     for a, b in zip(rows, rows[1:]):
         assert b.err_min_norm <= a.err_min_norm + 1e-12
@@ -245,7 +251,7 @@ def test_convergence_rank1():
 
 def test_convergence_zero_data(zero_problem):
     prob, _ = zero_problem
-    rows = convergence_study(prob, "collocation", [4, 8])
+    rows = convergence_rows(prob, "collocation", [4, 8])
     for row in rows:
         assert row.err_min_norm == pytest.approx(0.0, abs=1e-13)
         assert row.err_tikh == pytest.approx(0.0, abs=1e-13)
@@ -253,31 +259,12 @@ def test_convergence_zero_data(zero_problem):
 
 def test_convergence_green_with_noise():
     prob = get_problem("green-m1")
-    rows = convergence_study(prob, "collocation", [8, 16, 32], NoiseSpec(1e-4, 2))
+    rows = convergence_rows(prob, "collocation", [8, 16, 32], NoiseSpec(1e-4, 2))
     eps = [row.eps_n for row in rows]
     tikh = [row.err_tikh for row in rows]
     assert all(b < a for a, b in zip(eps, eps[1:]))
     assert all(b < a for a, b in zip(tikh, tikh[1:]))
     assert all(row.err_noisy is not None for row in rows)
-
-
-def test_convergence_validates_n_list():
-    prob = get_problem("rank1-sine")
-    with pytest.raises(ValueError):
-        convergence_study(prob, "collocation", [8, 8])
-    with pytest.raises(ValueError):
-        convergence_study(prob, "collocation", [])
-
-
-@pytest.mark.parametrize("n_list", [[8.7, 16.2], [True, 16]])
-def test_convergence_takes_only_integer_sizes(n_list, monkeypatch):
-    # int() would have run n = 8, 16 and n = 1, 16; the ladder is checked
-    # before any cell is built
-    built = []
-    monkeypatch.setattr(analysis, "build_system", lambda *args, **kwargs: built.append(args))
-    with pytest.raises(ValueError, match="n must be an integer"):
-        convergence_study(get_problem("rank1-sine"), "collocation", n_list)
-    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +289,7 @@ def test_reports_to_csv_layout(grid_systems, catalog):
 
 def test_rows_to_csv_layout():
     prob = get_problem("rank1-sine")
-    rows = convergence_study(prob, "collocation", [4, 8])
+    rows = convergence_rows(prob, "collocation", [4, 8])
     lines = rows_to_csv(rows).splitlines()
     assert lines[0] == "n,eps_n,sigma_min,err_min_norm,err_tikh,err_noisy"
     assert len(lines) == 3

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from illposed.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from illposed.discretize import build_system, dump_matrix
+from illposed.discretize import SchemeKind, build_system, dump_matrix
 from illposed.problems import get_problem
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -260,7 +260,6 @@ def test_ref_points_reaches_every_system(tmp_path, monkeypatch, command):
         return system
 
     monkeypatch.setattr("illposed.cli.build_system", spy)
-    monkeypatch.setattr("illposed.analysis.build_system", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "green-m1", "scheme": "collocation",
                                "n": [8], "ref_points": 300}))
@@ -272,6 +271,32 @@ def test_ref_points_reaches_every_system(tmp_path, monkeypatch, command):
         assert len(read_csv(tmp_path / "solution_8.csv")) == 300
 
 
+@pytest.mark.parametrize("command, problems, schemes, cells", [
+    ("solve", ["green-m1"], ["ortho-pc"], 2),
+    ("study", ["green-m1"], ["collocation", "ortho-pc"], 4),
+    ("verify", ["rank1-sine", "green-m1"], ["collocation", "ortho-pc"], 8),
+])
+def test_every_cell_is_built_once_in_the_cli(tmp_path, monkeypatch, command, problems,
+                                             schemes, cells):
+    # every command builds its cells through cli.build_system, once each,
+    # problem by problem, scheme by scheme, size by size
+    built = []
+
+    def spy(kernel, scheme, n, **kwargs):
+        built.append((kernel, scheme, n))
+        return build_system(kernel, scheme, n, **kwargs)
+
+    monkeypatch.setattr("illposed.cli.build_system", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": problems, "scheme": schemes, "n": [4, 8]}))
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(built) == cells
+    assert [(SchemeKind.parse(s), n) for _, s, n in built] == [
+        (SchemeKind.parse(s), n) for _ in problems for s in schemes for n in (4, 8)]
+    kernels = [kernel for kernel, _, _ in built]
+    assert kernels == [k for k in dict.fromkeys(kernels) for _ in range(cells // len(problems))]
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 @pytest.mark.parametrize("command", ["solve", "study", "verify"])
 def test_an_out_that_is_not_a_directory_is_rejected(tmp_path, monkeypatch, capsys,
@@ -280,8 +305,6 @@ def test_an_out_that_is_not_a_directory_is_rejected(tmp_path, monkeypatch, capsy
     # cell is built, with the path named and the file left as it was
     built = []
     monkeypatch.setattr("illposed.cli.build_system", lambda *args, **kwargs: built.append(args))
-    monkeypatch.setattr("illposed.analysis.build_system",
-                        lambda *args, **kwargs: built.append(args))
     blocker = tmp_path / "F"
     blocker.write_text("keep\n")
     out = blocker / "sub" if below else blocker
@@ -306,6 +329,47 @@ def test_a_repeated_problem_or_scheme_is_rejected(tmp_path, capsys, command, con
     out = tmp_path / "out"
     assert main([command, str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"{key} names" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["problem", "scheme"])
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
+def test_an_empty_problem_or_scheme_list_is_rejected(tmp_path, capsys, command, key):
+    # it used to crash solve and study with an IndexError, or exit 0 having
+    # run nothing (verify wrote a header-only bounds.csv)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: [], "n": [8]}))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"error: {key} names no id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["out", "matrix_dump"])
+def test_a_path_key_that_is_not_a_string_is_named(tmp_path, capsys, monkeypatch, key):
+    # the message used to be Path()'s "expected str, bytes or os.PathLike
+    # object, not int", without the key
+    monkeypatch.chdir(tmp_path)  # the default out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [8], key: 5}))
+    assert main(["solve", str(cfg)]) == EXIT_CONFIG
+    assert f"error: {key} must be a path string, got 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("n", [[8, 8], [], [8.7, 16.2], [True, 16]],
+                         ids=["repeated", "empty", "fractional", "bool"])
+def test_a_bad_size_ladder_exits_2(tmp_path, capsys, monkeypatch, n):
+    # a repeated or empty ladder, or sizes int() would have truncated to
+    # 8, 16 or 1, 16, are rejected before any cell is built
+    built = []
+    monkeypatch.setattr("illposed.cli.build_system", lambda *args, **kwargs: built.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": n}))
+    out = tmp_path / "out"
+    assert main(["study", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: n ")
+    assert built == []
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from illposed.discretize import (
     project_data,
 )
 from illposed.estimators import MinimumNormSolver
-from illposed.linalg import NumericalError, spectral_norm
+from illposed.linalg import NumericalError, spectral_norm, symmetric_norm
 from illposed.problems import REFERENCE_POINTS, Domain, Kernel, get_problem, reference_rule
 from illposed.quadrature import (
     aligned_rule,
@@ -340,6 +340,79 @@ def test_epsilon_agrees_with_lapack(grid_systems):
     for key, system in grid_systems.items():
         lapack = 1.1 * np.max(np.abs(np.linalg.eigvalsh(_dense_difference(system))))
         assert estimate_epsilon(system) == pytest.approx(lapack, rel=1e-13, abs=0.0), key
+
+
+# Green's kernel in J closed-form sines: the stored 64-term expansion is too
+# short, since 256 collocation nodes integrate 64 modes exactly
+GREEN_ORACLE_MODES = 4096
+# finite-rank kernels integrated exactly: measured eps_n and oracle are both
+# rounding (about 1e-16), so their ratio carries no information
+ROUNDING_NOISE_CELLS = {(pid, "collocation", n)
+                        for pid in ("rank1-sine", "rank3-decay") for n in (16, 32)}
+
+
+def _expansion_coordinates(problem, system):
+    """``(sigma, V)`` of ``k = sum_j sigma_j v_j (x) u_j``, with ``V[i, j]``
+    the i-th scheme coordinate of ``v_j``."""
+    if problem.problem_id != "green-m1":
+        expansion = problem.svd
+        return expansion.sigmas, np.column_stack(
+            [project_data(system, v) for v in expansion.v_funcs])
+    j = np.arange(1, GREEN_ORACLE_MODES + 1)
+    if system.scheme is SchemeKind.ORTHO_PC:  # exact cell averages of sqrt(2) sin(j pi t)
+        edges = system.grid_knots()
+        v = np.sqrt(2.0) * (np.cos(np.pi * np.outer(edges[:-1], j))
+                            - np.cos(np.pi * np.outer(edges[1:], j))) \
+            / (j * np.pi * (edges[1] - edges[0]))
+    else:
+        v = np.sqrt(2.0) * np.sin(np.pi * np.outer(system.rule.nodes, j))
+    return (j * np.pi) ** -2.0, v
+
+
+def _epsilon_oracle(problem, system):
+    """``||T*T - T_n*T_n|| = ||S (I - V^T M V) S||_2``, S = diag(sigma) and M
+    the data metric, by Lanczos on its product: no quadrature, no kink."""
+    sigmas, v = _expansion_coordinates(problem, system)
+    mv = system.space.metric_dense() @ v
+
+    def apply(x):
+        xs = sigmas * x
+        return sigmas * (xs - mv.T @ (v @ xs))
+
+    return symmetric_norm(apply, sigmas.size)
+
+
+def test_green_oracle_coordinates_are_the_scheme_projections():
+    # the closed-form V agrees with project_data on the stored 64 modes
+    problem = get_problem("green-m1")
+    for scheme in ("collocation", "interpolatory", "ortho-pc"):
+        system = build_system(problem.kernel, scheme, 16)
+        _, v = _expansion_coordinates(problem, system)
+        stored = np.column_stack([project_data(system, f) for f in problem.svd.v_funcs])
+        np.testing.assert_allclose(v[:, :stored.shape[1]], stored, rtol=0.0, atol=1e-12)
+
+
+def test_epsilon_bounds_the_quadrature_free_oracle(catalog, grid_systems):
+    """The measured eps_n is an upper bound of the discretization error.
+
+    With the singular expansion ``k(s, t) = sum_j sigma_j v_j(s) u_j(t)``,
+    ``T_n*T_n = sum_jl sigma_j sigma_l (V^T M V)_jl u_j (x) u_l``, so the
+    operator-level error has the closed form of :func:`_epsilon_oracle`
+    (the singular value expansion of a first-kind kernel: Hansen, *Discrete
+    Inverse Problems: Insight and Algorithms*, SIAM, 2010, ch. 2).  The
+    rounding-noise cells are exempt by name; their oracle must stay noise.
+    """
+    cells = [(pid, system) for (pid, _, _), system in grid_systems.items()]
+    cells += [("green-m1", build_system(catalog["green-m1"].kernel, "collocation", n,
+                                        ref_points=1024)) for n in (64, 128, 256)]
+    assert len(cells) == 30
+    for pid, system in cells:
+        key = (pid, system.scheme.value, system.n)
+        oracle = _epsilon_oracle(catalog[pid], system)
+        if key in ROUNDING_NOISE_CELLS:
+            assert oracle < 1e-14, key
+        else:
+            assert system.epsilon_n >= oracle, (key, system.epsilon_n, oracle)
 
 
 def test_collocation_normal_operator_is_nystrom_composition():
