@@ -87,6 +87,10 @@ class BoundReport:
     skipped: bool = False
     reason: str = ""
 
+    def __post_init__(self):
+        if not self.skipped and not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            raise NumericalError(f"bound report holds a non-finite side: {self}")
+
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
@@ -338,9 +342,9 @@ def _special_norms(system: DiscreteSystem):
     basis = system.basis_values(nodes)  # (m, n)
     if system.scheme is SchemeKind.ORTHO_PC:
         # ref-grid cell averages: keeps the matrix identity with the grid
-        # projector exact, so the squared estimate is checkable at 1e-8
-        weights_cell = system.space.weights
-        coords_map = (basis * rho[:, None]).T @ kmat / weights_cell[:, None]
+        # projector exact, so the squared estimate is checkable at 1e-8;
+        # the cell rule's weights are the cell measures h
+        coords_map = (basis * rho[:, None]).T @ kmat / system.rule.weights[:, None]
     else:
         coords_map = system.slice_values(nodes)  # rows k(t_i, .)
 

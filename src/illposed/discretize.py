@@ -239,24 +239,16 @@ class DiscreteSystem:
         return out
 
 
-def _hat_gram(n: int, h: float) -> np.ndarray:
-    # Closed-form L2 Gram of piecewise-linear hats on an equispaced grid:
-    # boundary diagonal h/3, interior diagonal 2h/3, adjacent off-diagonal h/6.
-    g = np.zeros((n, n))
-    diag = np.full(n, 2.0 * h / 3.0)
-    diag[0] = diag[-1] = h / 3.0
-    np.fill_diagonal(g, diag)
-    idx = np.arange(n - 1)
-    g[idx, idx + 1] = h / 6.0
-    g[idx + 1, idx] = h / 6.0
-    return g
-
-
 @functools.lru_cache(maxsize=64)
 def _hat_space(n: int, h: float) -> WeightedSpace:
-    # The interpolatory metric depends on (n, h) only; its square roots cost
-    # an eigendecomposition, so each is built once and shared (read-only).
-    return WeightedSpace(matrix=_hat_gram(n, h))
+    # The interpolatory metric, the closed-form L2 Gram of piecewise-linear
+    # hats on an equispaced grid: boundary diagonal h/3, interior diagonal
+    # 2h/3, adjacent off-diagonal h/6.  It depends on (n, h) only; its square
+    # roots cost an eigendecomposition, so each is built once and shared.
+    diag = np.full(n, 2.0 * h / 3.0)
+    diag[0] = diag[-1] = h / 3.0
+    off = np.full(n - 1, h / 6.0)
+    return WeightedSpace(matrix=np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -359,7 +351,7 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         h = dom.length / n
         mids = dom.a + h * (np.arange(n) + 0.5)
         rule = QuadratureRule(mids, np.full(n, h), domain=dom)
-        space = WeightedSpace(weights=np.full(n, h))
+        space = WeightedSpace(weights=rule.weights)
 
     system = DiscreteSystem(
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
@@ -373,7 +365,9 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         if not np.all(np.isfinite(gv)):
             raise NumericalError("kernel produced non-finite slice samples")
         slice_gram = (gv * inner.weights) @ gv.T
-        matrix = 0.5 * (slice_gram + slice_gram.T) @ space.metric_dense()
+        # S M = (M S)^T for the symmetric S; a C-ordered copy, since the
+        # factorization's BLAS calls round by memory layout
+        matrix = np.ascontiguousarray(space.apply_metric(0.5 * (slice_gram + slice_gram.T)).T)
     _factor_system(system, matrix)
     return system
 
@@ -387,8 +381,7 @@ def _factor_system(system: DiscreteSystem, matrix) -> None:
             f"matrix shape {matrix.shape} does not match the system "
             f"({system.n}, {system.n})"
         )
-    space = system.space
-    metric_a = space.metric_dense() @ matrix
+    metric_a = system.space.apply_metric(matrix)
     scale = float(np.max(np.abs(metric_a))) or 1.0
     asym = float(np.max(np.abs(metric_a - metric_a.T)))
     if asym > _SYMMETRY_RTOL * scale:
@@ -397,7 +390,7 @@ def _factor_system(system: DiscreteSystem, matrix) -> None:
             f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
         )
 
-    sym = space.symmetrize(matrix)
+    sym = system.space.symmetrize(matrix)
     sym = 0.5 * (sym + sym.T)
     vals, vecs = eigh_symmetric(sym)
     if vals[-1] < -_PSD_RTOL * np.max(np.abs(vals)):
@@ -470,13 +463,11 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
 
     normal_cont = system.kernel.normal_gram(rule)
     gv = system.slice_values(rule.nodes)
-    space = system.space
-    metric_gv = space.weights[:, None] * gv if space.is_diagonal else space.matrix @ gv
     # (normal_cont - normal_disc) * outer(sqrt_rho, sqrt_rho), then the
     # symmetric part, in the order of the dense expression: eps_n of the
     # finite-rank collocation cells is rounding noise, and its bits feed
     # every alpha = eps_n row
-    diff = gv.T @ metric_gv
+    diff = gv.T @ system.space.apply_metric(gv)
     np.subtract(normal_cont, diff, out=diff)
     sym = np.outer(sqrt_rho, sqrt_rho)
     diff *= sym

@@ -14,10 +14,10 @@ ordering, and :class:`NumericalError` for matrices that break their
 preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
-space: a diagonal metric of quadrature weights, or a dense SPD Gram matrix
-when the basis is not orthogonal.  Systems are symmetrized through
-``M^(1/2) A M^(-1/2)`` so that the numerical spectrum is the spectrum of the
-operator in that inner product.
+space, a diagonal or a dense SPD Gram metric, and is the only code that knows
+which: the package applies M and its square roots through its products.
+Systems are symmetrized through ``M^(1/2) A M^(-1/2)`` so that the numerical
+spectrum is the spectrum of the operator in that inner product.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ class WeightedSpace:
         Dense symmetric positive definite Gram metric, for bases that are
         not orthogonal.  Exactly one of ``weights``/``matrix`` must be given.
 
-    The square-root factors are computed eagerly so instances are immutable
-    after construction and safe for concurrent reads; the arrays a Gram
-    metric owns are read-only, so one instance can be shared.
+    M, ``M^(1/2)`` and ``M^(-1/2)`` are one table of eagerly computed,
+    read-only factors (diagonals, or matrices for a Gram metric), so one
+    instance can be shared.  Each product takes a vector or a block of
+    ``dim`` rows and returns a C-ordered array; the dense metric is
+    ``apply_metric(np.eye(dim))``.
     """
 
     def __init__(self, weights=None, matrix=None):
@@ -66,11 +68,7 @@ class WeightedSpace:
             w = as_vector(weights, "weights")
             if w.size == 0 or np.any(w <= 0.0):
                 raise ValueError("weights must be strictly positive")
-            self.weights = w
-            self.matrix = None
-            self._sqrt = np.sqrt(w)
-            self._isqrt = 1.0 / self._sqrt
-            self.dim = w.size
+            factors = (w.copy(), np.sqrt(w), 1.0 / np.sqrt(w))
         else:
             m = as_matrix(matrix, "metric")
             if m.shape[0] != m.shape[1]:
@@ -80,53 +78,52 @@ class WeightedSpace:
             vals, vecs = eigh_symmetric(0.5 * (m + m.T))
             if vals[-1] <= 1e-14 * vals[0]:
                 raise ValueError("metric matrix must be positive definite")
-            self.weights = None
-            self.matrix = 0.5 * (m + m.T)
-            self._sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-            self._isqrt = (vecs / np.sqrt(vals)) @ vecs.T
-            for owned in (self.matrix, self._sqrt, self._isqrt):
-                owned.flags.writeable = False
-            self.dim = m.shape[0]
+            factors = (0.5 * (m + m.T), (vecs * np.sqrt(vals)) @ vecs.T,
+                       (vecs / np.sqrt(vals)) @ vecs.T)
+        for owned in factors:
+            owned.flags.writeable = False
+        self._factors = dict(zip((1.0, 0.5, -0.5), factors))  # M^power by power
+        self.dim = factors[0].shape[0]
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.weights is not None
+    def _left(self, power: float, v) -> np.ndarray:
+        """``M^power v`` for a vector or a block of ``dim`` rows."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise ValueError(f"expected {self.dim} rows, got shape {v.shape}")
+        f = self._factors[power]
+        if f.ndim == 2:
+            return f @ v
+        return f * v if v.ndim == 1 else f[:, None] * v
 
-    def apply_metric(self, v: np.ndarray) -> np.ndarray:
+    def _right(self, a: np.ndarray, power: float) -> np.ndarray:
+        """``A M^power`` for a block ``A`` of ``dim`` columns."""
+        f = self._factors[power]
+        return a @ f if f.ndim == 2 else a * f
+
+    def apply_metric(self, v) -> np.ndarray:
         """Return ``M v``."""
-        if self.is_diagonal:
-            return self.weights * v
-        return self.matrix @ v
-
-    def metric_dense(self) -> np.ndarray:
-        if self.is_diagonal:
-            return np.diag(self.weights)
-        return self.matrix.copy()
+        return self._left(1.0, v)
 
     def norm(self, v) -> float:
         v = as_vector(v, "v")
         return float(np.sqrt(max(v @ self.apply_metric(v), 0.0)))
 
-    def sqrt_apply(self, v: np.ndarray) -> np.ndarray:
-        """Return ``M^(1/2) v`` (columns of a matrix are handled too)."""
-        if self.is_diagonal:
-            return (self._sqrt * v.T).T
-        return self._sqrt @ v
+    def sqrt_apply(self, v) -> np.ndarray:
+        """Return ``M^(1/2) v``."""
+        return self._left(0.5, v)
 
-    def isqrt_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.is_diagonal:
-            return (self._isqrt * v.T).T
-        return self._isqrt @ v
+    def isqrt_apply(self, v) -> np.ndarray:
+        """Return ``M^(-1/2) v``."""
+        return self._left(-0.5, v)
 
-    def symmetrize(self, a: np.ndarray) -> np.ndarray:
+    def symmetrize(self, a) -> np.ndarray:
         """Return ``M^(1/2) A M^(-1/2)``, symmetric when A is self-adjoint."""
-        a = as_matrix(a, "A")
-        if self.is_diagonal:
-            return (self._sqrt[:, None] * a) * self._isqrt[None, :]
-        return self._sqrt @ a @ self._isqrt
+        if np.shape(a) != (self.dim, self.dim):
+            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got shape {np.shape(a)}")
+        return self._right(self.sqrt_apply(as_matrix(a, "A")), -0.5)
 
     def __repr__(self):  # pragma: no cover
-        kind = "diag" if self.is_diagonal else "gram"
+        kind = "diag" if self._factors[1.0].ndim == 1 else "gram"
         return f"WeightedSpace(dim={self.dim}, kind={kind})"
 
 

@@ -93,7 +93,8 @@ class QuadratureRule:
 
     def norm(self, f_values) -> float:
         f = np.asarray(f_values, dtype=float)
-        return float(np.sqrt(max(np.sum(self.weights * f * f), 0.0)))
+        with np.errstate(over="ignore"):  # an overflow is inf, which callers reject
+            return float(np.sqrt(max(np.sum(self.weights * f * f), 0.0)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .discretize import DiscreteSystem, apply_adjoint
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
-from .problems import TestProblem
+from .problems import REFERENCE_POINTS, TestProblem, reference_rule
 from .quadrature import QuadratureRule, aligned_rule
 from .validation import as_vector, check_positive
 
@@ -129,11 +129,17 @@ def _filter(system: DiscreteSystem, gains: np.ndarray, y_n: np.ndarray) -> np.nd
 
 def tikhonov_spectral_reference(problem: TestProblem, ref_rule: QuadratureRule,
                                 alpha: float):
-    """Spectral-filter Tikhonov solution for problems with a known expansion."""
+    """Spectral-filter Tikhonov solution for problems with a known expansion.
+
+    ``<y, v_j>`` is integrated on ``ref_rule``, or, below ``REFERENCE_POINTS``
+    points (too few for 64 modes), on the rule the modes were checked on.
+    """
     alpha = check_positive(alpha, "alpha")
     if problem.svd is None:
         raise ValueError("problem carries no singular expansion")
     exp = problem.svd
+    if ref_rule.n_points < REFERENCE_POINTS:
+        ref_rule = reference_rule(exp.domain)
     coeffs = exp.coefficients(problem.y, ref_rule, side="v")
     factors = exp.sigmas / (exp.sigmas**2 + alpha)
     return exp.synthesize(coeffs * factors, side="u")

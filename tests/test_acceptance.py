@@ -164,7 +164,7 @@ def test_criterion_8_structural_identities(catalog, grid_systems):
         if abs(product - 1.0) > 1e-10:
             failures.append(("pinv", pid, scheme, n, product))
         # metric symmetry and positive semidefiniteness of the assembly
-        metric_a = system.space.metric_dense() @ system.matrix
+        metric_a = system.space.apply_metric(system.matrix)
         if np.max(np.abs(metric_a - metric_a.T)) > 1e-8 * np.max(np.abs(metric_a)):
             failures.append(("symmetry", pid, scheme, n))
         eigs = np.linalg.eigvalsh(sym)

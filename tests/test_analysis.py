@@ -316,7 +316,8 @@ def _dense_special_norms(system):
     kmat, weight = _dense_kernel(system, rule)
     basis = system.basis_values(nodes)
     if system.scheme is SchemeKind.ORTHO_PC:
-        coords_map = (basis * rho[:, None]).T @ kmat / system.space.weights[:, None]
+        cells = system.space.apply_metric(np.ones(system.n))  # the cell measures h
+        coords_map = (basis * rho[:, None]).T @ kmat / cells[:, None]
     else:
         coords_map = system.slice_values(nodes)
     basis_gram = (basis * rho[:, None]).T @ basis

@@ -416,11 +416,11 @@ def test_a_non_integer_n_flag_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
 def test_a_non_finite_measurement_is_a_numerical_failure(tmp_path, capsys, command):
     # a shift far below the rounding level overflows the Tikhonov solve;
-    # the run must not write inf into the summary
+    # the run must not write inf into a summary or a bound row, and the
+    # overflow is reported once, as the failure, not also as a warning
     out = tmp_path / "out"
     argv = [command, "--problem", "rank1-sine", "--alpha", "1e-300", "--n", "8"]
     assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL

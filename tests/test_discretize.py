@@ -60,7 +60,7 @@ def test_collocation_constant_kernel_single_node():
 def test_hat_gram_closed_form():
     # n=3 hats on [0,1], h=1/2: diagonal (h/3, 2h/3, h/3), off-diagonal h/6
     system = build_system(constant_kernel(), "interpolatory", 3)
-    gram = system.space.matrix
+    gram = system.space.apply_metric(np.eye(3))
     assert np.diag(gram) == pytest.approx([1.0 / 6.0, 1.0 / 3.0, 1.0 / 6.0])
     assert gram[0, 1] == pytest.approx(1.0 / 12.0)
     assert gram[1, 2] == pytest.approx(1.0 / 12.0)
@@ -128,7 +128,7 @@ def test_metric_symmetry_and_psd(scheme, n):
     # against numpy as the independent oracle
     prob = get_problem("green-m1")
     system = build_system(prob.kernel, scheme, n)
-    metric_a = system.space.metric_dense() @ system.matrix
+    metric_a = system.space.apply_metric(system.matrix)
     scale = np.max(np.abs(metric_a))
     assert np.max(np.abs(metric_a - metric_a.T)) <= 1e-8 * scale
     sym = system.space.symmetrize(system.matrix)
@@ -318,7 +318,8 @@ def _dense_difference(system, ref_points=REFERENCE_POINTS):
     sqrt_rho = np.sqrt(rule.weights)
     kmat = system.kernel(rule.nodes[:, None], rule.nodes[None, :])
     gv = system.slice_values(rule.nodes)
-    d = (kmat.T @ (rule.weights[:, None] * kmat) - gv.T @ (system.space.metric_dense() @ gv)) \
+    metric = system.space.apply_metric(np.eye(system.n))  # the dense M, exactly
+    d = (kmat.T @ (rule.weights[:, None] * kmat) - gv.T @ (metric @ gv)) \
         * np.outer(sqrt_rho, sqrt_rho)
     return 0.5 * (d + d.T)
 
@@ -373,7 +374,7 @@ def _epsilon_oracle(problem, system):
     """``||T*T - T_n*T_n|| = ||S (I - V^T M V) S||_2``, S = diag(sigma) and M
     the data metric, by Lanczos on its product: no quadrature, no kink."""
     sigmas, v = _expansion_coordinates(problem, system)
-    mv = system.space.metric_dense() @ v
+    mv = system.space.apply_metric(v)
 
     def apply(x):
         xs = sigmas * x

@@ -163,5 +163,42 @@ def test_weighted_space_gram_metric_roundtrip():
     sym = space.symmetrize(a)
     back = space.isqrt_apply((space.sqrt_apply(a.T)).T)  # M^(-1/2) A M^(1/2)
     assert np.allclose(space.symmetrize(np.eye(2)), np.eye(2))
-    assert sym == pytest.approx(space._sqrt @ a @ space._isqrt)
+    root, iroot = space.sqrt_apply(np.eye(2)), space.isqrt_apply(np.eye(2))
+    assert sym == pytest.approx(root @ a @ iroot)
     assert back is not None
+
+
+def _dense_powers(metric):
+    # M, M^(1/2) and M^(-1/2) by numpy's eigensolver, independent of the space
+    vals, vecs = np.linalg.eigh(metric)
+    return {power: (vecs * vals**power) @ vecs.T for power in (1.0, 0.5, -0.5)}
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "gram"])
+@pytest.mark.parametrize("cols", [1, 3, 5])
+def test_weighted_space_products_act_on_the_rows_of_a_block(kind, cols):
+    # a block of column vectors is multiplied from the left, as M @ block,
+    # also when it is square (cols = dim = 5)
+    rng = np.random.default_rng(3)
+    if kind == "diagonal":
+        weights = rng.uniform(0.1, 1.0, 5)
+        space, metric = WeightedSpace(weights=weights), np.diag(weights)
+    else:
+        g = random_matrix(5, 5, 4)
+        metric = g @ g.T + 5.0 * np.eye(5)
+        space = WeightedSpace(matrix=metric)
+    dense = _dense_powers(metric)
+    block = rng.standard_normal((5, cols))
+    for power, product in ((1.0, space.apply_metric), (0.5, space.sqrt_apply),
+                           (-0.5, space.isqrt_apply)):
+        got = product(block)
+        assert got.shape == block.shape and got.flags.c_contiguous
+        assert got == pytest.approx(dense[power] @ block, rel=1e-12, abs=1e-12), power
+        for j in range(cols):
+            assert got[:, j] == pytest.approx(product(block[:, j]), rel=1e-13, abs=1e-13)
+    assert space.symmetrize(block @ block.T) == pytest.approx(
+        dense[0.5] @ block @ block.T @ dense[-0.5], rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match="rows"):
+        space.apply_metric(block.T if cols != 5 else block[:4])
+    with pytest.raises(ValueError, match="5x5"):
+        space.symmetrize(block if cols != 5 else block[:, :4])

@@ -261,6 +261,16 @@ def test_spectral_reference_small_alpha_limit():
     assert l2_error(prob.x_dagger, x_alpha, REF) <= 1e-8
 
 
+@pytest.mark.parametrize("points", [16, 32])
+def test_spectral_reference_does_not_alias_on_a_small_rule(points):
+    # green-m1's 64 modes are not resolved by a 16- or 32-point rule; the
+    # reference must not depend on the rule it is asked on
+    prob = get_problem("green-m1")
+    fine = reference_rule(UNIT, 1024)
+    small = tikhonov_spectral_reference(prob, reference_rule(UNIT, points), 1e-3)
+    assert l2_error(small, tikhonov_spectral_reference(prob, fine, 1e-3), fine) <= 1e-12
+
+
 def test_tikhonov_residual_monotone_in_alpha():
     prob = get_problem("rank3-decay")
     exp = prob.svd
