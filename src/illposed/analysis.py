@@ -14,6 +14,9 @@ an absolute 1e-8 because the two sides coincide up to rounding for an
 orthogonal projection scheme.  Every verifier reads ``eps_n`` from
 ``system.epsilon_n`` and measures every L2 error on ``system.reference_rule``,
 the rule ``eps_n`` is measured on, so both sides of a bound share one L2.
+The projection-defect norms, ``||T||`` among them, share the cell's aligned
+grid instead.  Only noise terms depend on the noise level, so the verifiers
+take the list of levels and measure everything else once per cell.
 """
 
 from __future__ import annotations
@@ -187,57 +190,61 @@ def verify_th1(problem: TestProblem, system: DiscreteSystem, alphas=()) -> list[
 # Stability of the unregularized solve under noise
 
 
-def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec) -> list[BoundReport]:
-    """Noise amplification of the pseudo-inverse path.
+def verify_th3(problem: TestProblem, system: DiscreteSystem, deltas,
+               seed: int = 0) -> list[BoundReport]:
+    """Noise amplification of the pseudo-inverse path, per level in ``deltas``.
 
     The first report checks ``||x_n - x~_n|| <= delta / sigma_min``; it is
     skipped when the noisy data leaves the numerical range of the operator
     (rank-deficient systems reject generic noise).  The second checks the
     combined bound ``||x - x~_n|| <= 2 ||x - x_eps|| + delta / sigma`` under
-    its hypothesis ``delta <= sigma phi(eps)``.  When the exact data itself
-    is rejected (pure rounding), both are skipped with the solver's message.
+    its hypothesis ``delta <= sigma phi(eps)``; ``||x - x_eps||`` is
+    integrated at most once.  When the exact data itself is rejected (pure
+    rounding), every report is skipped with the solver's message.
     """
     ref_rule = system.reference_rule
     y_n = project_data(system, problem.y)
-    y_tilde = add_noise(y_n, system.space, spec)
-    delta = system.space.norm(y_tilde - y_n)
     sigma = system.sigma_min
-
-    ctx = _context(problem, system, delta=spec.delta_n)
+    contexts = [_context(problem, system, delta=level) for level in deltas]
     try:
         rec = min_norm_solution(system, y_n)
     except InconsistentDataError as exc:
-        return [skipped_report(bound_id, ctx, str(exc))
+        return [skipped_report(bound_id, ctx, str(exc)) for ctx in contexts
                 for bound_id in ("Th-3-stability", "Th-3-combined")]
-    try:
-        # range components of the noise up to delta are expected; anything
-        # beyond that means the data is genuinely outside the range
-        rec_noisy = min_norm_solution(system, y_tilde,
-                                      residual_allowance=delta * (1.0 + 1e-9))
-    except InconsistentDataError as exc:
-        return [skipped_report("Th-3-stability", ctx, str(exc)),
-                skipped_report("Th-3-combined", ctx,
-                               "noisy data outside the numerical range")]
 
-    lhs = l2_error(rec.function, rec_noisy.function, ref_rule)
-    reports = [_measured_report("Th-3-stability", lhs, delta / sigma, ctx)]
-
-    if problem.source_repr is None:
-        reports.append(skipped_report("Th-3-combined", ctx, "no source representation"))
-        return reports
-    eps = system.epsilon_n
-    threshold = sigma * problem.source_repr.phi(eps)
-    if delta > threshold:
-        reports.append(skipped_report(
-            "Th-3-combined", ctx,
-            f"hypothesis fails: delta {delta:.3e} > sigma*phi(eps) {threshold:.3e}",
-        ))
-        return reports
-    x_eps = tikhonov_continuous_reference(problem, ref_rule, eps)
-    rhs = 2.0 * l2_error(problem.x_dagger, x_eps, ref_rule) + delta / sigma
-    lhs2 = l2_error(problem.x_dagger, rec_noisy.function, ref_rule)
-    reports.append(_measured_report("Th-3-combined", lhs2, rhs,
-                                    replace(ctx, note="eps_source=measured")))
+    reports, tik_err = [], None
+    for ctx in contexts:
+        y_tilde = add_noise(y_n, system.space, NoiseSpec(delta_n=ctx.delta, seed=seed))
+        delta = system.space.norm(y_tilde - y_n)
+        try:
+            # range components of the noise up to delta are expected; anything
+            # beyond that means the data is genuinely outside the range
+            rec_noisy = min_norm_solution(system, y_tilde,
+                                          residual_allowance=delta * (1.0 + 1e-9))
+        except InconsistentDataError as exc:
+            reports += [skipped_report("Th-3-stability", ctx, str(exc)),
+                        skipped_report("Th-3-combined", ctx,
+                                       "noisy data outside the numerical range")]
+            continue
+        lhs = l2_error(rec.function, rec_noisy.function, ref_rule)
+        reports.append(_measured_report("Th-3-stability", lhs, delta / sigma, ctx))
+        if problem.source_repr is None:
+            reports.append(skipped_report("Th-3-combined", ctx, "no source representation"))
+            continue
+        threshold = sigma * problem.source_repr.phi(system.epsilon_n)
+        if delta > threshold:
+            reports.append(skipped_report(
+                "Th-3-combined", ctx,
+                f"hypothesis fails: delta {delta:.3e} > sigma*phi(eps) {threshold:.3e}",
+            ))
+            continue
+        if tik_err is None:  # ||x - x_eps||, at the first level that needs it
+            x_eps = tikhonov_continuous_reference(problem, ref_rule, system.epsilon_n)
+            tik_err = l2_error(problem.x_dagger, x_eps, ref_rule)
+        rhs = 2.0 * tik_err + delta / sigma
+        lhs2 = l2_error(problem.x_dagger, rec_noisy.function, ref_rule)
+        reports.append(_measured_report("Th-3-combined", lhs2, rhs,
+                                        replace(ctx, note="eps_source=measured")))
     return reports
 
 
@@ -245,58 +252,64 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, spec: NoiseSpec) ->
 # The regularized discrete solve
 
 
-def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas,
-               spec: NoiseSpec) -> list[BoundReport]:
+def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, deltas,
+               seed: int = 0) -> list[BoundReport]:
     """Bounds for the shifted discrete solve, with and without noise.
 
-    Per shift: the noiseless bound ``(1 + eps/alpha) ||x - x_alpha||``, the
-    noisy bound with the extra ``delta / sqrt(alpha)`` term, and the pure
-    stability estimate between the two discrete solutions.  The a-priori
-    shift ``alpha = eps_n`` is appended, as is the rate report at the noise
-    level ``sqrt(eps) phi(eps)``, whose constant is recorded rather than
-    asserted.
+    Per level in ``deltas`` and shift: the noiseless bound ``(1 + eps/alpha)
+    ||x - x_alpha||``, the noisy bound with the extra ``delta / sqrt(alpha)``
+    term, and the pure stability estimate between the two discrete
+    solutions; only the noisy solve is per level.  The a-priori shift
+    ``alpha = eps_n`` is appended, and each level ends with the rate report
+    at the noise level ``sqrt(eps) phi(eps)``, whose constant is recorded
+    rather than asserted.
     """
     eps = system.epsilon_n
     ref_rule = system.reference_rule
+    x_dagger = problem.x_dagger
     y_n = project_data(system, problem.y)
-    y_tilde = add_noise(y_n, system.space, spec)
-    delta = system.space.norm(y_tilde - y_n)
-
-    reports = []
+    shifts = []  # (suffix, alpha, noiseless bound, noiseless solve, its error)
     for bound_suffix, alpha in [("", a) for a in alphas] + [("-eps", eps)]:
         x_alpha = tikhonov_continuous_reference(problem, ref_rule, alpha)
-        tik_err = l2_error(problem.x_dagger, x_alpha, ref_rule)
+        base_rhs = (1.0 + eps / alpha) * l2_error(x_dagger, x_alpha, ref_rule)
         rec = tikhonov_discrete(system, y_n, alpha)
-        rec_noisy = tikhonov_discrete(system, y_tilde, alpha)
-        base_rhs = (1.0 + eps / alpha) * tik_err
-        noise_term = delta / np.sqrt(alpha)
-        ctx = _context(problem, system, alpha=alpha, delta=spec.delta_n,
-                       note="eps_source=measured")
-        reports.append(_measured_report(
-            "Th-5" + bound_suffix,
-            l2_error(problem.x_dagger, rec.function, ref_rule), base_rhs, ctx))
-        reports.append(_measured_report(
-            "Th-5-noise" + bound_suffix,
-            l2_error(problem.x_dagger, rec_noisy.function, ref_rule),
-            base_rhs + noise_term, ctx))
-        reports.append(_measured_report(
-            "Th-5-stability" + bound_suffix,
-            l2_error(rec.function, rec_noisy.function, ref_rule), noise_term, ctx))
+        shifts.append((bound_suffix, alpha, base_rhs, rec,
+                       l2_error(x_dagger, rec.function, ref_rule)))
 
-    ctx = _context(problem, system, alpha=eps, delta=spec.delta_n)
-    if problem.source_repr is None:
-        reports.append(skipped_report("Th-5-rate", ctx, "no source representation"))
-        return reports
-    phi_eps = problem.source_repr.phi(eps)
-    rate_spec = NoiseSpec(delta_n=float(np.sqrt(eps) * phi_eps), seed=spec.seed)
-    y_rate = add_noise(y_n, system.space, rate_spec)
-    rec_rate = tikhonov_discrete(system, y_rate, eps)
-    lhs_rate = l2_error(problem.x_dagger, rec_rate.function, ref_rule)
-    constant = lhs_rate / phi_eps
-    reports.append(BoundReport(
-        bound_id="Th-5-rate", lhs=lhs_rate, rhs=lhs_rate, tol=0.0,
-        context=replace(ctx, delta=rate_spec.delta_n, note=f"recorded_c={constant:.6e}"),
-    ))
+    rate = None
+    if problem.source_repr is not None:
+        phi_eps = problem.source_repr.phi(eps)
+        rate_delta = float(np.sqrt(eps) * phi_eps)
+        y_rate = add_noise(y_n, system.space, NoiseSpec(delta_n=rate_delta, seed=seed))
+        lhs_rate = l2_error(x_dagger, tikhonov_discrete(system, y_rate, eps).function, ref_rule)
+        rate = BoundReport(
+            bound_id="Th-5-rate", lhs=lhs_rate, rhs=lhs_rate, tol=0.0,
+            context=_context(problem, system, alpha=eps, delta=rate_delta,
+                             note=f"recorded_c={lhs_rate / phi_eps:.6e}"),
+        )
+
+    reports = []
+    for level in deltas:
+        y_tilde = add_noise(y_n, system.space, NoiseSpec(delta_n=level, seed=seed))
+        delta = system.space.norm(y_tilde - y_n)
+        for bound_suffix, alpha, base_rhs, rec, err in shifts:
+            rec_noisy = tikhonov_discrete(system, y_tilde, alpha)
+            noise_term = delta / np.sqrt(alpha)
+            ctx = _context(problem, system, alpha=alpha, delta=level,
+                           note="eps_source=measured")
+            reports += [
+                _measured_report("Th-5" + bound_suffix, err, base_rhs, ctx),
+                _measured_report("Th-5-noise" + bound_suffix,
+                                 l2_error(x_dagger, rec_noisy.function, ref_rule),
+                                 base_rhs + noise_term, ctx),
+                _measured_report("Th-5-stability" + bound_suffix,
+                                 l2_error(rec.function, rec_noisy.function, ref_rule),
+                                 noise_term, ctx),
+            ]
+        # repeated per level until the row layout changes (ROADMAP item 1)
+        reports.append(rate or skipped_report(
+            "Th-5-rate", _context(problem, system, alpha=eps, delta=level),
+            "no source representation"))
     return reports
 
 
@@ -308,26 +321,22 @@ def _special_norms(system: DiscreteSystem):
     """The four operator norms of :func:`verify_special`.
 
     Returns ``(lhs, defect, norm_t, norm_tn)``: ``||T*T - T_n*T_n||``,
-    ``||(I - pi_n) T||``, ``||T||`` and ``||T_n||``.  ``||T||`` belongs to
-    the operator, not to the cell: it is :meth:`Kernel.operator_norm` on
-    ``system.reference_rule``, one eigenvalue problem per kernel and rule,
-    kept with the continuous half ``estimate_epsilon`` formed there.
-
-    The other three depend on the cell and are measured on a composite rule
-    of ``ref_points`` points aligned with the system's breakpoints, which
-    keeps basis-function products and kinked kernels exactly integrable; lhs
-    and defect share it because the squared estimate compares them at an
-    absolute 1e-8.  Each is the 2-norm of a matrix in the weighted forms
-    ``k_w = D K D``, ``b_w = D B`` and ``c_w = C D`` (``D`` the square roots
-    of the grid weights, ``B`` the basis and ``C`` the coordinate map on the
-    grid): with ``L`` the Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T``
-    for orthonormal ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n
+    ``||(I - pi_n) T||``, ``||T||`` and ``||T_n||``, all four on one
+    composite rule of ``ref_points`` points aligned with the system's
+    breakpoints, which keeps basis-function products and kinked kernels
+    exactly integrable; lhs and defect share it because the squared
+    estimate compares them at an absolute 1e-8.  Each is the 2-norm of a
+    matrix in the weighted forms ``k_w = D K D``, ``b_w = D B`` and ``c_w =
+    C D`` (``D`` the square roots of the grid weights, ``B`` the basis and
+    ``C`` the coordinate map on the grid): ``||T||`` is that of ``k_w``;
+    with ``L`` the Cholesky factor of ``b_w^T b_w``, ``b_w = Q L^T`` for
+    orthonormal ``Q``, so ``T_n`` on the grid is ``Q r`` with the rank-n
     ``r = L^T c_w`` and ``T_n*T_n`` is ``r^T r``.  For collocation ``B`` is
     the piecewise-linear embedding, so ``||T_n||`` is the embedded-basis
     quantity, not a norm of the stored factor.  No norm needs an SVD, and
-    lhs and defect form no m x m product: Lanczos runs on
-    ``x -> k_w^T (k_w x) - r^T (r x)`` and, for the square of the defect,
-    on ``x -> E^T (E x)`` with ``E x = k_w x - b_w (c_w x)``.
+    none forms an m x m product: Lanczos runs on ``x -> k_w^T (k_w x) - r^T
+    (r x)`` for lhs and, for the square of the defect, on ``x -> E^T (E
+    x)`` with ``E x = k_w x - b_w (c_w x)``.
 
     Raises
     ------
@@ -367,22 +376,20 @@ def _special_norms(system: DiscreteSystem):
         return k_w.T @ d - c_w.T @ (b_w.T @ d)
 
     defect = float(np.sqrt(symmetric_norm(defect_sq, m)))
-    norm_t = system.kernel.operator_norm(system.reference_rule)
-    return lhs, defect, norm_t, spectral_norm(r)
+    return lhs, defect, spectral_norm(k_w), spectral_norm(r)
 
 
 def verify_special(problem: TestProblem, system: DiscreteSystem) -> list[BoundReport]:
     """Operator-norm estimates relating the normal-operator error to the
     projection defect.
 
-    Both sides come from :func:`_special_norms`: ``||T||`` from the kernel's
-    norm on the ``eps_n`` rule (measured once per kernel), the cell's norms
-    on its aligned grid.  For the subspace schemes (interpolation, cell
-    averages) the first report instantiates the general bound
-    ``(||T|| + ||T_n||) ||(I - pi_n) T||``; collocation has no function-space
-    data space, so its row is measured through the piecewise-linear embedding
-    of nodal values (noted in the context).  The squared estimate holds for
-    the orthogonal projection scheme only and gets its own report.
+    Both sides come from :func:`_special_norms`, on the cell's aligned
+    grid.  For the subspace schemes (interpolation, cell averages) the first
+    report instantiates the general bound ``(||T|| + ||T_n||) ||(I - pi_n)
+    T||``; collocation has no function-space data space, so its row is
+    measured through the piecewise-linear embedding of nodal values (noted
+    in the context).  The squared estimate holds for the orthogonal
+    projection scheme only and gets its own report.
     """
     lhs, defect, norm_t, norm_tn = _special_norms(system)
     embedded = system.scheme is SchemeKind.COLLOCATION

@@ -302,13 +302,10 @@ def cmd_verify(config: RunConfig) -> int:
     th5_alphas = VERIFY_TH5_ALPHAS if config.alpha_rule == "eps" else (config.alpha_rule,)
     reports = []
     for problem, system in _cells(config):
-        reports.extend(verify_th1(problem, system))
-        for delta in th3_deltas:
-            reports.extend(verify_th3(problem, system, NoiseSpec(delta_n=delta, seed=config.seed)))
-        for delta in th5_deltas:
-            reports.extend(verify_th5(problem, system, th5_alphas,
-                                      NoiseSpec(delta_n=delta, seed=config.seed)))
-        reports.extend(verify_special(problem, system))
+        reports += (verify_th1(problem, system)
+                    + verify_th3(problem, system, th3_deltas, config.seed)
+                    + verify_th5(problem, system, th5_alphas, th5_deltas, config.seed)
+                    + verify_special(problem, system))
     _atomic_write(config.output_dir / "bounds.csv", reports_to_csv(reports))
     failed = [r for r in reports if not r.skipped and not r.passed]
     return EXIT_OK if not failed else EXIT_NUMERICAL

@@ -106,7 +106,10 @@ class WeightedSpace:
 
     def norm(self, v) -> float:
         v = as_vector(v, "v")
-        return float(np.sqrt(max(v @ self.apply_metric(v), 0.0)))
+        # vdot is the BLAS dot of ``@``, bit for bit, but reports no overflow
+        # as a RuntimeWarning (np.errstate costs more than the product at the
+        # sizes solved here): an overflow is inf, which callers reject
+        return float(np.sqrt(max(np.vdot(v, self.apply_metric(v)), 0.0)))
 
     def sqrt_apply(self, v) -> np.ndarray:
         """Return ``M^(1/2) v``."""

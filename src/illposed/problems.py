@@ -12,6 +12,9 @@ A discrete system measures its L2 quantities on its own
 :func:`apply_operator_split`, which splits the integral at the diagonal:
 kernels that are continuous but kinked there (Green's functions) are then
 integrated to machine accuracy, where a single global rule stalls near 1e-6.
+A :class:`Kernel` keeps only the continuous half ``T*T`` of ``eps_n`` for
+the last rule it was sampled on; operator norms are measured where they are
+used, so this module needs nothing from ``linalg``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import symmetric_norm
 from .quadrature import Domain, QuadratureRule, gauss_legendre, segment_gauss
 from .validation import check_integer, check_positive
 
@@ -67,11 +69,10 @@ class Kernel:
     The evaluator is spot-checked for finiteness on a 32 x 32 grid at
     construction.
 
-    :meth:`normal_gram` keeps the matrix of the last rule it formed, and
-    :meth:`operator_norm` the norm read from it, as one read-only
-    ``(nodes, weights, matrix, norm)`` tuple (``norm`` None until first
-    asked for), replaced by a single attribute store; concurrent readers
-    therefore see either the old or the new tuple and at worst recompute.
+    :meth:`normal_gram` keeps the matrix of the last rule it formed as one
+    read-only ``(nodes, weights, matrix)`` tuple, replaced by a single
+    attribute store; concurrent readers therefore see either the old or the
+    new tuple and at worst recompute.
     """
 
     def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False):
@@ -82,7 +83,7 @@ class Kernel:
         sample = np.asarray(evaluator(grid[:, None], grid[None, :]), dtype=float)
         if sample.shape != (32, 32) or not np.all(np.isfinite(sample)):
             raise ValueError("kernel evaluator must be finite and broadcastable on the domain")
-        self._normal_gram: tuple[np.ndarray, np.ndarray, np.ndarray, float | None] | None = None
+        self._normal_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __call__(self, s, t):
         return np.asarray(self.evaluator(s, t), dtype=float)
@@ -95,43 +96,19 @@ class Kernel:
         measures.  The matrix of the last rule is kept (read-only) and
         returned again for an equal rule, so the systems of one kernel
         measured on one reference rule sample the kernel there once.
-        :meth:`operator_norm` reads ``||T||`` from the same entry, so the
-        projection-defect checks need no kernel sample of their own for it.
         """
-        return self._normal_memo(rule)[2]
-
-    def operator_norm(self, rule: QuadratureRule) -> float:
-        """``||T||`` on ``rule``: the square root of the largest eigenvalue
-        of ``D K^T diag(w) K D`` (``D`` the square roots of the weights).
-
-        ``||T||`` belongs to the operator, not to a discretization, so it is
-        read from the continuous half :meth:`normal_gram` keeps for
-        ``estimate_epsilon`` and kept with it: every system measured on the
-        rule shares one eigenvalue problem and no second kernel sample.
-        """
-        nodes, rho, gram, norm = self._normal_memo(rule)
-        if norm is None:
-            sqrt_rho = np.sqrt(rho)
-            weighted = gram * np.outer(sqrt_rho, sqrt_rho)
-            sym = 0.5 * (weighted + weighted.T)
-            norm = float(np.sqrt(symmetric_norm(lambda x: sym @ x, nodes.size)))
-            self._normal_gram = (nodes, rho, gram, norm)
-        return norm
-
-    def _normal_memo(self, rule: QuadratureRule):
         nodes, rho = rule.nodes, rule.weights
         memo = self._normal_gram
         if memo is not None and np.array_equal(memo[0], nodes) and np.array_equal(memo[1], rho):
-            return memo
+            return memo[2]
         # the kept matrix is allocated before the two m x m temporaries, so
         # their release leaves no hole below it for the heap to retain
         gram = np.empty((nodes.size, nodes.size))
         kmat = self(nodes[:, None], nodes[None, :])
         np.matmul(kmat.T, rho[:, None] * kmat, out=gram)
         gram.flags.writeable = False
-        memo = (nodes.copy(), rho.copy(), gram, None)
-        self._normal_gram = memo
-        return memo
+        self._normal_gram = (nodes.copy(), rho.copy(), gram)
+        return gram
 
 
 @dataclass(frozen=True)

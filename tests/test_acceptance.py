@@ -21,7 +21,6 @@ from illposed.cli import EXIT_OK, main
 from illposed.discretize import apply_adjoint, build_system
 from illposed.problems import get_problem, reference_rule
 from illposed.quadrature import aligned_rule
-from illposed.regularize import NoiseSpec
 from tests.conftest import GRID_N, SCHEMES
 
 REF = reference_rule(get_problem("rank1-sine").kernel.domain)
@@ -64,15 +63,13 @@ def test_criterion_3_noise_stability_pseudo_inverse(catalog, grid_systems):
     failures = []
     skipped = []
     for (pid, scheme, n), system in grid_systems.items():
-        for delta in (1e-6, 1e-4):
-            reports = verify_th3(catalog[pid], system, NoiseSpec(delta, 0))
-            for rep in reports:
-                if rep.skipped:
-                    skipped.append((pid, scheme, n, rep.bound_id))
-                    if not rep.reason:
-                        failures.append((pid, scheme, n, "skip without reason"))
-                elif not rep.passed:
-                    failures.append((pid, scheme, n, rep.bound_id, rep.lhs, rep.rhs))
+        for rep in verify_th3(catalog[pid], system, (1e-6, 1e-4)):
+            if rep.skipped:
+                skipped.append((pid, scheme, n, rep.bound_id))
+                if not rep.reason:
+                    failures.append((pid, scheme, n, "skip without reason"))
+            elif not rep.passed:
+                failures.append((pid, scheme, n, rep.bound_id, rep.lhs, rep.rhs))
     # stability rows must actually run on every cell of this grid
     stability_runs = 2 * len(grid_systems)
     if sum(1 for s in skipped if s[3] == "Th-3-stability"):
@@ -84,14 +81,11 @@ def test_criterion_3_noise_stability_pseudo_inverse(catalog, grid_systems):
 def test_criterion_4_shifted_noise_bound(catalog, grid_systems):
     failures = []
     for (pid, scheme, n), system in grid_systems.items():
-        for delta in (1e-2, 1e-4):
-            reports = verify_th5(catalog[pid], system, (1e-2, 1e-4),
-                                 NoiseSpec(delta, 0))
-            for rep in reports:
-                if rep.bound_id.startswith("Th-5-stability") and not rep.passed:
-                    failures.append((pid, scheme, n, rep.context.alpha, delta))
-                if not rep.skipped and not rep.passed:
-                    failures.append((pid, scheme, n, rep.bound_id))
+        for rep in verify_th5(catalog[pid], system, (1e-2, 1e-4), (1e-2, 1e-4)):
+            if rep.bound_id.startswith("Th-5-stability") and not rep.passed:
+                failures.append((pid, scheme, n, rep.context.alpha, rep.context.delta))
+            if not rep.skipped and not rep.passed:
+                failures.append((pid, scheme, n, rep.bound_id))
     report(4, "shifted-solve noise bound, alpha x delta in {1e-2,1e-4}^2", failures)
 
 

@@ -116,7 +116,7 @@ def test_verify_th3_names_the_rejected_exact_data():
     # rows carry that solver message and neither blames the noise
     prob = green_problem(3)
     system = build_system(prob.kernel, "interpolatory", 4)
-    reports = verify_th3(prob, system, NoiseSpec(1e-4, 0))
+    reports = verify_th3(prob, system, [1e-4])
     assert [r.bound_id for r in reports] == ["Th-3-stability", "Th-3-combined"]
     assert all(r.skipped and "inconsistent discrete data" in r.reason for r in reports)
     assert reports[0].reason == reports[1].reason
@@ -135,7 +135,7 @@ def test_verify_th1_green_error_decreases(grid_systems, catalog):
 def test_verify_th3_zero_noise(grid_systems, catalog):
     prob = catalog["rank1-sine"]
     system = grid_systems["rank1-sine", "collocation", 8]
-    reports = verify_th3(prob, system, NoiseSpec(0.0, 0))
+    reports = verify_th3(prob, system, [0.0])
     stability = next(r for r in reports if r.bound_id == "Th-3-stability")
     assert stability.passed and stability.lhs == pytest.approx(0.0, abs=1e-14)
 
@@ -143,7 +143,7 @@ def test_verify_th3_zero_noise(grid_systems, catalog):
 def test_verify_th3_small_noise_rank1(grid_systems, catalog):
     prob = catalog["rank1-sine"]
     system = grid_systems["rank1-sine", "collocation", 8]
-    reports = verify_th3(prob, system, NoiseSpec(1e-6, 0))
+    reports = verify_th3(prob, system, [1e-6])
     stability = next(r for r in reports if r.bound_id == "Th-3-stability")
     assert stability.passed and not stability.skipped
 
@@ -151,7 +151,7 @@ def test_verify_th3_small_noise_rank1(grid_systems, catalog):
 def test_verify_th3_green(grid_systems, catalog):
     prob = catalog["green-m1"]
     system = grid_systems["green-m1", "collocation", 8]
-    reports = verify_th3(prob, system, NoiseSpec(1e-3, 1))
+    reports = verify_th3(prob, system, [1e-3], seed=1)
     stability = next(r for r in reports if r.bound_id == "Th-3-stability")
     assert stability.passed
     assert stability.slack > 0.0
@@ -162,7 +162,7 @@ def test_verify_th3_hypothesis_skip(grid_systems, catalog):
     # with the reason recorded, never a silent drop
     prob = catalog["green-m1"]
     system = grid_systems["green-m1", "collocation", 8]
-    reports = verify_th3(prob, system, NoiseSpec(1e-2, 0))
+    reports = verify_th3(prob, system, [1e-2])
     combined = next(r for r in reports if r.bound_id == "Th-3-combined")
     assert combined.skipped
     assert "hypothesis fails" in combined.reason
@@ -171,7 +171,7 @@ def test_verify_th3_hypothesis_skip(grid_systems, catalog):
 def test_verify_th5_zero_noise_reduces(grid_systems, catalog):
     prob = catalog["rank1-sine"]
     system = grid_systems["rank1-sine", "collocation", 8]
-    reports = verify_th5(prob, system, (1e-2,), NoiseSpec(0.0, 0))
+    reports = verify_th5(prob, system, (1e-2,), [0.0])
     plain = next(r for r in reports if r.bound_id == "Th-5")
     noisy = next(r for r in reports if r.bound_id == "Th-5-noise")
     assert noisy.lhs == pytest.approx(plain.lhs, abs=1e-14)
@@ -181,7 +181,7 @@ def test_verify_th5_zero_noise_reduces(grid_systems, catalog):
 def test_verify_th5_passes_under_hypothesis(grid_systems, catalog):
     prob = catalog["rank1-sine"]
     system = grid_systems["rank1-sine", "collocation", 16]
-    reports = verify_th5(prob, system, (1e-2, 1e-4), NoiseSpec(1e-4, 5))
+    reports = verify_th5(prob, system, (1e-2, 1e-4), [1e-4], seed=5)
     assert all(r.passed for r in reports if not r.skipped)
     assert any(r.bound_id == "Th-5-eps" for r in reports)
 
@@ -191,7 +191,7 @@ def test_verify_th5_rate_constant_stable(grid_systems, catalog):
     constants = []
     for n in (8, 16, 32):
         reports = verify_th5(prob, grid_systems["green-m1", "collocation", n],
-                             (), NoiseSpec(1e-4, 5))
+                             (), [1e-4], seed=5)
         rate = next(r for r in reports if r.bound_id == "Th-5-rate")
         constants.append(float(rate.context.note.split("=")[1]))
     assert max(constants) / min(constants) <= 10.0
@@ -274,7 +274,7 @@ def test_convergence_green_with_noise():
 def test_reports_to_csv_layout(grid_systems, catalog):
     prob = catalog["rank1-sine"]
     system = grid_systems["rank1-sine", "collocation", 8]
-    reports = verify_th1(prob, system) + verify_th3(prob, system, NoiseSpec(1e-2, 0))
+    reports = verify_th1(prob, system) + verify_th3(prob, system, [1e-2])
     text = reports_to_csv(reports)
     lines = text.splitlines()
     assert lines[0] == "bound_id,problem,scheme,n,alpha,delta,lhs,rhs,slack,passed"
@@ -304,13 +304,11 @@ def _dense_kernel(system, rule):
 
 def _dense_special_norms(system):
     # the dense formulas on the full m x m grid matrices, SVD for the
-    # non-symmetric ones: the oracle for the rank-n Gram forms; ||T|| is
-    # the kernel's, on the reference rule eps_n is measured on
+    # non-symmetric ones: the oracle for the rank-n Gram forms and for
+    # ||T||, all four on the cell's aligned rule
     def top(a):
         return np.linalg.svd(a, compute_uv=False)[0]
 
-    kmat, weight = _dense_kernel(system, reference_rule(system.domain))
-    norm_t = top(kmat * weight)
     rule = aligned_rule(system.grid_knots(), REFERENCE_POINTS)
     nodes, rho = rule.nodes, rule.weights
     kmat, weight = _dense_kernel(system, rule)
@@ -323,7 +321,7 @@ def _dense_special_norms(system):
     basis_gram = (basis * rho[:, None]).T @ basis
     lhs_mat = (kmat.T @ (rho[:, None] * kmat) - coords_map.T @ basis_gram @ coords_map) * weight
     return (top(0.5 * (lhs_mat + lhs_mat.T)), top((kmat - basis @ coords_map) * weight),
-            norm_t, top((basis @ coords_map) * weight))
+            top(kmat * weight), top((basis @ coords_map) * weight))
 
 
 @pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])
@@ -337,8 +335,8 @@ def test_special_norms_match_the_dense_svd_formulas(grid_systems, pid, scheme):
 
 
 def test_special_norms_agree_with_lapack(grid_systems, monkeypatch):
-    # each operator Lanczos takes (lhs, defect^2, the Gram of ||T_n||),
-    # against LAPACK on the matrix the operator applies
+    # each operator Lanczos takes (lhs, defect^2, ||T|| or its Gram, the
+    # Gram of ||T_n||), against LAPACK on the matrix the operator applies
     seen = []
 
     def recording(apply, dim):
@@ -350,7 +348,7 @@ def test_special_norms_agree_with_lapack(grid_systems, monkeypatch):
     for key, system in grid_systems.items():
         seen.clear()
         _special_norms(system)
-        assert len(seen) == 3, key
+        assert len(seen) == 4, key
         for apply, dim, got in seen:
             lapack = np.max(np.abs(np.linalg.eigvalsh(apply(np.eye(dim)))))
             assert got == pytest.approx(lapack, rel=1e-12, abs=0.0), (key, dim)
@@ -368,7 +366,7 @@ def test_special_norms_form_no_m_by_m_product(scheme):
     # the kernel sample and its weighted copy are the only m x m arrays;
     # an m x m product such as k_w^T k_w would add at least one more
     system = build_system(get_problem("green-m1").kernel, scheme, 16, ref_points=1024)
-    _special_norms(system)  # fills the kernel's norm memo and the system's slice memo
+    _special_norms(system)  # fills the system's slice memo
     m = aligned_rule(system.grid_knots(), system.ref_points).nodes.size
     tracemalloc.start()
     try:
@@ -405,8 +403,8 @@ def drawn_cells(draw):
         problem = make_separable_problem(expansion, coeffs)
     scheme = draw(st.sampled_from([kind.value for kind in SchemeKind]))
     n = draw(st.integers(4, 32))
-    spec = NoiseSpec(draw(st.sampled_from([1e-6, 1e-4, 1e-2])), draw(st.integers(0, 99)))
-    return problem, scheme, n, spec
+    deltas = [draw(st.sampled_from([1e-6, 1e-4, 1e-2]))]
+    return problem, scheme, n, deltas, draw(st.integers(0, 99))
 
 
 @settings(max_examples=60)
@@ -414,10 +412,11 @@ def drawn_cells(draw):
 def test_bounds_hold_on_drawn_problems(cell):
     # every theorem the grid checks, on problems and cells the grid does
     # not hold: each measured report passes, and each skip says why
-    problem, scheme, n, spec = cell
+    problem, scheme, n, deltas, seed = cell
     system = build_system(problem.kernel, scheme, n)
     alphas = (1e-2, 1e-4)
-    reports = (verify_th1(problem, system, alphas) + verify_th3(problem, system, spec)
-               + verify_th5(problem, system, alphas, spec) + verify_special(problem, system))
+    reports = (verify_th1(problem, system, alphas) + verify_th3(problem, system, deltas, seed)
+               + verify_th5(problem, system, alphas, deltas, seed)
+               + verify_special(problem, system))
     assert [r for r in reports if not (r.skipped or r.passed)] == []
     assert all(r.reason for r in reports if r.skipped)

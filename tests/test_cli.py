@@ -418,14 +418,17 @@ def test_a_non_integer_n_flag_is_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "study", "verify"])
 def test_a_non_finite_measurement_is_a_numerical_failure(tmp_path, capsys, command):
-    # a shift far below the rounding level overflows the Tikhonov solve;
-    # the run must not write inf into a summary or a bound row, and the
-    # overflow is reported once, as the failure, not also as a warning
-    out = tmp_path / "out"
-    argv = [command, "--problem", "rank1-sine", "--alpha", "1e-300", "--n", "8"]
-    assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
+    # a shift far below the rounding level overflows the Tikhonov solve, and
+    # noise near the largest float overflows the data norm; the run must not
+    # write inf into a summary or a bound row, and the overflow is reported
+    # once, as the failure, not also as a warning
+    for case, flags in enumerate((["--problem", "rank1-sine", "--n", "8", "--alpha", "1e-300"],
+                                  ["--n", "4", "--delta", "1e300"])):
+        out = tmp_path / f"out{case}"
+        assert main([command, *flags, "--out", str(out)]) == EXIT_NUMERICAL, flags
+        err = capsys.readouterr().err
+        assert "non-finite" in err and err.count("\n") == 1, (flags, err)
+        assert not out.exists()
 
 
 def test_solve_summary_equals_the_study_rows(tmp_path):

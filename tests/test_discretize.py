@@ -447,10 +447,9 @@ def test_a_cell_measures_epsilon_once(monkeypatch):
         return original(target)
 
     monkeypatch.setattr(discretize, "estimate_epsilon", counting)
-    spec = NoiseSpec(1e-4, 0)
     verify_th1(problem, system, alphas=(1e-2,))
-    verify_th3(problem, system, spec)
-    verify_th5(problem, system, (1e-2,), spec)
+    verify_th3(problem, system, [1e-4])
+    verify_th5(problem, system, (1e-2,), [1e-4])
     verify_special(problem, system)
     row, _ = measure_cell(problem, system)
     assert measured == [system]
@@ -471,10 +470,10 @@ def test_a_cell_measures_every_l2_error_on_its_reference_rule(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(analysis, name, spy)
-    spec = NoiseSpec(1e-8, 0)  # small enough for every hypothesis to hold
-    reports = (verify_th1(problem, system, alphas=(1e-2,)) + verify_th3(problem, system, spec)
-               + verify_th5(problem, system, (1e-2,), spec))
-    measure_cell(problem, system, spec=spec)
+    deltas = [1e-8]  # small enough for every hypothesis to hold
+    reports = (verify_th1(problem, system, alphas=(1e-2,)) + verify_th3(problem, system, deltas)
+               + verify_th5(problem, system, (1e-2,), deltas))
+    measure_cell(problem, system, spec=NoiseSpec(1e-8, 0))
     assert not any(report.skipped for report in reports)
     assert len(sizes) > 20 and set(sizes) == {512}
 
@@ -498,13 +497,15 @@ def test_ref_points_fixes_the_epsilon_rule(monkeypatch, pid):
     eps = system.epsilon_n
     estimate_epsilon(system)
     norm_t = _special_norms(system)[2]
-    # eps_n, a second measurement and ||T|| share one continuous half
+    # eps_n and a second measurement share one continuous half; ||T|| is
+    # measured on the cell's aligned rule and samples no kernel there
     assert formed == [(1, 512)]
     monkeypatch.undo()
     assert system.reference_rule.n_points == 512
     assert eps == _dense_epsilon(system, 512) != _dense_epsilon(system, 256)
-    sqrt_rho = np.sqrt(rule.weights)
-    kmat = problem.kernel(rule.nodes[:, None], rule.nodes[None, :])
+    aligned = aligned_rule(system.grid_knots(), 512)
+    sqrt_rho = np.sqrt(aligned.weights)
+    kmat = problem.kernel(aligned.nodes[:, None], aligned.nodes[None, :])
     assert norm_t == pytest.approx(
         np.linalg.norm(kmat * np.outer(sqrt_rho, sqrt_rho), 2), rel=1e-13)
 

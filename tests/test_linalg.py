@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,14 @@ def test_weighted_space_products_act_on_the_rows_of_a_block(kind, cols):
         space.apply_metric(block.T if cols != 5 else block[:4])
     with pytest.raises(ValueError, match="5x5"):
         space.symmetrize(block if cols != 5 else block[:, :4])
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "gram"])
+def test_weighted_space_norm_overflows_to_inf_without_a_warning(kind):
+    # v^T M v overflows long before v does: the norm is inf, which callers
+    # reject as a numerical failure, and no RuntimeWarning is raised
+    space = (WeightedSpace(weights=[0.5, 1.0, 2.0]) if kind == "diagonal"
+             else WeightedSpace(matrix=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space.norm(1e200 * np.ones(3)) == np.inf

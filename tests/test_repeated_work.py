@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from illposed import analysis, discretize, linalg, problems
+from illposed import analysis, discretize, linalg
 from illposed.analysis import l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
@@ -121,9 +121,9 @@ def test_verify_forms_normal_gram_once_per_kernel(tmp_path, monkeypatch):
     assert all(len(seen) == 1 for seen in formed.values()), formed
 
 
-def test_verify_takes_three_reference_grid_eigenproblems_per_cell(tmp_path, monkeypatch):
-    # eps_n, the lhs and the defect per cell; ||T|| once per kernel; all of
-    # them by Lanczos, so no dense eigensolver runs on a reference grid
+def test_verify_takes_four_reference_grid_eigenproblems_per_cell(tmp_path, monkeypatch):
+    # eps_n, and the lhs, the defect and ||T|| on the aligned grid, per cell;
+    # all of them by Lanczos, so no dense eigensolver runs on a reference grid
     gauss_nodes(REFERENCE_POINTS)  # leggauss's own eigvalsh stays out of the count
     norms, dense = [], []
     eigvalsh = np.linalg.eigvalsh
@@ -136,12 +136,12 @@ def test_verify_takes_three_reference_grid_eigenproblems_per_cell(tmp_path, monk
         dense.append(np.shape(a)[0])
         return eigvalsh(a, *args, **kwargs)
 
-    for module in (discretize, analysis, problems, linalg):  # each reads it by name
+    for module in (discretize, analysis, linalg):  # each reads it by name
         monkeypatch.setattr(module, "symmetric_norm", counting)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_dense)
     assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
-    kernels, cells = len(problem_catalog()), len(problem_catalog()) * 3 * 2
-    assert sum(m >= REFERENCE_POINTS for m in norms) == 3 * cells + kernels
+    cells = len(problem_catalog()) * 3 * 2
+    assert sum(m >= REFERENCE_POINTS for m in norms) == 4 * cells
     assert [m for m in dense if m >= REFERENCE_POINTS] == []
 
 
@@ -181,50 +181,6 @@ def test_epsilon_from_a_memo_hit_matches_a_fresh_kernel(scheme):
     assert hit == fresh
 
 
-def _fresh_operator_norm(kernel, rule):
-    sqrt_rho = np.sqrt(rule.weights)
-    kmat = kernel(rule.nodes[:, None], rule.nodes[None, :])
-    return np.linalg.norm(kmat * np.outer(sqrt_rho, sqrt_rho), 2)
-
-
-def test_operator_norm_memo_hit_is_the_same_value(monkeypatch):
-    kernel = get_problem("green-m1").kernel
-    first = kernel.operator_norm(reference_rule(kernel.domain, 64))
-    gram = kernel.normal_gram(reference_rule(kernel.domain, 64))
-    # a hit solves no eigenproblem, neither Lanczos's Ritz solves nor a dense one
-    monkeypatch.setattr(np.linalg, "eigh", None)
-    monkeypatch.setattr(np.linalg, "eigvalsh", None)
-    assert kernel.operator_norm(reference_rule(kernel.domain, 64)) == first
-    # the norm rides on the continuous half's memo entry, which stays put
-    assert kernel.normal_gram(reference_rule(kernel.domain, 64)) is gram
-    # against the exact norm 1/pi^2 of the Green operator
-    assert first == pytest.approx(1.0 / np.pi**2, rel=1e-3)
-
-
-@pytest.mark.parametrize("pid", ["green-m1", "rank3-decay"])
-def test_operator_norm_memo_follows_the_rule(pid):
-    # A, then B, then A again: never a stale norm
-    kernel = get_problem(pid).kernel
-    rule_a = reference_rule(kernel.domain, 48)
-    rule_b = reference_rule(kernel.domain, 64)
-    norms = {}
-    for rule in (rule_a, rule_b, rule_a):
-        got = kernel.operator_norm(rule)
-        assert got == pytest.approx(_fresh_operator_norm(kernel, rule), rel=1e-13)
-        norms.setdefault(rule.n_points, set()).add(got)
-    assert norms[48] != norms[64] and len(norms[48]) == 1
-
-
-def test_operator_norm_from_a_memo_hit_matches_a_fresh_kernel():
-    # outputs must not depend on which cell of a kernel was measured first
-    warm = get_problem("green-m1").kernel
-    rule = reference_rule(warm.domain)
-    estimate_epsilon(build_system(warm, "collocation", 8))
-    hit = warm.operator_norm(rule)
-    fresh = get_problem("green-m1").kernel
-    assert fresh.operator_norm(rule) == hit
-
-
 @pytest.mark.parametrize("n", [1, 8, 32])
 def test_an_ortho_pc_sampling_of_a_kinked_kernel_makes_n_plus_two_kernel_calls(monkeypatch, n):
     # one regular pass per cell, then one call per side of the s = t split
@@ -240,3 +196,58 @@ def test_an_ortho_pc_sampling_of_a_kinked_kernel_makes_n_plus_two_kernel_calls(m
     monkeypatch.setattr(Kernel, "__call__", counting)
     system.slice_values(reference_rule(system.domain, 64).nodes)
     assert len(calls) == n + 2
+
+
+def _counting(monkeypatch, module, *names):
+    counts = Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("alphas", [(), (1e-2,), (1e-2, 1e-4)])
+@pytest.mark.parametrize("deltas", [(1e-4,), (1e-2, 1e-4), (1e-2, 1e-4, 1e-6)])
+def test_verify_th5_measures_each_shift_once(monkeypatch, alphas, deltas):
+    # per shift (alphas and eps_n) one continuous reference and one noiseless
+    # solve; per shift and level one noisy solve; one rate solve per cell
+    problem = get_problem("green-m1")
+    system = build_system(problem.kernel, "collocation", 8)
+    counts = _counting(monkeypatch, analysis, "tikhonov_continuous_reference",
+                       "tikhonov_discrete", "project_data")
+    reports = analysis.verify_th5(problem, system, alphas, deltas)
+    k, d = len(alphas), len(deltas)
+    assert counts["tikhonov_continuous_reference"] == k + 1
+    assert counts["tikhonov_discrete"] == (k + 1) * (d + 1) + 1
+    assert counts["project_data"] == 1
+    assert len(reports) == d * (3 * (k + 1) + 1)
+
+
+@pytest.mark.parametrize("deltas", [(1e-2,), (1e-8,), (1e-9, 1e-8), (1e-9, 1e-8, 1e-2)])
+def test_verify_th3_projects_and_solves_the_exact_data_once(monkeypatch, deltas):
+    # the hypothesis sigma*phi(eps) = 2.1e-7 holds below 1e-2 on this cell
+    problem = get_problem("green-m1")
+    system = build_system(problem.kernel, "ortho-pc", 8)
+    y_n = project_data(system, problem.y)
+    exact = []
+    original = analysis.min_norm_solution
+
+    def recording(system, y, **kwargs):
+        exact.append(np.array_equal(y, y_n))
+        return original(system, y, **kwargs)
+
+    monkeypatch.setattr(analysis, "min_norm_solution", recording)
+    counts = _counting(monkeypatch, analysis, "project_data", "tikhonov_continuous_reference")
+    reports = analysis.verify_th3(problem, system, deltas)
+    assert counts["project_data"] == 1
+    assert exact == [True] + [False] * len(deltas)
+    assert [r.bound_id for r in reports] == ["Th-3-stability", "Th-3-combined"] * len(deltas)
+    combined = [r for r in reports if r.bound_id == "Th-3-combined"]
+    assert [r.skipped for r in combined] == [d == 1e-2 for d in deltas]
+    # ||x - x_eps|| is integrated at most once: only if a hypothesis holds
+    assert counts["tikhonov_continuous_reference"] == int(any(d < 1e-2 for d in deltas))
