@@ -23,7 +23,8 @@ positive semidefinite by construction.
 
 :func:`build_system` is the one place a system is assembled, validated and
 factored: it checks that ``M A`` is self-adjoint PSD, then stores one
-eigendecomposition that every solve filters.  A matrix handed to it (a
+eigendecomposition that every solve filters, with the two spectra the
+filters read.  A matrix handed to it (a
 replayed dump) skips the assembly and goes through the same checks and the
 same factorization.  It also fixes the size of the system's reference rule,
 on which ``eps_n``, ``||T||`` and every L2 error of the system are measured.
@@ -117,9 +118,17 @@ class DiscreteSystem:
         Matrix of the composed operator (the normal operator on data space)
         in the scheme basis; ``A = K M`` with ``K_ij = integral g_i g_j``.
     eigvals, eigvecs : ndarray
-        Eigendecomposition of the symmetric PSD ``M^(1/2) A M^(-1/2)``
-        (``space.symmetrize(matrix)``; values non-increasing), the one
-        factorization every solve of the system filters.
+        Eigendecomposition ``Q diag(lambda) Q^T`` of the symmetric PSD
+        ``M^(1/2) A M^(-1/2)`` (``space.symmetrize(matrix)``; values
+        non-increasing), the one factorization every solve of the system
+        filters.
+    pinv_gains, pinv_peak : ndarray, float
+        The minimum-norm filter: ``1 / lambda`` on the numerical rank, the
+        eigenvalues above ``rel_tol * max|lambda|``, and 0 elsewhere; and
+        its largest modulus.  Read-only.
+    clipped_eigvals : ndarray
+        ``max(lambda, 0)``, the spectrum the Tikhonov filter shifts.
+        Read-only.
     sigma_min : float
         Smallest positive singular value of the discretized operator.
     ref_points : int
@@ -142,6 +151,9 @@ class DiscreteSystem:
     matrix: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
+    pinv_gains: np.ndarray
+    pinv_peak: float
+    clipped_eigvals: np.ndarray
     sigma_min: float
     rel_tol: float
     ref_points: int
@@ -162,13 +174,6 @@ class DiscreteSystem:
         """Operator-level discretization error bound, measured by
         :func:`estimate_epsilon` on the first read and kept."""
         return estimate_epsilon(self)
-
-    def kept(self) -> np.ndarray:
-        """Mask of the eigenvalues above ``rel_tol * max|lambda|``, the
-        numerical rank of the system; ``rel_tol`` is the system's own
-        threshold, the only one any solve or measurement uses."""
-        mags = np.abs(self.eigvals)
-        return mags > self.rel_tol * mags.max()
 
     # -- scheme geometry ----------------------------------------------------
 
@@ -356,6 +361,7 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
     system = DiscreteSystem(
         scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
         matrix=np.empty(0), eigvals=np.empty(0), eigvecs=np.empty(0),
+        pinv_gains=np.empty(0), pinv_peak=0.0, clipped_eigvals=np.empty(0),
         sigma_min=0.0, rel_tol=rel_tol, ref_points=ref_points,
     )
 
@@ -374,7 +380,8 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
 
 def _factor_system(system: DiscreteSystem, matrix) -> None:
     """Check ``M A`` is self-adjoint PSD, then store the matrix, the
-    eigenpairs of its symmetrization and ``sigma_min`` on the system."""
+    eigenpairs of its symmetrization, the spectra the two filters read and
+    ``sigma_min`` on the system."""
     matrix = as_matrix(matrix, "matrix")
     if matrix.shape != (system.n, system.n):
         raise NumericalError(
@@ -399,12 +406,23 @@ def _factor_system(system: DiscreteSystem, matrix) -> None:
             f"vs max {vals[0]:.3e})"
         )
 
+    # the numerical rank: rel_tol is the system's own threshold, the only
+    # one any solve or measurement uses
+    mags = np.abs(vals)
+    kept = mags > system.rel_tol * mags.max()
+    gains = np.zeros(system.n)
+    gains[kept] = 1.0 / vals[kept]
+    clipped = np.maximum(vals, 0.0)
+    gains.flags.writeable = clipped.flags.writeable = False
+
     system.matrix = matrix
     system.eigvals = vals
     system.eigvecs = vecs
-    kept = system.kept()
+    system.pinv_gains = gains
+    system.clipped_eigvals = clipped
     # an all-zero spectrum is a numerically zero operator
-    system.sigma_min = float(np.sqrt(np.abs(vals[kept]).min())) if kept.any() else 0.0
+    system.pinv_peak = float(1.0 / mags[kept].min()) if kept.any() else 0.0
+    system.sigma_min = float(np.sqrt(mags[kept].min())) if kept.any() else 0.0
 
 
 def project_data(system: DiscreteSystem, f) -> np.ndarray:
@@ -433,7 +451,12 @@ def apply_adjoint(system: DiscreteSystem, v):
     v = as_vector(v, "v")
     if v.size != system.n:
         raise ValueError(f"coordinate vector has length {v.size}, expected {system.n}")
-    mv = system.space.apply_metric(v)
+    return _reconstruction(system, system.space.apply_metric(v))
+
+
+def _reconstruction(system: DiscreteSystem, mv: np.ndarray):
+    """The function ``s -> sum_i g_i(s) mv_i`` of :func:`apply_adjoint`,
+    for an ``M v`` the caller has already formed."""
 
     def reconstruction(s):
         vals = mv @ system.slice_values(s)

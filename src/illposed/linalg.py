@@ -15,12 +15,15 @@ preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space, a diagonal or a dense SPD Gram metric, and is the only code that knows
-which: the package applies M and its square roots through its products.
+which: the package applies M and its square roots through its products, and
+every discrete solve is one :meth:`WeightedSpace.filter`.
 Systems are symmetrized through ``M^(1/2) A M^(-1/2)`` so that the numerical
 spectrum is the spectrum of the operator in that inner product.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,6 +72,7 @@ class WeightedSpace:
             if w.size == 0 or np.any(w <= 0.0):
                 raise ValueError("weights must be strictly positive")
             factors = (w.copy(), np.sqrt(w), 1.0 / np.sqrt(w))
+            top, bottom = float(w.max()), float(w.min())
         else:
             m = as_matrix(matrix, "metric")
             if m.shape[0] != m.shape[1]:
@@ -80,16 +84,24 @@ class WeightedSpace:
                 raise ValueError("metric matrix must be positive definite")
             factors = (0.5 * (m + m.T), (vecs * np.sqrt(vals)) @ vecs.T,
                        (vecs / np.sqrt(vals)) @ vecs.T)
+            top, bottom = float(vals[0]), float(vals[-1])
         for owned in factors:
             owned.flags.writeable = False
         self._factors = dict(zip((1.0, 0.5, -0.5), factors))  # M^power by power
         self.dim = factors[0].shape[0]
+        # max(1, ||M^(-1/2)||) * max(1, ||M||) from the extreme eigenvalues
+        # of M: how much the products of filter after M^(1/2) y can grow
+        self._filter_growth = max(1.0, 1.0 / math.sqrt(bottom)) * max(1.0, top)
 
     def _left(self, power: float, v) -> np.ndarray:
         """``M^power v`` for a vector or a block of ``dim`` rows."""
         v = np.asarray(v, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows, got shape {v.shape}")
+        return self._product(power, v)
+
+    def _product(self, power: float, v: np.ndarray) -> np.ndarray:
+        """:meth:`_left` of an array the package formed, unchecked."""
         f = self._factors[power]
         if f.ndim == 2:
             return f @ v
@@ -105,11 +117,14 @@ class WeightedSpace:
         return self._left(1.0, v)
 
     def norm(self, v) -> float:
-        v = as_vector(v, "v")
+        return self._norm(as_vector(v, "v"))
+
+    def _norm(self, v: np.ndarray) -> float:
+        """:meth:`norm` of a finite vector the package formed, unchecked."""
         # vdot is the BLAS dot of ``@``, bit for bit, but reports no overflow
         # as a RuntimeWarning (np.errstate costs more than the product at the
         # sizes solved here): an overflow is inf, which callers reject
-        return float(np.sqrt(max(np.vdot(v, self.apply_metric(v)), 0.0)))
+        return math.sqrt(max(np.vdot(v, self.apply_metric(v)), 0.0))
 
     def sqrt_apply(self, v) -> np.ndarray:
         """Return ``M^(1/2) v``."""
@@ -118,6 +133,35 @@ class WeightedSpace:
     def isqrt_apply(self, v) -> np.ndarray:
         """Return ``M^(-1/2) v``."""
         return self._left(-0.5, v)
+
+    def filter(self, basis: np.ndarray, gains: np.ndarray, peak_gain: float,
+               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral filter ``v = M^(-1/2) Q diag(gains) Q^T M^(1/2) y`` and ``M v``.
+
+        ``basis`` is the orthogonal Q, ``peak_gain`` the largest ``|gains|``
+        and ``y`` a vector of ``dim`` entries; none is checked again.  The
+        products are those of :meth:`sqrt_apply`, :meth:`isqrt_apply` and
+        :meth:`apply_metric`, bit for bit.  Every product after ``M^(1/2) y``
+        is bounded by ``||M^(1/2) y|| * peak_gain * max(1, ||M^(-1/2)||) *
+        max(1, ||M||)``; when that bound is not finite (a NaN or Inf in
+        ``y`` makes it so), :class:`NumericalError` is raised before the
+        gains are applied, so none of those products overflows.
+        """
+        sy = self._product(0.5, y)
+        # vdot is silent on overflow; squares beyond the float range are
+        # summed again scaled by the largest entry
+        size = math.sqrt(np.vdot(sy, sy))
+        if size == math.inf:
+            top = float(np.abs(sy).max())
+            if top < math.inf:
+                size = top * math.sqrt(np.vdot(sy / top, sy / top))
+        # a Python product of floats gives inf (or nan), not a warning
+        if not math.isfinite(size * peak_gain * self._filter_growth):
+            raise NumericalError(
+                f"non-finite bound on the filtered solution: ||M^(1/2) y|| {size:.3e} "
+                f"x largest gain {peak_gain:.3e} x metric growth {self._filter_growth:.3e}")
+        v = self._product(-0.5, basis @ (gains * (basis.T @ sy)))
+        return v, self._product(1.0, v)
 
     def symmetrize(self, a) -> np.ndarray:
         """Return ``M^(1/2) A M^(-1/2)``, symmetric when A is self-adjoint."""
@@ -179,23 +223,24 @@ def _lanczos(apply, dim: int):
     """
     steps = min(dim, _LANCZOS_STEPS)
     basis = np.empty((steps, dim))
-    alphas, betas = np.zeros(steps), np.zeros(steps)
+    # the Ritz tridiagonal, grown in place by one row and column per step
+    ritz = np.zeros((steps + 1, steps + 1))
     v = _start_vector(dim)
     for k in range(steps):
         basis[k] = v
         w = apply(v)
-        alphas[k] = v @ w
+        ritz[k, k] = v @ w
         # classical Gram-Schmidt twice: orthogonal to rounding
         for _ in range(2):
             w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        betas[k] = np.linalg.norm(w)
-        ritz = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
-        thetas, vecs = np.linalg.eigh(ritz)
+        beta = np.linalg.norm(w)
+        thetas, vecs = np.linalg.eigh(ritz[: k + 1, : k + 1])
         top = int(np.argmax(np.abs(thetas)))
         theta = abs(thetas[top])
-        if k + 1 == dim or betas[k] * abs(vecs[k, top]) <= _LANCZOS_TOL * theta:
+        if k + 1 == dim or beta * abs(vecs[k, top]) <= _LANCZOS_TOL * theta:
             return float(theta)
-        v = w / betas[k]
+        ritz[k, k + 1] = ritz[k + 1, k] = beta
+        v = w / beta
     return None
 
 

@@ -19,7 +19,7 @@ used, so this module needs nothing from ``linalg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,7 +225,12 @@ class SeparableExpansion:
 
 @dataclass
 class TestProblem:
-    """Kernel plus exact solution/data pair, optionally with closed-form SVD."""
+    """Kernel plus exact solution/data pair, optionally with closed-form SVD.
+
+    ``_reference_errors`` keeps each continuous Tikhonov error ``||x -
+    x_alpha||`` the verifiers measure, by reference-rule point count and
+    ``alpha``, so the cells of one problem share it.
+    """
 
     problem_id: str
     kernel: Kernel
@@ -233,6 +238,8 @@ class TestProblem:
     y: object
     svd: SeparableExpansion | None = None
     source_repr: SourceRepresentation | None = None
+    _reference_errors: dict = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         rule = reference_rule(self.kernel.domain)

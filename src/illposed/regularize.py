@@ -5,8 +5,12 @@ space (pseudo-inverse for exact data, a shifted solve for noisy data), then
 map coordinates back to a function through the adjoint.  Both solves are
 spectral filters of the eigendecomposition the system stores for its
 metric-symmetrized matrix, so truncation and shifts act on the singular
-values of the discretized operator in the correct inner product, and each
-solve costs two matrix-vector products.
+values of the discretized operator in the correct inner product.  The
+factor also carries the spectra the filters read (the minimum-norm gains
+and the clipped eigenvalues), so a solve checks the shape of its data once
+and runs one :meth:`~illposed.linalg.WeightedSpace.filter`: two
+matrix-vector products with the eigenvectors, three with the metric
+factors, and the ``M v`` its reconstruction reuses.
 
 The continuous Tikhonov solution is the yardstick the error bounds compare
 against.  Problems carrying a closed-form singular expansion use the spectral
@@ -22,15 +26,16 @@ family ``phi(t) = t^nu``; it lives on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteSystem, apply_adjoint
+from .discretize import DiscreteSystem, _reconstruction
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
 from .problems import REFERENCE_POINTS, TestProblem, reference_rule
 from .quadrature import QuadratureRule, aligned_rule
-from .validation import as_vector, check_positive
+from .validation import as_vector, check_finite, check_positive
 
 __all__ = [
     "InconsistentDataError",
@@ -74,53 +79,71 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
     """Minimum-norm solution of the discretized equation.
 
     Solves the normal system through the metric-symmetrized pseudo-inverse,
-    keeping the eigenvalues of :meth:`DiscreteSystem.kept` (those above the
-    system's own ``rel_tol * max|lambda|``, the one truncation threshold,
-    fixed when the system is built), and reconstructs ``x = T_n* v``.
+    the filter :attr:`DiscreteSystem.pinv_gains` (``1 / lambda`` on the
+    eigenvalues above the system's own ``rel_tol * max|lambda|``, the one
+    truncation threshold, fixed when the system is built), and reconstructs
+    ``x = T_n* v``.
     Raises :class:`InconsistentDataError` when the residual exceeds
     ``rel_tol * ||y_n|| + residual_allowance`` in the data norm, i.e. the
     data is numerically outside the operator's range.  For noisy data pass
     the noise level as the allowance: components outside the range up to
     that size are expected and are simply not seen by the reconstruction.
     """
-    y_n = as_vector(y_n, "y_n")
-    if y_n.size != system.n:
-        raise ValueError(f"data has length {y_n.size}, expected {system.n}")
+    y_n = _data(system, y_n, "y_n")
     space = system.space
-    keep = system.kept()
-    gains = np.zeros(system.n)
-    gains[keep] = 1.0 / system.eigvals[keep]
-    v = _filter(system, gains, y_n)
-    residual = space.norm(system.matrix @ v - y_n)
-    threshold = system.rel_tol * space.norm(y_n) + residual_allowance
+    v, mv = _filter(system, system.pinv_gains, system.pinv_peak, y_n, "y_n")
+    residual = space._norm(system.matrix @ v - y_n)
+    threshold = system.rel_tol * space._norm(y_n) + residual_allowance
     if residual > threshold:
         raise InconsistentDataError(
             f"inconsistent discrete data: residual {residual:.3e} exceeds "
             f"{threshold:.3e}"
         )
-    return Reconstruction(coordinates=v, function=apply_adjoint(system, v))
+    return Reconstruction(coordinates=v, function=_reconstruction(system, mv))
 
 
 def tikhonov_discrete(system: DiscreteSystem, y_tilde_n, alpha: float) -> Reconstruction:
     """Shifted solve of the discrete normal system (noise-robust path).
 
-    Filters by ``1 / (max(lambda, 0) + alpha)``: negative eigenvalues are
-    rounding of a system already certified PSD, and clipping them keeps
-    shifts below that rounding floor solvable.
+    Filters :attr:`DiscreteSystem.clipped_eigvals` by ``1 / (max(lambda,
+    0) + alpha)``: negative eigenvalues are rounding of a system already
+    certified PSD, and clipping them keeps shifts below that rounding floor
+    solvable.
     """
     alpha = check_positive(alpha, "alpha")
-    y_tilde_n = as_vector(y_tilde_n, "y_tilde_n")
-    if y_tilde_n.size != system.n:
-        raise ValueError(f"data has length {y_tilde_n.size}, expected {system.n}")
-    v = _filter(system, 1.0 / (np.maximum(system.eigvals, 0.0) + alpha), y_tilde_n)
-    return Reconstruction(coordinates=v, function=apply_adjoint(system, v))
+    y_tilde_n = _data(system, y_tilde_n, "y_tilde_n")
+    clipped = system.clipped_eigvals
+    # the largest gain, in the arithmetic of the gains below (the spectrum
+    # is non-increasing); only a subnormal alpha overflows it
+    peak = 1.0 / (float(clipped[-1]) + alpha)
+    if not math.isfinite(peak):
+        raise NumericalError(f"non-finite Tikhonov gain 1/alpha at alpha {alpha!r}")
+    v, mv = _filter(system, 1.0 / (clipped + alpha), peak, y_tilde_n, "y_tilde_n")
+    return Reconstruction(coordinates=v, function=_reconstruction(system, mv))
 
 
-def _filter(system: DiscreteSystem, gains: np.ndarray, y_n: np.ndarray) -> np.ndarray:
-    """Coordinates ``M^(-1/2) Q diag(gains) Q^T M^(1/2) y`` from the stored factor."""
-    q = system.eigvecs
-    z = q @ (gains * (q.T @ system.space.sqrt_apply(y_n)))
-    return system.space.isqrt_apply(z)
+def _data(system: DiscreteSystem, y, name: str) -> np.ndarray:
+    """The caller's data as a float vector of the system's length; whether
+    it is finite, :func:`_filter` finds out."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {y.shape}")
+    if y.size != system.n:
+        raise ValueError(f"data has length {y.size}, expected {system.n}")
+    return y
+
+
+def _filter(system: DiscreteSystem, gains: np.ndarray, peak: float, y: np.ndarray,
+            name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`WeightedSpace.filter` of the caller's data ``y`` by the stored
+    factor.  A NaN or Inf in ``y`` makes the filter's bound non-finite, so
+    the data is checked only when the filter refuses it: a non-finite entry
+    is the caller's ``ValueError``, anything else a ``NumericalError``."""
+    try:
+        return system.space.filter(system.eigvecs, gains, peak, y)
+    except NumericalError:
+        check_finite(y, name)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ propagating NaNs into an iteration.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -42,13 +43,13 @@ def as_matrix(x, name: str = "A") -> np.ndarray:
 
 
 def check_finite(arr: np.ndarray, name: str = "array") -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
 
 
 def check_positive(value: float, name: str = "value") -> float:
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 

@@ -431,6 +431,21 @@ def test_a_non_finite_measurement_is_a_numerical_failure(tmp_path, capsys, comma
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--delta", "1e300"],
+    ["verify", "--problem", "green-m1", "--n", "16", "--delta", "1e300"],
+])
+def test_noise_that_overflows_the_filter_is_a_numerical_failure(tmp_path, capsys, argv):
+    # at their defaults these runs used to end in a traceback (an inf
+    # coordinate vector) or, under error::RuntimeWarning, in an overflow
+    # inside the filter; the filter now refuses the data first
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_solve_summary_equals_the_study_rows(tmp_path):
     # both commands run the same cell, so a fixed alpha and noise must give
     # the same bytes

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from illposed.analysis import l2_error
 from illposed.discretize import apply_adjoint, build_system, estimate_epsilon, project_data
-from illposed.linalg import WeightedSpace
+from illposed.linalg import NumericalError, WeightedSpace
 from illposed.problems import (
     Domain,
     Kernel,
@@ -233,6 +233,99 @@ def test_tikhonov_shift_below_rounding_floor():
         y = space.isqrt_apply(q)
         gain = y @ space.apply_metric(tikhonov_discrete(system, y, alpha).coordinates)
         assert 0.0 < gain <= (1.0 + 1e-12) / alpha
+
+
+def written_out_filter(system, gains, y_n):
+    # today's expression for both solves, product by product through the
+    # space's public methods: M^(-1/2) Q diag(g) Q^T M^(1/2) y
+    space, q = system.space, system.eigvecs
+    return space.isqrt_apply(q @ (gains * (q.T @ space.sqrt_apply(y_n))))
+
+
+@pytest.mark.parametrize("pid, scheme, n", [
+    ("green-m1", "collocation", 16),
+    ("green-m1", "interpolatory", 16),
+    ("green-m1", "ortho-pc", 16),
+    ("rank1-sine", "collocation", 16),  # eps_n is rounding, clipped eigenvalues
+    ("rank3-decay", "interpolatory", 32),
+])
+def test_solves_have_the_bits_of_the_written_out_filter(pid, scheme, n):
+    prob = get_problem(pid)
+    system = build_system(prob.kernel, scheme, n)
+    y_n = project_data(system, prob.y)
+    lam = system.eigvals
+    kept = np.abs(lam) > system.rel_tol * np.abs(lam).max()
+    pinv = np.zeros(n)
+    pinv[kept] = 1.0 / lam[kept]
+    solves = [(min_norm_solution(system, y_n), pinv)]
+    for alpha in (system.epsilon_n, 1e-4):
+        solves.append((tikhonov_discrete(system, y_n, alpha),
+                       1.0 / (np.maximum(lam, 0.0) + alpha)))
+    for rec, gains in solves:
+        expected = written_out_filter(system, gains, y_n)
+        assert np.array_equal(rec.coordinates, expected)
+        # the reconstruction is the adjoint of those coordinates, bit for bit
+        assert np.array_equal(rec.function(REF.nodes), apply_adjoint(system, expected)(REF.nodes))
+
+
+def test_tikhonov_rejects_a_shift_whose_gain_overflows():
+    # 1 / alpha is inf for a subnormal alpha: refused before the gains are
+    # formed, so no RuntimeWarning (an error in this suite) is raised
+    prob = get_problem("rank1-sine")
+    system = build_system(prob.kernel, "collocation", 8)
+    assert system.clipped_eigvals[-1] == 0.0
+    with pytest.raises(NumericalError, match="non-finite"):
+        tikhonov_discrete(system, project_data(system, prob.y), 1e-310)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_solves_keep_data_whose_squares_overflow(scheme):
+    # ||y|| near 1e200 squares beyond the float range, but with gains near 1
+    # (rank1-sine's one kept eigenvalue, alpha = 1) nothing the filter forms
+    # overflows: a power-of-two scale passes through every product exactly
+    prob = get_problem("rank1-sine")
+    system = build_system(prob.kernel, scheme, 8)
+    y_n = project_data(system, prob.y)
+    big = 2.0 ** 664  # about 1.2e200
+    assert system.pinv_peak < 2.0
+    for solve in (min_norm_solution, lambda s, y: tikhonov_discrete(s, y, 1.0)):
+        v = solve(system, y_n).coordinates
+        assert np.array_equal(solve(system, big * y_n).coordinates, big * v)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_solves_refuse_data_whose_filter_overflows(scheme):
+    # data of 1e305 on every mode meets gains of 1e5 and more: the written-out
+    # filter overflows, and the solves raise a NumericalError instead of
+    # returning an inf coordinate or raising a RuntimeWarning
+    prob = get_problem("green-m1")
+    system = build_system(prob.kernel, scheme, 8)
+    y_n = 1e305 * np.random.default_rng(3).standard_normal(8)
+    alpha = 1e-6
+    for gains in (system.pinv_gains, 1.0 / (system.clipped_eigvals + alpha)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(written_out_filter(system, gains, y_n)).all()
+    with pytest.raises(NumericalError, match="non-finite"):
+        min_norm_solution(system, y_n)
+    with pytest.raises(NumericalError, match="non-finite"):
+        tikhonov_discrete(system, y_n, alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solves_reject_non_finite_data_as_the_callers_error(bad):
+    # the filter's bound finds the entry; the error names the data, and no
+    # RuntimeWarning (an error in this suite) is raised on the way
+    prob = get_problem("green-m1")
+    for scheme in ("collocation", "interpolatory"):
+        system = build_system(prob.kernel, scheme, 8)
+        y_n = project_data(system, prob.y)
+        y_n[3] = bad
+        with pytest.raises(ValueError, match="y_n contains NaN or Inf"):
+            min_norm_solution(system, y_n)
+        with pytest.raises(ValueError, match="y_tilde_n contains NaN or Inf"):
+            tikhonov_discrete(system, y_n, 1e-3)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            tikhonov_discrete(system, y_n[:, None], 1e-3)
 
 
 def test_tikhonov_rejects_wrong_length():

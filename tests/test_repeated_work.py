@@ -251,3 +251,19 @@ def test_verify_th3_projects_and_solves_the_exact_data_once(monkeypatch, deltas)
     assert [r.skipped for r in combined] == [d == 1e-2 for d in deltas]
     # ||x - x_eps|| is integrated at most once: only if a hypothesis holds
     assert counts["tikhonov_continuous_reference"] == int(any(d < 1e-2 for d in deltas))
+
+
+def test_verify_integrates_each_continuous_reference_once(tmp_path, monkeypatch):
+    # the default grid has 33 distinct (problem, rule, alpha): alpha 1e-2 and
+    # 1e-4 per problem and eps_n per cell, every n on one 256-point rule;
+    # Th-1, Th-3-combined and Th-5 used to integrate them 120 times
+    counts = Counter()
+    reference = analysis.tikhonov_continuous_reference
+
+    def counting(problem, rule, alpha):
+        counts[problem.problem_id, rule.n_points, alpha] += 1
+        return reference(problem, rule, alpha)
+
+    monkeypatch.setattr(analysis, "tikhonov_continuous_reference", counting)
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(counts) == 33 and max(counts.values()) == 1, counts
