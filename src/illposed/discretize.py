@@ -466,6 +466,25 @@ def _reconstruction(system: DiscreteSystem, mv: np.ndarray):
     return reconstruction
 
 
+# Side of the square tiles that estimate_epsilon walks in mirror pairs: a
+# tile and its 512 KiB partner stay in cache while the partner is read
+# transposed.  Measured on one core with 1 BLAS thread: at m = 1024 the
+# weighted difference takes 9.3 ms (13.3 ms untiled); at m = 256 it is one
+# tile and costs what the untiled pass does.  Tiles of 128 or 192 are no
+# faster at 1024 and cost 1.5x at 256.
+_TILE = 256
+
+
+def _tile_pairs(dim: int):
+    """Slice pairs ``(rows, cols)`` of the square tiles of a ``dim x dim``
+    matrix on and above the diagonal, by tile row; ``rows is cols`` on the
+    diagonal, and the last tile of a row or column is ragged."""
+    tiles = [slice(start, start + _TILE) for start in range(0, dim, _TILE)]
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            yield rows, cols
+
+
 def estimate_epsilon(system: DiscreteSystem) -> float:
     """Measured upper bound for the operator-level discretization error.
 
@@ -475,10 +494,10 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     operator norm, and returns the norm of the difference times a safety
     factor of 1.1.  The continuous half depends on the kernel and the rule
     only and comes from :meth:`Kernel.normal_gram`, which keeps it for the
-    last rule.  The difference is weighted and symmetrized in two reused
-    m x m buffers, symmetric by construction, and its norm comes from
-    :func:`symmetric_norm` on ``x -> sym @ x`` (Lanczos, within 1e-13
-    relative of LAPACK's).  Each call measures afresh;
+    last rule.  The difference is weighted and symmetrized in place, in the
+    one m x m buffer of the discrete half, tile pair by tile pair, and its
+    norm comes from :func:`symmetric_norm` on ``x -> diff @ x`` (Lanczos,
+    within 1e-13 relative of LAPACK's).  Each call measures afresh;
     :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
     """
     rule = system.reference_rule
@@ -486,17 +505,28 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
 
     normal_cont = system.kernel.normal_gram(rule)
     gv = system.slice_values(rule.nodes)
-    # (normal_cont - normal_disc) * outer(sqrt_rho, sqrt_rho), then the
-    # symmetric part, in the order of the dense expression: eps_n of the
-    # finite-rank collocation cells is rounding noise, and its bits feed
-    # every alpha = eps_n row
+    # d = (normal_cont - normal_disc) * outer(sqrt_rho, sqrt_rho) and its
+    # symmetric part 0.5 (d + d^T), a tile and its mirror at a time, with
+    # the dense expression's operations on every entry (r_i r_j may be
+    # r_j r_i, and the halves of a sum swap; both commute exactly): eps_n
+    # of the finite-rank collocation cells is rounding noise, and its bits
+    # feed every alpha = eps_n row
     diff = gv.T @ system.space.apply_metric(gv)
-    np.subtract(normal_cont, diff, out=diff)
-    sym = np.outer(sqrt_rho, sqrt_rho)
-    diff *= sym
-    np.add(diff, diff.T, out=sym)
-    sym *= 0.5
-    return _EPS_SAFETY * symmetric_norm(lambda x: sym @ x, sym.shape[0])
+    for rows, cols in _tile_pairs(diff.shape[0]):
+        weight = np.outer(sqrt_rho[rows], sqrt_rho[cols])
+        upper, lower = diff[rows, cols], diff[cols, rows]
+        np.subtract(normal_cont[rows, cols], upper, out=upper)
+        upper *= weight
+        if rows is cols:
+            np.add(upper, upper.T, out=weight)
+            np.multiply(weight, 0.5, out=upper)
+        else:
+            np.subtract(normal_cont[cols, rows], lower, out=lower)
+            lower *= weight.T
+            np.add(upper, lower.T, out=upper)
+            upper *= 0.5
+            lower[...] = upper.T
+    return _EPS_SAFETY * symmetric_norm(lambda x: diff @ x, diff.shape[0])
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from illposed.analysis import (
 )
 from illposed.discretize import (
     _CELL_GAUSS,
+    _TILE,
     DiscreteSystem,
     SchemeKind,
     _cell_average_slices,
@@ -367,6 +370,34 @@ def test_epsilon_agrees_with_lapack(grid_systems):
     for key, system in grid_systems.items():
         lapack = 1.1 * np.max(np.abs(np.linalg.eigvalsh(_dense_difference(system))))
         assert estimate_epsilon(system) == pytest.approx(lapack, rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("ref_points", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 37, 4 * _TILE])
+def test_epsilon_keeps_the_dense_bits_across_tile_edges(ref_points):
+    # the weighted difference is formed a tile pair at a time; rule sizes
+    # on both sides of a tile edge, a ragged third tile row, and four whole
+    # tiles; rank1-sine collocation n = 16 is a rounding-noise cell
+    for pid in ("rank1-sine", "green-m1"):
+        kernel = get_problem(pid).kernel
+        for scheme in ("collocation", "interpolatory", "ortho-pc"):
+            system = build_system(kernel, scheme, 16, ref_points=ref_points)
+            assert estimate_epsilon(system) == _dense_epsilon(system, ref_points), (pid, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_epsilon_holds_one_m_by_m_buffer(scheme):
+    # the discrete half's product is weighted and symmetrized in place; a
+    # second m x m array (the weights, or the symmetric part) would reach 2
+    system = build_system(get_problem("green-m1").kernel, scheme, 32, ref_points=1024)
+    estimate_epsilon(system)  # the kernel's normal_gram memo and the slice memo
+    m = system.reference_rule.n_points
+    tracemalloc.start()
+    try:
+        estimate_epsilon(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * m * 8, peak / (m * m * 8)
 
 
 # Green's kernel in J closed-form sines: the stored 64-term expansion is too
