@@ -231,6 +231,8 @@ def verify_th3(problem: TestProblem, system: DiscreteSystem, deltas,
     for ctx in contexts:
         y_tilde = add_noise(y_n, system.space, NoiseSpec(delta_n=ctx.delta, seed=seed))
         delta = system.space.norm(y_tilde - y_n)
+        if not math.isfinite(delta):  # overflowed noise: nothing to measure, no allowance
+            raise NumericalError(f"non-finite noise norm {delta!r} at delta {ctx.delta!r}")
         try:
             # range components of the noise up to delta are expected; anything
             # beyond that means the data is genuinely outside the range

@@ -21,13 +21,12 @@ metric, and the matrix of the composed operator on the data space is
 ``A = K M`` where ``K_ij = integral g_i g_j``.  ``M A`` is then symmetric
 positive semidefinite by construction.
 
-:func:`build_system` is the one place a system is assembled, validated and
-factored: it checks that ``M A`` is self-adjoint PSD, then stores one
-eigendecomposition that every solve filters, with the two spectra the
-filters read.  A matrix handed to it (a
-replayed dump) skips the assembly and goes through the same checks and the
-same factorization.  It also fixes the size of the system's reference rule,
-on which ``eps_n``, ``||T||`` and every L2 error of the system are measured.
+:func:`build_system` makes each system whole, in one construction: it fixes
+the scheme geometry (rule, metric, breakpoints), assembles ``A`` (a replayed
+dump skips this), checks that ``M A`` is self-adjoint PSD and factors it
+once, into the eigendecomposition every solve filters and the two spectra
+the filters read.  It also fixes the size of the reference rule, on which
+``eps_n``, ``||T||`` and every L2 error of the system are measured.
 
 Entry integrals use a panel-aligned composite Gauss rule by default: panels
 break at the scheme's nodes/cell boundaries, where diagonally kinked kernels
@@ -102,9 +101,9 @@ class SchemeKind(str, enum.Enum):
         return aliases[text]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteSystem:
-    """One assembled discretization of a kernel.
+    """One assembled and factored discretization of a kernel, frozen.
 
     Attributes
     ----------
@@ -114,6 +113,9 @@ class DiscreteSystem:
         it), or the cell midpoint rule.
     space : WeightedSpace
         Inner product of the data space.
+    knots : ndarray
+        Breakpoints of the scheme grid (ends and nodes, or cell edges), between
+        which all scheme integrands are smooth.  Read-only.
     matrix : ndarray
         Matrix of the composed operator (the normal operator on data space)
         in the scheme basis; ``A = K M`` with ``K_ij = integral g_i g_j``.
@@ -136,11 +138,11 @@ class DiscreteSystem:
         are measured on :attr:`reference_rule`, the projection-defect norms
         on a rule of this size aligned with the scheme grid.
 
-    Three caches sit beside the fixed fields: :attr:`reference_rule` and
-    :attr:`epsilon_n`, formed on their first read, and the last grid that
-    :meth:`slice_values` sampled with the slice values there, one read-only
-    ``(grid, values)`` tuple replaced by a single attribute store; concurrent
-    readers therefore see either the old or the new pair and at worst recompute.
+    Three caches, the only writes after construction, sit beside the fields:
+    :attr:`reference_rule` and :attr:`epsilon_n`, formed on their first read,
+    and the last grid that :meth:`slice_values` sampled with the slice values
+    there, one read-only ``(grid, values)`` tuple replaced by a single store;
+    concurrent readers see either the old or the new pair and at worst recompute.
     """
 
     scheme: SchemeKind
@@ -148,6 +150,7 @@ class DiscreteSystem:
     kernel: Kernel
     rule: QuadratureRule
     space: WeightedSpace
+    knots: np.ndarray
     matrix: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
@@ -178,11 +181,8 @@ class DiscreteSystem:
     # -- scheme geometry ----------------------------------------------------
 
     def grid_knots(self) -> np.ndarray:
-        """Breakpoints between which all scheme integrands are smooth."""
-        a, b = self.domain.a, self.domain.b
-        if self.scheme is SchemeKind.ORTHO_PC:
-            return np.linspace(a, b, self.n + 1)
-        return np.unique(np.concatenate(([a], self.rule.nodes, [b])))
+        """:attr:`knots`, the breakpoints of the scheme grid."""
+        return self.knots
 
     # -- slice and basis evaluation ------------------------------------------
 
@@ -206,12 +206,9 @@ class DiscreteSystem:
                 f"points must lie in the domain [{a}, {b}]; got values in "
                 f"[{t.min()!r}, {t.max()!r}]"
             )
-        if self.scheme is SchemeKind.ORTHO_PC:
-            values = _cell_average_slices(self.kernel, self.grid_knots(), t)
-        else:
-            values = self.kernel(self.rule.nodes[:, None], t[None, :])
+        values = _slice_values(self.scheme, self.kernel, self.rule, self.knots, t)
         values.flags.writeable = False
-        self._slices = (t.copy(), values)
+        object.__setattr__(self, "_slices", (t.copy(), values))
         return values
 
     def basis_values(self, s_points) -> np.ndarray:
@@ -223,8 +220,7 @@ class DiscreteSystem:
         """
         s = np.atleast_1d(np.asarray(s_points, dtype=float))
         if self.scheme is SchemeKind.ORTHO_PC:
-            edges = self.grid_knots()
-            idx = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, self.n - 1)
+            idx = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, self.n - 1)
             out = np.zeros((s.size, self.n))
             out[np.arange(s.size), idx] = 1.0
             return out
@@ -254,6 +250,14 @@ def _hat_space(n: int, h: float) -> WeightedSpace:
     diag[0] = diag[-1] = h / 3.0
     off = np.full(n - 1, h / 6.0)
     return WeightedSpace(matrix=np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _slice_values(scheme, kernel, rule, knots, t) -> np.ndarray:
+    """Values ``g_i(t)`` of the scheme slices at the points ``t``, shape
+    (n, t.size): kernel sections at the nodes, or their cell averages."""
+    if scheme is SchemeKind.ORTHO_PC:
+        return _cell_average_slices(kernel, knots, t)
+    return kernel(rule.nodes[:, None], t[None, :])
 
 
 def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -291,7 +295,7 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
 def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | None = None,
                  rel_tol: float = 1e-10, ref_points: int = REFERENCE_POINTS,
                  matrix=None) -> DiscreteSystem:
-    """Assemble, validate and factor the discrete normal system.
+    """Fix the scheme geometry, assemble, check and factor: one frozen system.
 
     Parameters
     ----------
@@ -314,14 +318,15 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         dump); slice sampling and assembly are skipped, the checks and the
         factorization are the same.
 
-    The entry integrals use a composite Gauss rule aligned with the scheme
-    grid, with at least ``4 n`` points and 8 per panel.
+    The scheme fixes the rule, the metric and :attr:`DiscreteSystem.knots`;
+    the entry integrals use a composite Gauss rule aligned with the knots,
+    with at least ``4 n`` points and 8 per panel.
 
     Raises
     ------
     ValueError
         If ``n`` or ``ref_points`` is not an integer or is too small, or the
-        outer rule does not fit the scheme.
+        outer rule does not fit the scheme (n nodes in the kernel's domain).
     NumericalError
         If the matrix has the wrong shape or is not self-adjoint PSD in the
         data-space metric, which indicates a broken kernel, rule or dump.
@@ -334,61 +339,54 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         raise ValueError(f"ref_points must be at least 1, got {ref_points}")
     dom = kernel.domain
 
+    least = 2 if scheme is SchemeKind.INTERPOLATORY else 1
+    if n < least:
+        raise ValueError(f"{scheme.value} scheme needs n >= {least}")
+    if outer_rule is not None and scheme is not SchemeKind.COLLOCATION:
+        raise ValueError("outer_rule applies to the collocation scheme only")
+
     if scheme is SchemeKind.COLLOCATION:
-        if n < 1:
-            raise ValueError("collocation needs n >= 1")
         rule = outer_rule if outer_rule is not None else gauss_legendre(n, dom)
-        if rule.n_points != n:
-            raise ValueError("outer rule size does not match n")
+        if rule.n_points != n or min(rule.nodes[0] - dom.a, dom.b - rule.nodes[-1]) < -1e-12:
+            raise ValueError(f"outer rule needs {n} nodes in the kernel's domain")
         space = WeightedSpace(weights=rule.weights)
+        knots = np.unique(np.concatenate(([dom.a], rule.nodes, [dom.b])))
     elif scheme is SchemeKind.INTERPOLATORY:
-        if n < 2:
-            raise ValueError("interpolatory scheme needs n >= 2")
-        if outer_rule is not None:
-            raise ValueError("outer_rule applies to the collocation scheme only")
         rule = composite_trapezoid(n, dom)
         space = _hat_space(n, dom.length / (n - 1))
+        knots = rule.nodes.copy()  # the grid, both ends included
     else:
-        if n < 1:
-            raise ValueError("ortho-pc scheme needs n >= 1")
-        if outer_rule is not None:
-            raise ValueError("outer_rule applies to the collocation scheme only")
         h = dom.length / n
         mids = dom.a + h * (np.arange(n) + 0.5)
         rule = QuadratureRule(mids, np.full(n, h), domain=dom)
         space = WeightedSpace(weights=rule.weights)
-
-    system = DiscreteSystem(
-        scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
-        matrix=np.empty(0), eigvals=np.empty(0), eigvecs=np.empty(0),
-        pinv_gains=np.empty(0), pinv_peak=0.0, clipped_eigvals=np.empty(0),
-        sigma_min=0.0, rel_tol=rel_tol, ref_points=ref_points,
-    )
+        knots = np.linspace(dom.a, dom.b, n + 1)
+    knots.flags.writeable = False
 
     if matrix is None:
-        inner = aligned_rule(system.grid_knots(), 4 * n, min_per_panel=8)
-        gv = system.slice_values(inner.nodes)
+        inner = aligned_rule(knots, 4 * n, min_per_panel=8)
+        gv = _slice_values(scheme, kernel, rule, knots, inner.nodes)
         if not np.all(np.isfinite(gv)):
             raise NumericalError("kernel produced non-finite slice samples")
         slice_gram = (gv * inner.weights) @ gv.T
         # S M = (M S)^T for the symmetric S; a C-ordered copy, since the
         # factorization's BLAS calls round by memory layout
         matrix = np.ascontiguousarray(space.apply_metric(0.5 * (slice_gram + slice_gram.T)).T)
-    _factor_system(system, matrix)
-    return system
+    return DiscreteSystem(scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
+                          knots=knots, rel_tol=rel_tol, ref_points=ref_points,
+                          **_factor(space, matrix, n, rel_tol))
 
 
-def _factor_system(system: DiscreteSystem, matrix) -> None:
-    """Check ``M A`` is self-adjoint PSD, then store the matrix, the
-    eigenpairs of its symmetrization, the spectra the two filters read and
-    ``sigma_min`` on the system."""
+def _factor(space: WeightedSpace, matrix, n: int, rel_tol: float) -> dict:
+    """Check ``M A`` is self-adjoint PSD, then return the factor fields of a
+    :class:`DiscreteSystem` by name: the matrix, the eigenpairs of its
+    symmetrization, the spectra the two filters read and ``sigma_min``."""
     matrix = as_matrix(matrix, "matrix")
-    if matrix.shape != (system.n, system.n):
+    if matrix.shape != (n, n):
         raise NumericalError(
-            f"matrix shape {matrix.shape} does not match the system "
-            f"({system.n}, {system.n})"
+            f"matrix shape {matrix.shape} does not match the system ({n}, {n})"
         )
-    metric_a = system.space.apply_metric(matrix)
+    metric_a = space.apply_metric(matrix)
     scale = float(np.max(np.abs(metric_a))) or 1.0
     asym = float(np.max(np.abs(metric_a - metric_a.T)))
     if asym > _SYMMETRY_RTOL * scale:
@@ -397,7 +395,7 @@ def _factor_system(system: DiscreteSystem, matrix) -> None:
             f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
         )
 
-    sym = system.space.symmetrize(matrix)
+    sym = space.symmetrize(matrix)
     sym = 0.5 * (sym + sym.T)
     vals, vecs = eigh_symmetric(sym)
     if vals[-1] < -_PSD_RTOL * np.max(np.abs(vals)):
@@ -409,20 +407,16 @@ def _factor_system(system: DiscreteSystem, matrix) -> None:
     # the numerical rank: rel_tol is the system's own threshold, the only
     # one any solve or measurement uses
     mags = np.abs(vals)
-    kept = mags > system.rel_tol * mags.max()
-    gains = np.zeros(system.n)
+    kept = mags > rel_tol * mags.max()
+    gains = np.zeros(n)
     gains[kept] = 1.0 / vals[kept]
     clipped = np.maximum(vals, 0.0)
     gains.flags.writeable = clipped.flags.writeable = False
-
-    system.matrix = matrix
-    system.eigvals = vals
-    system.eigvecs = vecs
-    system.pinv_gains = gains
-    system.clipped_eigvals = clipped
     # an all-zero spectrum is a numerically zero operator
-    system.pinv_peak = float(1.0 / mags[kept].min()) if kept.any() else 0.0
-    system.sigma_min = float(np.sqrt(mags[kept].min())) if kept.any() else 0.0
+    floor = float(mags[kept].min()) if kept.any() else 0.0
+    return dict(matrix=matrix, eigvals=vals, eigvecs=vecs, pinv_gains=gains,
+                clipped_eigvals=clipped, pinv_peak=1.0 / floor if floor else 0.0,
+                sigma_min=float(np.sqrt(floor)))
 
 
 def project_data(system: DiscreteSystem, f) -> np.ndarray:
@@ -432,7 +426,7 @@ def project_data(system: DiscreteSystem, f) -> np.ndarray:
     averages for the orthogonal piecewise-constant scheme.
     """
     if system.scheme is SchemeKind.ORTHO_PC:
-        edges = system.grid_knots()
+        edges = system.knots
         nodes, weights = segment_gauss(edges[:-1], edges[1:], _CELL_GAUSS)
         vals = np.asarray(f(nodes), dtype=float)
         return np.einsum("ij,ij->i", vals, weights) / (edges[1] - edges[0])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_vector
+from .validation import as_vector, check_integer
 
 __all__ = [
     "Domain",
@@ -129,7 +129,7 @@ def segment_gauss(lo, hi, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def composite_trapezoid(n: int, dom: Domain) -> QuadratureRule:
     """Equispaced trapezoid rule with ``n`` nodes including both endpoints."""
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 2:
         raise ValueError("composite trapezoid rule needs n >= 2")
     nodes = np.linspace(dom.a, dom.b, n)
@@ -152,7 +152,7 @@ def composite_gauss(knots, points_per_panel: int) -> QuadratureRule:
     polynomials of degree ``2 q - 1`` with breakpoints at the knots.
     """
     knots = as_vector(knots, "knots")
-    q = int(points_per_panel)
+    q = check_integer(points_per_panel, "points_per_panel")
     if knots.size < 2 or np.any(np.diff(knots) <= 0.0):
         raise ValueError("knots must be strictly increasing with at least two entries")
     if q < 1:
@@ -172,5 +172,6 @@ def aligned_rule(knots, min_points: int, min_per_panel: int = 4) -> QuadratureRu
     panels = knots.size - 1
     if panels < 1:
         raise ValueError("need at least two distinct knots")
-    q = max(min_per_panel, math.ceil(int(min_points) / panels))
+    q = max(check_integer(min_per_panel, "min_per_panel"),
+            math.ceil(check_integer(min_points, "min_points") / panels))
     return composite_gauss(knots, q)

@@ -88,7 +88,10 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
     data is numerically outside the operator's range.  For noisy data pass
     the noise level as the allowance: components outside the range up to
     that size are expected and are simply not seen by the reconstruction.
+    The allowance must be finite and non-negative.
     """
+    if not 0.0 <= float(residual_allowance) < math.inf:
+        raise ValueError(f"residual_allowance must be finite and >= 0, got {residual_allowance!r}")
     y_n = _data(system, y_n, "y_n")
     space = system.space
     v, mv = _filter(system, system.pinv_gains, system.pinv_peak, y_n, "y_n")

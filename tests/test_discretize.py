@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,8 @@ def test_build_argument_validation():
         build_system(kernel, "ortho", 4, outer_rule=gauss_legendre(4, UNIT))
     with pytest.raises(ValueError):
         build_system(kernel, "collocation", 4, outer_rule=gauss_legendre(5, UNIT))
+    with pytest.raises(ValueError, match="domain"):
+        build_system(kernel, "collocation", 4, outer_rule=gauss_legendre(4, Domain(0.0, 2.0)))
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.5])
@@ -208,6 +211,29 @@ def test_factor_system_rejects_broken_matrices():
                      matrix=matrix + np.triu(np.ones((6, 6))) * np.max(matrix))
     with pytest.raises(NumericalError, match="shape"):
         build_system(kernel, "collocation", 6, matrix=np.eye(5))
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_a_system_is_built_whole(scheme):
+    # assembled or replayed, a system has every factor field at its full
+    # size from the start, and none of its fields can be assigned later
+    kernel = get_problem("green-m1").kernel
+    system = build_system(kernel, scheme, 8)
+    replayed = build_system(kernel, scheme, 8, matrix=system.matrix)
+    for built in (system, replayed):
+        for name in ("matrix", "eigvecs"):
+            assert getattr(built, name).shape == (8, 8)
+        for name in ("eigvals", "pinv_gains", "clipped_eigvals"):
+            assert getattr(built, name).shape == (8,)
+        assert built.pinv_peak > 0.0 and built.sigma_min > 0.0
+        assert built.grid_knots() is built.knots and not built.knots.flags.writeable
+        for name in ("matrix", "eigvecs", "sigma_min"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, getattr(built, name))
+    assert np.array_equal(replayed.eigvals, system.eigvals)
+    knots = {"collocation": np.concatenate(([0.0], system.rule.nodes, [1.0])),
+             "interpolatory": system.rule.nodes, "ortho-pc": np.linspace(0.0, 1.0, 9)}
+    assert np.array_equal(system.knots, knots[scheme])
 
 
 # ---------------------------------------------------------------------------

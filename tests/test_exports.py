@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,15 @@ def test_every_imported_name_is_used(filename):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     module = importlib.import_module(f"illposed.{path.stem}")
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+def test_every_test_named_in_the_readme_exists():
+    # the README names the test that pins each invariant it states; a
+    # renamed or deleted test must not leave a dangling name behind
+    root = Path(__file__).resolve().parents[1]
+    named = set(re.findall(r"\b(test_\w+)(?!\w|\.py)", (root / "README.md").read_text("utf-8")))
+    defined = {node.name for path in (root / "tests").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    assert len(named) >= 20, sorted(named)
+    assert named <= defined, sorted(named - defined)

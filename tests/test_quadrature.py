@@ -46,6 +46,22 @@ def test_trapezoid_rejects_small_n():
         composite_trapezoid(1, UNIT)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: composite_trapezoid(8.7, UNIT),
+    lambda: composite_trapezoid(True, UNIT),
+    lambda: composite_gauss([0.0, 0.5, 1.0], 3.9),
+    lambda: aligned_rule([0.0, 0.5, 1.0], 16.5),
+    lambda: aligned_rule([0.0, 0.5, 1.0], 16, min_per_panel=4.0),
+    lambda: gauss_legendre(8.7, UNIT),
+], ids=["trapezoid-float", "trapezoid-bool", "composite-gauss-float", "aligned-float-points",
+        "aligned-float-per-panel", "gauss-legendre-float"])
+def test_rule_sizes_are_integers(make):
+    # int() would quietly turn 8.7 nodes into 8
+    with pytest.raises(ValueError, match="integer"):
+        make()
+    assert composite_trapezoid(np.int64(5), UNIT).n_points == 5
+
+
 def test_gauss_one_point_is_midpoint():
     rule = gauss_legendre(1, Domain(-1.0, 1.0))
     assert rule.nodes == pytest.approx([0.0], abs=1e-15)

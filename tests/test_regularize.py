@@ -81,6 +81,19 @@ def test_min_norm_rejects_out_of_range_data():
     assert np.all(np.isfinite(rec.coordinates))
 
 
+@pytest.mark.parametrize("allowance", [np.nan, np.inf, -1e-3])
+def test_min_norm_rejects_a_bad_residual_allowance(allowance):
+    # a NaN or infinite allowance would switch the range check off, and a
+    # negative one would reject data in the range
+    prob = get_problem("rank1-sine")
+    system = build_system(prob.kernel, "collocation", 8)
+    consistent = project_data(system, prob.y)
+    bad = consistent + np.random.default_rng(0).standard_normal(8)
+    for y_n in (consistent, bad):
+        with pytest.raises(ValueError, match="residual_allowance"):
+            min_norm_solution(system, y_n, residual_allowance=allowance)
+
+
 # ---------------------------------------------------------------------------
 # discrete Tikhonov
 
