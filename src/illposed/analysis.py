@@ -357,7 +357,7 @@ def _special_norms(system: DiscreteSystem):
     NumericalError
         If the basis Gram matrix on the grid is not positive definite.
     """
-    rule = aligned_rule(system.grid_knots(), system.ref_points)
+    rule = aligned_rule(system.knots, system.ref_points)
     nodes, rho = rule.nodes, rule.weights
     sqrt_rho = np.sqrt(rho)
 
@@ -402,12 +402,14 @@ def verify_special(problem: TestProblem, system: DiscreteSystem) -> list[BoundRe
     report instantiates the general bound ``(||T|| + ||T_n||) ||(I - pi_n)
     T||``; collocation has no function-space data space, so its row is
     measured through the piecewise-linear embedding of nodal values (noted
-    in the context).  The squared estimate holds for the orthogonal
-    projection scheme only and gets its own report.
+    in the context).  That row checks a stand-in: the embedding's ``T_n``,
+    not the operator collocation solves with, which no bound covers.  The
+    squared estimate holds for the orthogonal projection scheme only and
+    gets its own report.
     """
     lhs, defect, norm_t, norm_tn = _special_norms(system)
     embedded = system.scheme is SchemeKind.COLLOCATION
-    note = "embedded piecewise-linear data space" if embedded else ""
+    note = "embedded piecewise-linear stand-in, not the solved operator" if embedded else ""
     ctx = _context(problem, system, note=note)
     rhs1 = (norm_t + norm_tn) * defect
     reports = [_measured_report("Th-special-1", lhs, rhs1, ctx)]

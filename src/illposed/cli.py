@@ -356,6 +356,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         try:
             config_data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         except json.JSONDecodeError as exc:
             print(f"error: invalid JSON config: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -54,7 +54,7 @@ from .quadrature import (
     gauss_nodes,
     segment_gauss,
 )
-from .validation import as_matrix, as_vector, check_in_open_interval, check_integer
+from .validation import as_matrix, as_vector, check_integer
 
 __all__ = [
     "SchemeKind",
@@ -65,6 +65,7 @@ __all__ = [
     "estimate_epsilon",
     "dump_matrix",
     "load_matrix",
+    "RANK_RTOL",
 ]
 
 # Gauss points per panel/side used for cell averages and split evaluations.
@@ -73,6 +74,11 @@ _CELL_GAUSS = 24
 _SYMMETRY_RTOL = 1e-8
 _PSD_RTOL = 1e-8
 _EPS_SAFETY = 1.1
+
+# Relative threshold separating the numerical rank from quadrature rounding:
+# eigenvalues at or below RANK_RTOL * max|lambda| are cut from the
+# minimum-norm filter, and min_norm_solution's range test scales by it.
+RANK_RTOL = 1e-10
 
 
 class SchemeKind(str, enum.Enum):
@@ -126,7 +132,7 @@ class DiscreteSystem:
         filters.
     pinv_gains, pinv_peak : ndarray, float
         The minimum-norm filter: ``1 / lambda`` on the numerical rank, the
-        eigenvalues above ``rel_tol * max|lambda|``, and 0 elsewhere; and
+        eigenvalues above ``RANK_RTOL * max|lambda|``, and 0 elsewhere; and
         its largest modulus.  Read-only.
     clipped_eigvals : ndarray
         ``max(lambda, 0)``, the spectrum the Tikhonov filter shifts.
@@ -158,7 +164,6 @@ class DiscreteSystem:
     pinv_peak: float
     clipped_eigvals: np.ndarray
     sigma_min: float
-    rel_tol: float
     ref_points: int
     _slices: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
@@ -177,12 +182,6 @@ class DiscreteSystem:
         """Operator-level discretization error bound, measured by
         :func:`estimate_epsilon` on the first read and kept."""
         return estimate_epsilon(self)
-
-    # -- scheme geometry ----------------------------------------------------
-
-    def grid_knots(self) -> np.ndarray:
-        """:attr:`knots`, the breakpoints of the scheme grid."""
-        return self.knots
 
     # -- slice and basis evaluation ------------------------------------------
 
@@ -293,8 +292,7 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
 
 
 def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | None = None,
-                 rel_tol: float = 1e-10, ref_points: int = REFERENCE_POINTS,
-                 matrix=None) -> DiscreteSystem:
+                 ref_points: int = REFERENCE_POINTS, matrix=None) -> DiscreteSystem:
     """Fix the scheme geometry, assemble, check and factor: one frozen system.
 
     Parameters
@@ -307,9 +305,6 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
     outer_rule : QuadratureRule, optional
         Collocation only: the node/weight rule defining the scheme (default
         Gauss-Legendre, which has the required positive weights).
-    rel_tol : float
-        Relative truncation threshold in (0, 1) separating the numerical
-        rank from quadrature noise; the system's one threshold.
     ref_points : int
         Size of the rule every measurement of the system is made on
         (:attr:`DiscreteSystem.reference_rule`); at least 1.
@@ -333,7 +328,6 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
     """
     scheme = SchemeKind.parse(scheme)
     n = check_integer(n, "n")
-    rel_tol = check_in_open_interval(rel_tol, 0.0, 1.0, "rel_tol")
     ref_points = check_integer(ref_points, "ref_points")
     if ref_points < 1:
         raise ValueError(f"ref_points must be at least 1, got {ref_points}")
@@ -373,11 +367,10 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         # factorization's BLAS calls round by memory layout
         matrix = np.ascontiguousarray(space.apply_metric(0.5 * (slice_gram + slice_gram.T)).T)
     return DiscreteSystem(scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
-                          knots=knots, rel_tol=rel_tol, ref_points=ref_points,
-                          **_factor(space, matrix, n, rel_tol))
+                          knots=knots, ref_points=ref_points, **_factor(space, matrix, n))
 
 
-def _factor(space: WeightedSpace, matrix, n: int, rel_tol: float) -> dict:
+def _factor(space: WeightedSpace, matrix, n: int) -> dict:
     """Check ``M A`` is self-adjoint PSD, then return the factor fields of a
     :class:`DiscreteSystem` by name: the matrix, the eigenpairs of its
     symmetrization, the spectra the two filters read and ``sigma_min``."""
@@ -404,10 +397,9 @@ def _factor(space: WeightedSpace, matrix, n: int, rel_tol: float) -> dict:
             f"vs max {vals[0]:.3e})"
         )
 
-    # the numerical rank: rel_tol is the system's own threshold, the only
-    # one any solve or measurement uses
+    # the numerical rank, under the one threshold any solve or measurement uses
     mags = np.abs(vals)
-    kept = mags > rel_tol * mags.max()
+    kept = mags > RANK_RTOL * mags.max()
     gains = np.zeros(n)
     gains[kept] = 1.0 / vals[kept]
     clipped = np.maximum(vals, 0.0)

@@ -42,7 +42,7 @@ class _BaseSolver:
             setattr(self, name, value)
         return self
 
-    def _build(self, y_extra, **build_kwargs):
+    def _build(self, y_extra):
         # fit's second slot exists for the scikit-learn call shape only;
         # data passed there would otherwise be dropped without a word
         if y_extra is not None:
@@ -50,7 +50,7 @@ class _BaseSolver:
                 f"{type(self).__name__}.fit takes its data as y; y_extra must be "
                 f"None, got {type(y_extra).__name__}"
             )
-        self.system_ = build_system(self.kernel, self.scheme, self.n, **build_kwargs)
+        self.system_ = build_system(self.kernel, self.scheme, self.n)
 
     def _project(self, y) -> np.ndarray:
         if callable(y):
@@ -86,29 +86,27 @@ class MinimumNormSolver(_BaseSolver):
     scheme : str or SchemeKind, default "collocation"
     n : int, default 32
         Dimension of the data space.
-    rel_tol : float, default 1e-10
-        Relative truncation threshold of the pseudo-inverse, in (0, 1);
-        ``fit`` passes it to ``build_system``, which checks it.
+
+    The pseudo-inverse cuts the numerical rank at
+    :data:`illposed.discretize.RANK_RTOL` times the largest eigenvalue.
 
     After ``fit`` the assembled system, the coordinate solution and the
     reconstruction are available as ``system_``, ``coordinates_`` and
     ``reconstruction_``.
     """
 
-    _param_names = ("kernel", "scheme", "n", "rel_tol")
+    _param_names = ("kernel", "scheme", "n")
 
-    def __init__(self, kernel: Kernel, scheme="collocation", n: int = 32,
-                 rel_tol: float = 1e-10):
+    def __init__(self, kernel: Kernel, scheme="collocation", n: int = 32):
         self.kernel = kernel
         self.scheme = scheme
         self.n = n
-        self.rel_tol = rel_tol
         self.reconstruction_ = None
 
     def fit(self, y, y_extra=None):
         """Fit from data: a callable on the domain, or a length-n vector;
         ``y_extra`` must be None."""
-        self._build(y_extra, rel_tol=self.rel_tol)
+        self._build(y_extra)
         y_n = self._project(y)
         self.reconstruction_ = min_norm_solution(self.system_, y_n)
         self.coordinates_ = self.reconstruction_.coordinates

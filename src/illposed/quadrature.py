@@ -97,16 +97,18 @@ class QuadratureRule:
             return float(np.sqrt(max(np.sum(self.weights * f * f), 0.0)))
 
 
-@functools.lru_cache(maxsize=64)
+# typed: 3.0 must not hit the entry of np.int64(3), which passed the check
+@functools.lru_cache(maxsize=64, typed=True)
 def gauss_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] with ``q`` points.
 
     Computed once per point count and cached; the arrays are read-only
     because every caller shares them.
     """
-    if int(q) != q or q < 1:
-        raise ValueError(f"Gauss-Legendre rule needs an integer q >= 1, got {q!r}")
-    x, w = np.polynomial.legendre.leggauss(int(q))
+    q = check_integer(q, "q")
+    if q < 1:
+        raise ValueError(f"Gauss-Legendre rule needs q >= 1, got {q}")
+    x, w = np.polynomial.legendre.leggauss(q)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

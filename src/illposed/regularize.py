@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteSystem, _reconstruction
+from .discretize import RANK_RTOL, DiscreteSystem, _reconstruction
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
 from .problems import REFERENCE_POINTS, TestProblem, reference_rule
 from .quadrature import QuadratureRule, aligned_rule
@@ -80,11 +80,10 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
 
     Solves the normal system through the metric-symmetrized pseudo-inverse,
     the filter :attr:`DiscreteSystem.pinv_gains` (``1 / lambda`` on the
-    eigenvalues above the system's own ``rel_tol * max|lambda|``, the one
-    truncation threshold, fixed when the system is built), and reconstructs
-    ``x = T_n* v``.
+    eigenvalues above ``RANK_RTOL * max|lambda|``, the package's one
+    truncation threshold), and reconstructs ``x = T_n* v``.
     Raises :class:`InconsistentDataError` when the residual exceeds
-    ``rel_tol * ||y_n|| + residual_allowance`` in the data norm, i.e. the
+    ``RANK_RTOL * ||y_n|| + residual_allowance`` in the data norm, i.e. the
     data is numerically outside the operator's range.  For noisy data pass
     the noise level as the allowance: components outside the range up to
     that size are expected and are simply not seen by the reconstruction.
@@ -96,7 +95,7 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
     space = system.space
     v, mv = _filter(system, system.pinv_gains, system.pinv_peak, y_n, "y_n")
     residual = space._norm(system.matrix @ v - y_n)
-    threshold = system.rel_tol * space._norm(y_n) + residual_allowance
+    threshold = RANK_RTOL * space._norm(y_n) + residual_allowance
     if residual > threshold:
         raise InconsistentDataError(
             f"inconsistent discrete data: residual {residual:.3e} exceeds "

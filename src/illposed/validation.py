@@ -18,7 +18,6 @@ __all__ = [
     "check_finite",
     "check_positive",
     "check_integer",
-    "check_in_open_interval",
 ]
 
 
@@ -59,10 +58,3 @@ def check_integer(value, name: str = "value") -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def check_in_open_interval(value: float, lo: float, hi: float, name: str) -> float:
-    value = float(value)
-    if not (lo < value < hi):
-        raise ValueError(f"{name} must lie in ({lo}, {hi}), got {value!r}")
-    return value

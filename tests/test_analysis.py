@@ -21,7 +21,7 @@ from illposed.analysis import (
     verify_th5,
     _special_norms,
 )
-from illposed.discretize import SchemeKind, build_system
+from illposed.discretize import RANK_RTOL, SchemeKind, build_system
 from illposed.linalg import NumericalError, symmetric_norm
 from illposed.problems import (
     REFERENCE_POINTS,
@@ -226,7 +226,7 @@ def test_pinverse_norm_identity(grid_systems):
     for key in [("rank1-sine", "collocation", 8), ("green-m1", "interpolatory", 16)]:
         system = grid_systems[key]
         pinv = np.linalg.pinv(system.space.symmetrize(system.matrix),
-                              rcond=system.rel_tol, hermitian=True)
+                              rcond=RANK_RTOL, hermitian=True)
         assert np.sqrt(np.linalg.norm(pinv, 2)) * system.sigma_min == pytest.approx(
             1.0, rel=1e-10)
 
@@ -309,7 +309,7 @@ def _dense_special_norms(system):
     def top(a):
         return np.linalg.svd(a, compute_uv=False)[0]
 
-    rule = aligned_rule(system.grid_knots(), REFERENCE_POINTS)
+    rule = aligned_rule(system.knots, REFERENCE_POINTS)
     nodes, rho = rule.nodes, rule.weights
     kmat, weight = _dense_kernel(system, rule)
     basis = system.basis_values(nodes)
@@ -369,7 +369,7 @@ def test_special_norms_form_no_m_by_m_product(scheme):
     # an m x m product such as k_w^T k_w would add at least one more
     system = build_system(get_problem("green-m1").kernel, scheme, 16, ref_points=1024)
     _special_norms(system)  # fills the system's slice memo
-    m = aligned_rule(system.grid_knots(), system.ref_points).nodes.size
+    m = aligned_rule(system.knots, system.ref_points).nodes.size
     tracemalloc.start()
     try:
         _special_norms(system)

@@ -43,6 +43,23 @@ def test_invalid_json_config(tmp_path):
     assert main(["solve", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("fault", ["undecodable", "unreadable"])
+def test_an_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, fault):
+    # a UTF-16 byte-order mark is not UTF-8; an unreadable file raises
+    # OSError on the same read: one error line, no traceback, no output
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    if fault == "unreadable":
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "read_text", denied)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     for key, value in (("schme", "ortho"), ("inner_factor", 4)):

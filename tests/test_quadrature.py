@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from illposed.problems import reference_rule
 from illposed.quadrature import (
     Domain,
     QuadratureRule,
@@ -53,13 +54,22 @@ def test_trapezoid_rejects_small_n():
     lambda: aligned_rule([0.0, 0.5, 1.0], 16.5),
     lambda: aligned_rule([0.0, 0.5, 1.0], 16, min_per_panel=4.0),
     lambda: gauss_legendre(8.7, UNIT),
+    lambda: gauss_legendre(8.0, UNIT),
+    lambda: gauss_legendre(True, UNIT),
+    lambda: segment_gauss([0.0], [1.0], 2.0),
+    lambda: reference_rule(UNIT, True),
+    # an entry cached for np.int64(3) must not answer for 3.0
+    lambda: (gauss_nodes(np.int64(3)), gauss_nodes(3.0)),
 ], ids=["trapezoid-float", "trapezoid-bool", "composite-gauss-float", "aligned-float-points",
-        "aligned-float-per-panel", "gauss-legendre-float"])
+        "aligned-float-per-panel", "gauss-legendre-float", "gauss-legendre-whole-float",
+        "gauss-legendre-bool", "segment-gauss-float", "reference-rule-bool",
+        "gauss-nodes-float-after-int64"])
 def test_rule_sizes_are_integers(make):
-    # int() would quietly turn 8.7 nodes into 8
+    # int() would quietly turn 8.7 nodes into 8, and True into one node
     with pytest.raises(ValueError, match="integer"):
         make()
     assert composite_trapezoid(np.int64(5), UNIT).n_points == 5
+    assert gauss_legendre(np.int64(8), UNIT).n_points == 8
 
 
 def test_gauss_one_point_is_midpoint():

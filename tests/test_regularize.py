@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illposed.analysis import l2_error
-from illposed.discretize import apply_adjoint, build_system, estimate_epsilon, project_data
+from illposed.discretize import (
+    RANK_RTOL,
+    apply_adjoint,
+    build_system,
+    estimate_epsilon,
+    project_data,
+)
 from illposed.linalg import NumericalError, WeightedSpace
 from illposed.problems import (
     Domain,
@@ -158,9 +164,9 @@ def relative_gap(system, rec, coordinates):
 
 def min_norm_oracle(system, y_n):
     # numpy's SVD pseudo-inverse of the symmetrized matrix; it keeps the
-    # singular values above rel_tol * s_max, the system's truncation rule
+    # singular values above RANK_RTOL * s_max, the systems' truncation rule
     space = system.space
-    pinv = np.linalg.pinv(space.symmetrize(system.matrix), rcond=system.rel_tol)
+    pinv = np.linalg.pinv(space.symmetrize(system.matrix), rcond=RANK_RTOL)
     return space.isqrt_apply(pinv @ space.sqrt_apply(y_n))
 
 
@@ -267,7 +273,7 @@ def test_solves_have_the_bits_of_the_written_out_filter(pid, scheme, n):
     system = build_system(prob.kernel, scheme, n)
     y_n = project_data(system, prob.y)
     lam = system.eigvals
-    kept = np.abs(lam) > system.rel_tol * np.abs(lam).max()
+    kept = np.abs(lam) > RANK_RTOL * np.abs(lam).max()
     pinv = np.zeros(n)
     pinv[kept] = 1.0 / lam[kept]
     solves = [(min_norm_solution(system, y_n), pinv)]
