@@ -64,6 +64,10 @@ VERIFY_TH3_DELTAS = (1e-6, 1e-4)
 VERIFY_TH5_ALPHAS = (1e-2, 1e-4)
 VERIFY_TH5_DELTAS = (1e-2, 1e-4)
 
+# The largest reference rule a run may ask for: one m x m float64 kernel
+# sample at this size is 2 GiB.
+MAX_REF_POINTS = 2 ** 14
+
 
 class ConfigError(ValueError):
     """Invalid configuration or usage."""
@@ -93,6 +97,8 @@ class RunConfig:
                 f"ref_points={self.ref_points} must be at least 4*max(n)="
                 f"{4 * max(self.n_list)}"
             )
+        if self.ref_points > MAX_REF_POINTS:
+            raise ConfigError(f"ref_points={self.ref_points} must be at most {MAX_REF_POINTS}")
         if SchemeKind.INTERPOLATORY in self.schemes and min(self.n_list) < 2:
             raise ConfigError("the interpolatory scheme needs n >= 2")
         if self.delta is not None and not 0.0 <= self.delta < math.inf:

@@ -12,7 +12,9 @@ single global rule loses.
 
 Every Gauss rule in the package starts from :func:`gauss_nodes`, which
 computes the reference nodes and weights on [-1, 1] once per point count
-(an O(q^3) eigenvalue problem) and hands out read-only arrays.
+and hands out read-only arrays: numpy's ``leggauss`` (an O(q^3) eigenvalue
+problem) up to :data:`LEGGAUSS_MAX_POINTS` points, Newton's method on the
+Legendre three-term recurrence (O(q^2) time, O(q) memory) above.
 :func:`segment_gauss` maps them onto one segment per row; it is the single
 primitive behind every "Gauss on [lo, hi], split at the diagonal" integral.
 """
@@ -30,6 +32,7 @@ from .validation import as_vector, check_integer
 __all__ = [
     "Domain",
     "QuadratureRule",
+    "LEGGAUSS_MAX_POINTS",
     "gauss_nodes",
     "segment_gauss",
     "composite_trapezoid",
@@ -97,18 +100,72 @@ class QuadratureRule:
             return float(np.sqrt(max(np.sum(self.weights * f * f), 0.0)))
 
 
+# The largest rule taken from numpy's leggauss.  This is not where Newton
+# (below) starts to win, which it does from about 128 points on: the 8-,
+# 16-, 32- and 256-point rules feed the rounding-noise cells of the
+# benchmark's recorded verify reference, whose last bits they decide, and
+# 256 is the largest size such a reference pins.  Moving the boundary, or
+# retiring leggauss, waits on that reference's re-record (ROADMAP item 1).
+LEGGAUSS_MAX_POINTS = 256
+
+
+def _legendre(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_q(x) and P_q'(x) by the three-term recurrence; |x| < 1."""
+    p_prev, p, t = np.ones_like(x), x.copy(), np.empty_like(x)
+    for j in range(1, q):  # (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, in place
+        np.multiply(x, p, out=t)
+        t *= (2 * j + 1) / (j + 1)
+        p_prev *= j / (j + 1)
+        t -= p_prev
+        p_prev, p, t = p, t, p_prev
+    return p, q * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _newton_gauss(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``q``-point Gauss-Legendre rule by Newton's method on P_q.
+
+    Tricomi's estimates of the nonnegative nodes converge in about three
+    steps; the weights 2/((1 - x^2) P_q'(x)^2) are scaled to sum to 2, as
+    ``leggauss`` scales its own, and the half rule is mirrored, so the
+    nodes are exactly antisymmetric and the weights exactly symmetric.
+    """
+    k = np.arange((q + 1) // 2, 0, -1)  # ascending; the last is 0 for odd q
+    x = (1.0 - (1.0 - 1.0 / q) / (8.0 * q * q)) * np.cos(np.pi * (4 * k - 1) / (4 * q + 2))
+    if q % 2:
+        x[0] = 0.0
+    for _ in range(10):
+        p, dp = _legendre(q, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
+            break
+    else:
+        raise ArithmeticError(f"Newton's method missed the {q}-point Gauss nodes")
+    dp = _legendre(q, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    tail = q // 2  # the mirrored nodes, which leave out 0 for odd q
+    x = np.concatenate((-x[::-1][:tail], x))
+    w = np.concatenate((w[::-1][:tail], w))
+    return x, w * (2.0 / w.sum())
+
+
 # typed: 3.0 must not hit the entry of np.int64(3), which passed the check
 @functools.lru_cache(maxsize=64, typed=True)
 def gauss_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] with ``q`` points.
 
+    Up to :data:`LEGGAUSS_MAX_POINTS` points these are numpy's ``leggauss``
+    arrays, bit for bit; larger rules come from :func:`_newton_gauss`.
     Computed once per point count and cached; the arrays are read-only
     because every caller shares them.
     """
     q = check_integer(q, "q")
     if q < 1:
         raise ValueError(f"Gauss-Legendre rule needs q >= 1, got {q}")
-    x, w = np.polynomial.legendre.leggauss(q)
+    if q <= LEGGAUSS_MAX_POINTS:
+        x, w = np.polynomial.legendre.leggauss(q)
+    else:
+        x, w = _newton_gauss(q)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from illposed.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from illposed.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, MAX_REF_POINTS, RunConfig,
+                          main)
 from illposed.discretize import SchemeKind, build_system, dump_matrix
 from illposed.problems import get_problem
 
@@ -89,6 +90,23 @@ def test_ref_points_guard(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [16], "ref_points": 32}))
     assert main(["solve", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
+def test_a_ref_points_above_the_maximum_exits_2(tmp_path, capsys, monkeypatch, command):
+    # a 10^6-point rule would take an hour to build and 7.3 TiB to sample
+    built = []
+    monkeypatch.setattr("illposed.cli.build_system", lambda *args, **kwargs: built.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "rank1-sine", "n": [8], "ref_points": 1000000}))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: ref_points=1000000 must be at most {MAX_REF_POINTS}\n"
+    assert built == []
+    assert not out.exists()
+    config = RunConfig(["rank1-sine"], [SchemeKind.COLLOCATION], [8], ref_points=MAX_REF_POINTS)
+    assert config.ref_points == MAX_REF_POINTS
 
 
 def test_solve_noisy_runs_are_bytewise_deterministic(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from illposed.problems import reference_rule
 from illposed.quadrature import (
+    LEGGAUSS_MAX_POINTS,
     Domain,
     QuadratureRule,
     aligned_rule,
@@ -129,16 +130,52 @@ def test_rule_invariants_enforced():
 
 
 def test_gauss_nodes_are_cached_and_read_only():
-    x, w = gauss_nodes(7)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+    for q in (7, 1024):  # one rule from each constructor
+        x, w = gauss_nodes(q)
+        ref_x, ref_w = x.copy(), w.copy()
+        again = gauss_nodes(q)
+        assert again[0] is x and again[1] is w
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[:] = 1.0
+        assert np.array_equal(gauss_nodes(q)[0], ref_x)
+        assert np.array_equal(gauss_nodes(q)[1], ref_w)
+
+
+@pytest.mark.parametrize("q", [1, 7, 16, 32, LEGGAUSS_MAX_POINTS])
+def test_gauss_nodes_are_leggauss_bitwise_up_to_the_boundary(q):
+    # the rules that decide the last bits of verify's rounding-noise rows
+    x, w = gauss_nodes(q)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
     assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-    again = gauss_nodes(7)
-    assert again[0] is x and again[1] is w
-    with pytest.raises(ValueError):
-        x[0] = 0.0
-    with pytest.raises(ValueError):
-        w[:] = 1.0
-    assert np.array_equal(gauss_nodes(7)[0], ref_x)
+
+
+@pytest.mark.parametrize("q", [LEGGAUSS_MAX_POINTS + 1, 512, 1024])
+def test_newton_rules_are_symmetric_and_sum_to_two(q):
+    x, w = gauss_nodes(q)
+    assert x.shape == w.shape == (q,)
+    assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+    assert np.all(w > 0.0) and np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [LEGGAUSS_MAX_POINTS + 1, 512, 1024])
+def test_newton_rules_are_exact_to_degree_2q_minus_1(q):
+    # a Legendre series integrates over [-1, 1] to twice its constant term
+    coeffs = np.random.default_rng(q).uniform(-1.0, 1.0, size=2 * q)
+    x, w = gauss_nodes(q)
+    assert w @ np.polynomial.legendre.legval(x, coeffs) == pytest.approx(2.0 * coeffs[0],
+                                                                         abs=1e-13)
+
+
+@pytest.mark.parametrize("q", [512, 1024])
+def test_newton_rules_agree_with_leggauss(q):
+    # leggauss's weights are themselves off by up to 1.3e-9 relative at 1024
+    x, w = gauss_nodes(q)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 1.3e-9
 
 
 @pytest.mark.parametrize("q", [0, -3, 2.5])

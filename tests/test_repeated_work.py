@@ -1,11 +1,12 @@
 """Guards against recomputing tables that depend only on their inputs."""
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from illposed import analysis, discretize, linalg
+from illposed import analysis, discretize, linalg, quadrature
 from illposed.analysis import l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
@@ -17,26 +18,35 @@ from illposed.problems import (
     problem_catalog,
     reference_rule,
 )
-from illposed.quadrature import gauss_nodes
+from illposed.quadrature import LEGGAUSS_MAX_POINTS, gauss_nodes
 from illposed.regularize import min_norm_solution, tikhonov_discrete
 
 
 def test_verify_computes_each_gauss_rule_once(tmp_path, monkeypatch):
-    counts = Counter()
-    leggauss = np.polynomial.legendre.leggauss
+    def counting(constructor, counts):
+        def count(q):
+            counts[int(q)] += 1
+            return constructor(q)
+        return count
 
-    def counting(q):
-        counts[int(q)] += 1
-        return leggauss(q)
-
-    gauss_nodes.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    try:
-        assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
-    finally:
-        gauss_nodes.cache_clear()  # drop entries computed through the counter
-    assert counts
-    assert max(counts.values()) == 1, counts
+    # the default reference rule, and one past the boundary between the
+    # two constructors
+    for config in ({"n": [4, 8]}, {"n": [4, 8], "ref_points": 512}):
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.polynomial.legendre, "leggauss",
+                          counting(np.polynomial.legendre.leggauss, counts))
+            patch.setattr(quadrature, "_newton_gauss", counting(quadrature._newton_gauss, counts))
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            gauss_nodes.cache_clear()
+            try:
+                assert main(["verify", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+            finally:
+                gauss_nodes.cache_clear()  # drop entries computed through the counter
+        assert counts
+        assert max(counts.values()) == 1, counts
+        assert (max(counts) > LEGGAUSS_MAX_POINTS) == ("ref_points" in config), counts
 
 
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
