@@ -66,6 +66,7 @@ __all__ = [
     "dump_matrix",
     "load_matrix",
     "RANK_RTOL",
+    "DENSE_EPSILON_MAX_POINTS",
 ]
 
 # Gauss points per panel/side used for cell averages and split evaluations.
@@ -452,67 +453,50 @@ def _reconstruction(system: DiscreteSystem, mv: np.ndarray):
     return reconstruction
 
 
-# Side of the square tiles that estimate_epsilon walks in mirror pairs: a
-# tile and its 512 KiB partner stay in cache while the partner is read
-# transposed.  Measured on one core with 1 BLAS thread: at m = 1024 the
-# weighted difference takes 9.3 ms (13.3 ms untiled); at m = 256 it is one
-# tile and costs what the untiled pass does.  Tiles of 128 or 192 are no
-# faster at 1024 and cost 1.5x at 256.
-_TILE = 256
-
-
-def _tile_pairs(dim: int):
-    """Slice pairs ``(rows, cols)`` of the square tiles of a ``dim x dim``
-    matrix on and above the diagonal, by tile row; ``rows is cols`` on the
-    diagonal, and the last tile of a row or column is ragged."""
-    tiles = [slice(start, start + _TILE) for start in range(0, dim, _TILE)]
-    for i, rows in enumerate(tiles):
-        for cols in tiles[i:]:
-            yield rows, cols
+# The largest reference rule on which estimate_epsilon forms the m x m
+# difference; above it the norm is taken matrix-free.  This is not a speed
+# crossover: the matrix-free product rounds differently, and eps_n of the
+# finite-rank collocation cells on the 256-point default rule is rounding
+# noise whose bits the benchmark's recorded verify reference pins.  The dense
+# branch and Kernel.normal_gram go when that reference is re-recorded with a
+# rounding floor on eps_n (ROADMAP item 1).
+DENSE_EPSILON_MAX_POINTS = 256
 
 
 def estimate_epsilon(system: DiscreteSystem) -> float:
     """Measured upper bound for the operator-level discretization error.
 
-    Builds matrix representations of the continuous and discretized normal
-    operators on :attr:`DiscreteSystem.reference_rule`, symmetrized by the
-    square root of the grid weights so the matrix 2-norm approximates the L2
-    operator norm, and returns the norm of the difference times a safety
-    factor of 1.1.  The continuous half depends on the kernel and the rule
-    only and comes from :meth:`Kernel.normal_gram`, which keeps it for the
-    last rule.  The difference is weighted and symmetrized in place, in the
-    one m x m buffer of the discrete half, tile pair by tile pair, and its
-    norm comes from :func:`symmetric_norm` on ``x -> diff @ x`` (Lanczos,
-    within 1e-13 relative of LAPACK's).  Each call measures afresh;
-    :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
+    The norm of ``D (K^T W K - G^T M G) D`` on the m-point
+    :attr:`DiscreteSystem.reference_rule`, times a safety factor of 1.1:
+    ``K`` the kernel sampled on the rule's nodes, ``W`` and ``D`` the
+    weights and their square roots, ``G`` the slice values there and ``M``
+    the metric.  The weighting makes the matrix 2-norm approximate the L2
+    norm of ``T*T - T_n*T_n``; :func:`symmetric_norm` takes it by Lanczos.
+
+    Up to :data:`DENSE_EPSILON_MAX_POINTS` points the difference is formed
+    as ``d = (N - G^T M G) * outer(r, r)``, ``N`` the continuous half that
+    :meth:`Kernel.normal_gram` keeps for the last rule, and its norm is that
+    of ``0.5 (d + d^T)``.  On larger rules no m x m product is formed: the
+    operator is applied to each Lanczos vector through the sample ``K`` that
+    :meth:`Kernel.grid_sample` keeps, and the norm agrees with the dense
+    expression's to m u ||T||^2, u the machine epsilon.  Each call measures
+    afresh; :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
     """
     rule = system.reference_rule
     sqrt_rho = np.sqrt(rule.weights)
-
-    normal_cont = system.kernel.normal_gram(rule)
     gv = system.slice_values(rule.nodes)
-    # d = (normal_cont - normal_disc) * outer(sqrt_rho, sqrt_rho) and its
-    # symmetric part 0.5 (d + d^T), a tile and its mirror at a time, with
-    # the dense expression's operations on every entry (r_i r_j may be
-    # r_j r_i, and the halves of a sum swap; both commute exactly): eps_n
-    # of the finite-rank collocation cells is rounding noise, and its bits
-    # feed every alpha = eps_n row
-    diff = gv.T @ system.space.apply_metric(gv)
-    for rows, cols in _tile_pairs(diff.shape[0]):
-        weight = np.outer(sqrt_rho[rows], sqrt_rho[cols])
-        upper, lower = diff[rows, cols], diff[cols, rows]
-        np.subtract(normal_cont[rows, cols], upper, out=upper)
-        upper *= weight
-        if rows is cols:
-            np.add(upper, upper.T, out=weight)
-            np.multiply(weight, 0.5, out=upper)
-        else:
-            np.subtract(normal_cont[cols, rows], lower, out=lower)
-            lower *= weight.T
-            np.add(upper, lower.T, out=upper)
-            upper *= 0.5
-            lower[...] = upper.T
-    return _EPS_SAFETY * symmetric_norm(lambda x: diff @ x, diff.shape[0])
+    if rule.n_points <= DENSE_EPSILON_MAX_POINTS:
+        d = (system.kernel.normal_gram(rule) - gv.T @ system.space.apply_metric(gv)) \
+            * np.outer(sqrt_rho, sqrt_rho)
+        diff = 0.5 * (d + d.T)
+        return _EPS_SAFETY * symmetric_norm(lambda x: diff @ x, rule.n_points)
+    kmat, rho, space = system.kernel.grid_sample(rule), rule.weights, system.space
+
+    def apply(x):
+        x = sqrt_rho * x
+        return sqrt_rho * (kmat.T @ (rho * (kmat @ x)) - gv.T @ space.apply_metric(gv @ x))
+
+    return _EPS_SAFETY * symmetric_norm(apply, rule.n_points)
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

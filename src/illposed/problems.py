@@ -12,8 +12,9 @@ A discrete system measures its L2 quantities on its own
 :func:`apply_operator_split`, which splits the integral at the diagonal:
 kernels that are continuous but kinked there (Green's functions) are then
 integrated to machine accuracy, where a single global rule stalls near 1e-6.
-A :class:`Kernel` keeps only the continuous half ``T*T`` of ``eps_n`` for
-the last rule it was sampled on; operator norms are measured where they are
+For ``eps_n`` a :class:`Kernel` keeps, for the last rule of each kind, the
+continuous half ``T*T`` sampled on a rule of at most 256 points and the
+kernel sample on a larger one; operator norms are measured where they are
 used, so this module needs nothing from ``linalg``.
 """
 
@@ -69,10 +70,10 @@ class Kernel:
     The evaluator is spot-checked for finiteness on a 32 x 32 grid at
     construction.
 
-    :meth:`normal_gram` keeps the matrix of the last rule it formed as one
-    read-only ``(nodes, weights, matrix)`` tuple, replaced by a single
-    attribute store; concurrent readers therefore see either the old or the
-    new tuple and at worst recompute.
+    :meth:`normal_gram` and :meth:`grid_sample` each keep the matrix of the
+    last rule they formed as one read-only tuple of the rule's arrays and
+    the matrix, replaced by a single attribute store; concurrent readers
+    therefore see either the old or the new tuple and at worst recompute.
     """
 
     def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False):
@@ -84,6 +85,7 @@ class Kernel:
         if sample.shape != (32, 32) or not np.all(np.isfinite(sample)):
             raise ValueError("kernel evaluator must be finite and broadcastable on the domain")
         self._normal_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._grid_sample: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, s, t):
         return np.asarray(self.evaluator(s, t), dtype=float)
@@ -109,6 +111,20 @@ class Kernel:
         gram.flags.writeable = False
         self._normal_gram = (nodes.copy(), rho.copy(), gram)
         return gram
+
+    def grid_sample(self, rule: QuadratureRule) -> np.ndarray:
+        """``K = k(nodes, nodes)`` on ``rule``, the operator ``estimate_epsilon``
+        applies matrix-free on rules of more than 256 points.  The sample of
+        the last rule is kept (read-only) and returned again for equal
+        nodes, so the systems of one kernel sample it once per rule."""
+        nodes = rule.nodes
+        memo = self._grid_sample
+        if memo is not None and np.array_equal(memo[0], nodes):
+            return memo[1]
+        kmat = self(nodes[:, None], nodes[None, :])
+        kmat.flags.writeable = False
+        self._grid_sample = (nodes.copy(), kmat)
+        return kmat
 
 
 @dataclass(frozen=True)

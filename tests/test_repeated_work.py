@@ -131,6 +131,28 @@ def test_verify_forms_normal_gram_once_per_kernel(tmp_path, monkeypatch):
     assert all(len(seen) == 1 for seen in formed.values()), formed
 
 
+def test_study_samples_the_reference_grid_kernel_once(tmp_path, monkeypatch):
+    # the benchmark's study-n256 config: four systems on one 1024-point
+    # reference rule, past the dense boundary, so eps_n applies the kernel's
+    # one m x m sample to vectors and forms no normal_gram product
+    config = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
+              "ref_points": 1024, "delta": 1e-4}
+    square, grams = [], []
+    original = Kernel.__call__
+
+    def counting(self, s, t):
+        if np.broadcast_shapes(np.shape(s), np.shape(t)) == (1024, 1024):
+            square.append(self)
+        return original(self, s, t)
+
+    monkeypatch.setattr(Kernel, "__call__", counting)
+    monkeypatch.setattr(Kernel, "normal_gram", lambda self, rule: grams.append(rule))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(square) == 1 and grams == []
+
+
 def test_verify_takes_four_reference_grid_eigenproblems_per_cell(tmp_path, monkeypatch):
     # eps_n, and the lhs, the defect and ||T|| on the aligned grid, per cell;
     # all of them by Lanczos, so no dense eigensolver runs on a reference grid
@@ -176,6 +198,20 @@ def test_normal_gram_memo_follows_the_rule():
     rule_b = reference_rule(kernel.domain, 64)
     for rule in (rule_a, rule_b, rule_a):
         assert np.array_equal(kernel.normal_gram(rule), _fresh_normal_gram(kernel, rule))
+
+
+def test_grid_sample_memo_is_read_only_and_follows_the_rule():
+    # A, an equal A built afresh, B, then A again: never a stale sample
+    kernel = get_problem("green-m1").kernel
+    rule_a = reference_rule(kernel.domain, 48)
+    rule_b = reference_rule(kernel.domain, 64)
+    first = kernel.grid_sample(rule_a)
+    assert kernel.grid_sample(reference_rule(kernel.domain, 48)) is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    for rule in (rule_b, rule_a):
+        fresh = kernel(rule.nodes[:, None], rule.nodes[None, :])
+        assert np.array_equal(kernel.grid_sample(rule), fresh)
 
 
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
