@@ -363,10 +363,10 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
         gv = _slice_values(scheme, kernel, rule, knots, inner.nodes)
         if not np.all(np.isfinite(gv)):
             raise NumericalError("kernel produced non-finite slice samples")
-        slice_gram = (gv * inner.weights) @ gv.T
-        # S M = (M S)^T for the symmetric S; a C-ordered copy, since the
-        # factorization's BLAS calls round by memory layout
-        matrix = np.ascontiguousarray(space.apply_metric(0.5 * (slice_gram + slice_gram.T)).T)
+        gv = gv * np.sqrt(inner.weights)
+        # one SYRK, so S is exactly symmetric and S M = (M S)^T; a C-ordered
+        # copy, since the factorization's BLAS calls round by memory layout
+        matrix = np.ascontiguousarray(space.apply_metric(gv @ gv.T).T)
     return DiscreteSystem(scheme=scheme, n=n, kernel=kernel, rule=rule, space=space,
                           knots=knots, ref_points=ref_points, **_factor(space, matrix, n))
 
@@ -454,12 +454,12 @@ def _reconstruction(system: DiscreteSystem, mv: np.ndarray):
 
 
 # The largest reference rule on which estimate_epsilon forms the m x m
-# difference; above it the norm is taken matrix-free.  This is not a speed
-# crossover: the matrix-free product rounds differently, and eps_n of the
-# finite-rank collocation cells on the 256-point default rule is rounding
-# noise whose bits the benchmark's recorded verify reference pins.  The dense
-# branch and Kernel.normal_gram go when that reference is re-recorded with a
-# rounding floor on eps_n (ROADMAP item 1).
+# difference; above it the norm is taken matrix-free.  Not a speed crossover:
+# it keeps the difference matrix's arithmetic (not Lanczos's last bits) for
+# eps_n of the finite-rank collocation cells on the 256-point default rule,
+# rounding noise that, taken matrix-free, fails 16 ops per repetition of the
+# benchmark's recorded verify reference.  The dense branch and normal_gram go
+# when that reference is re-recorded with a floor on eps_n (ROADMAP item 1).
 DENSE_EPSILON_MAX_POINTS = 256
 
 
@@ -478,9 +478,10 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     :meth:`Kernel.normal_gram` keeps for the last rule, and its norm is that
     of ``0.5 (d + d^T)``.  On larger rules no m x m product is formed: the
     operator is applied to each Lanczos vector through the sample ``K`` that
-    :meth:`Kernel.grid_sample` keeps, and the norm agrees with the dense
-    expression's to m u ||T||^2, u the machine epsilon.  Each call measures
-    afresh; :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
+    :meth:`Kernel.grid_sample` keeps, read once per product in blocks of 64
+    rows, and the norm agrees with the dense expression's to m u ||T||^2, u
+    the machine epsilon.  Each call measures afresh;
+    :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
     """
     rule = system.reference_rule
     sqrt_rho = np.sqrt(rule.weights)
@@ -493,8 +494,13 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     kmat, rho, space = system.kernel.grid_sample(rule), rule.weights, system.space
 
     def apply(x):
+        # K^T W K x over blocks of 64 rows of K, each read once while in cache
         x = sqrt_rho * x
-        return sqrt_rho * (kmat.T @ (rho * (kmat @ x)) - gv.T @ space.apply_metric(gv @ x))
+        y = -(gv.T @ space.apply_metric(gv @ x))
+        for lo in range(0, rule.n_points, 64):
+            rows = kmat[lo:lo + 64]
+            y += rows.T @ (rho[lo:lo + 64] * (rows @ x))
+        return sqrt_rho * y
 
     return _EPS_SAFETY * symmetric_norm(apply, rule.n_points)
 

@@ -43,6 +43,9 @@ __all__ = [
 
 REFERENCE_POINTS = 256
 
+# Entries of a kernel sample evaluated per call of the evaluator
+_KERNEL_BLOCK = 1 << 15
+
 # Number of terms retained in the Green kernel's singular expansion.  The
 # L2(Omega^2) truncation tail (sum of the dropped squared singular values)
 # is below 2e-8, i.e. a kernel reconstruction error below 1.2e-4.
@@ -68,7 +71,9 @@ class Kernel:
         diagonal to keep entry integrals at machine accuracy.
 
     The evaluator is spot-checked for finiteness on a 32 x 32 grid at
-    construction.
+    construction.  A call on a 2-D grid of more than ``2**16`` entries
+    evaluates it in row blocks of about ``2**15`` entries, each entry with
+    the evaluator's own arithmetic, into one output array.
 
     :meth:`normal_gram` and :meth:`grid_sample` each keep the matrix of the
     last rule they formed as one read-only tuple of the rule's arrays and
@@ -88,7 +93,20 @@ class Kernel:
         self._grid_sample: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, s, t):
-        return np.asarray(self.evaluator(s, t), dtype=float)
+        # the broadcast has at most size(s) size(t) entries, a cheaper test
+        shape = np.broadcast_shapes(np.shape(s), np.shape(t)) \
+            if np.size(s) * np.size(t) > 2 * _KERNEL_BLOCK else ()
+        if len(shape) != 2 or shape[0] * shape[1] <= 2 * _KERNEL_BLOCK:
+            return np.asarray(self.evaluator(s, t), dtype=float)
+        # row blocks keep the evaluator's temporaries in cache (below two
+        # blocks the copy into the output costs more than that saves)
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        out = np.empty(shape)
+        rows = max(1, _KERNEL_BLOCK // shape[1])
+        for lo in range(0, shape[0], rows):
+            out[lo:lo + rows] = self.evaluator(
+                *(x[lo:lo + rows] if x.ndim == 2 and x.shape[0] > 1 else x for x in (s, t)))
+        return out
 
     def normal_gram(self, rule: QuadratureRule) -> np.ndarray:
         """``K^T diag(w) K`` with ``K = k(nodes, nodes)`` on ``rule``.

@@ -133,6 +133,42 @@ def test_symmetric_norm_of_a_low_rank_difference_matches_lapack(seed):
     assert linalg.symmetric_norm(apply, 40) == pytest.approx(lapack, rel=1e-12, abs=0.0)
 
 
+def test_symmetric_norm_of_a_separated_top_eigenvalue_is_lapacks():
+    # the Ritz value's error is of order residual^2 / gap: far below the
+    # stopping residual when the top eigenvalue stands apart
+    d = np.linspace(-1.0, 1.0, 300)
+    d[17] = 3.0
+    assert linalg.symmetric_norm(lambda x: d * x, d.size) == pytest.approx(
+        np.max(np.abs(np.linalg.eigvalsh(np.diag(d)))), rel=1e-13, abs=0.0)
+
+
+def test_symmetric_norm_of_a_top_cluster_is_within_the_stopping_residual():
+    # three top eigenvalues 1e-9 apart: the stopping residual bounds the error
+    d = np.concatenate((np.linspace(0.0, 1.0, 300), [2.0, 2.0 - 5e-10, 2.0 - 1e-9]))
+    norm = linalg.symmetric_norm(lambda x: d * x, d.size)
+    assert abs(norm - 2.0) <= linalg._LANCZOS_TOL * 2.0
+
+
+def test_the_lanczos_basis_grows_past_its_first_blocks():
+    # a top gap of 0.1 over a dense spectrum takes 33 products: the basis
+    # grows by _LANCZOS_BLOCK rows twice and Lanczos still converges
+    d = np.concatenate((np.linspace(0.0, 1.0, 400), [1.1]))
+    products = []
+
+    def apply(x):
+        products.append(x)
+        return d * x
+
+    assert linalg.symmetric_norm(apply, d.size) == pytest.approx(1.1, rel=1e-13, abs=0.0)
+    assert 2 * linalg._LANCZOS_BLOCK < len(products) < linalg._LANCZOS_STEPS
+
+
+def test_the_start_vector_is_kept_read_only_per_dimension():
+    v = linalg._start_vector(50)
+    assert linalg._start_vector(50) is v and not v.flags.writeable
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_symmetric_norm_past_the_step_cap_is_the_dense_eigvalsh_of_apply_eye(monkeypatch):
     apply, _ = _gram_difference(55)
     dense = np.max(np.abs(np.linalg.eigvalsh(apply(np.eye(40)))))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,36 @@ def test_green_kernel_equals_the_two_branch_form_bitwise():
         assert got.shape == want.shape
         assert np.array_equal(got, want), (s, t)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("pid", ["rank1-sine", "rank3-decay", "green-m1"])
+def test_a_blocked_kernel_sample_has_the_bits_of_one_evaluator_call(pid):
+    # past 2**16 entries a grid is evaluated in row blocks; each entry keeps
+    # the evaluator's own arithmetic, whichever operand spans the rows
+    kernel = get_problem(pid).kernel
+    grid = reference_rule(kernel.domain, 1024).nodes
+    nodes = gauss_legendre(256, kernel.domain).nodes
+    calls = []
+    blocked = Kernel(lambda s, t: calls.append(np.shape(s)) or kernel.evaluator(s, t),
+                     kernel.domain)
+    for s, t in ((grid[:, None], grid[None, :]), (nodes[:, None], grid[None, :]),
+                 (grid[None, :], nodes[:, None]), (grid, nodes[:, None]),
+                 (grid[:, None] * np.linspace(0.0, 1.0, 70), grid[:, None])):
+        one = np.asarray(kernel.evaluator(s, t), dtype=float)
+        calls.clear()
+        assert np.array_equal(blocked(s, t), one)
+        assert len(calls) > 2
+
+
+@pytest.mark.parametrize("pid", ["rank1-sine", "rank3-decay", "green-m1"])
+def test_a_large_kernel_sample_holds_one_output_array(pid):
+    kernel = get_problem(pid).kernel
+    grid = reference_rule(kernel.domain, 1024).nodes
+    m = grid.size
+    tracemalloc.start()
+    try:
+        kernel(grid[:, None], grid[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * m * m * 8, peak / (m * m * 8)
