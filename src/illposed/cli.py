@@ -15,9 +15,10 @@ Three subcommands operate on a JSON config (flags override config fields):
 
 Every command walks the same cells, problem by problem, scheme by scheme and
 size by size, each built once by ``discretize.build_system`` at the
-configured ``ref_points`` (:func:`_cells`).  ``solve`` and ``study`` measure a
-cell with ``analysis.measure_cell``, ``verify`` with the bound verifiers, each
-on the system's own reference rule.
+configured ``ref_points``, and each (problem, scheme) size ladder's ``eps_n``
+by one ``discretize.estimate_epsilon`` call (:func:`_cells`).
+``solve`` and ``study`` measure a cell with ``analysis.measure_cell``,
+``verify`` with the bound verifiers, each on the system's own reference rule.
 
 Exit codes: 0 success, 3 numerical failure, 2 configuration/usage error,
 including an empty or repeated problem or scheme list, or one the command
@@ -48,7 +49,7 @@ from .analysis import (
     verify_th3,
     verify_th5,
 )
-from .discretize import SchemeKind, build_system, load_matrix
+from .discretize import SchemeKind, build_system, estimate_epsilon, load_matrix
 from .linalg import NumericalError
 from .problems import REFERENCE_POINTS, get_problem, problem_catalog
 from .regularize import NoiseSpec
@@ -256,7 +257,9 @@ def _noise(config: RunConfig) -> NoiseSpec | None:
 
 def _cells(config: RunConfig):
     """Every configured ``(problem, system)`` cell, problem-, scheme- then n-wise,
-    from the CLI's one ``build_system`` call; ``matrix_dump`` is read once."""
+    from the CLI's one ``build_system`` call; ``matrix_dump`` is read once.
+    Each (problem, scheme) size ladder is built whole, then its ``epsilon_n``
+    measured by one ``estimate_epsilon`` call."""
     matrix = None
     if config.matrix_dump is not None:
         try:
@@ -266,9 +269,11 @@ def _cells(config: RunConfig):
     for problem_id in config.problem_ids:
         problem = get_problem(problem_id)
         for scheme in config.schemes:
-            for n in config.n_list:
-                yield problem, build_system(problem.kernel, scheme, n,
-                                            ref_points=config.ref_points, matrix=matrix)
+            ladder = [build_system(problem.kernel, scheme, n, ref_points=config.ref_points,
+                                   matrix=matrix) for n in config.n_list]
+            for system, eps in zip(ladder, estimate_epsilon(ladder)):
+                vars(system)["epsilon_n"] = eps  # where its first read keeps it
+                yield problem, system
 
 
 def cmd_solve(config: RunConfig) -> int:

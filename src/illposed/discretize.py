@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalError, WeightedSpace, eigh_symmetric, symmetric_norm
+from .linalg import NumericalError, WeightedSpace, _lanczos, eigh_symmetric, symmetric_norm
 from .problems import REFERENCE_POINTS, Kernel
 from .quadrature import (
     Domain,
@@ -181,7 +181,8 @@ class DiscreteSystem:
     @functools.cached_property
     def epsilon_n(self) -> float:
         """Operator-level discretization error bound, measured by
-        :func:`estimate_epsilon` on the first read and kept."""
+        :func:`estimate_epsilon` on the first read and kept; the CLI stores
+        its size ladder's one measurement here before that read."""
         return estimate_epsilon(self)
 
     # -- slice and basis evaluation ------------------------------------------
@@ -462,8 +463,13 @@ def _reconstruction(system: DiscreteSystem, mv: np.ndarray):
 # when that reference is re-recorded with a floor on eps_n (ROADMAP item 1).
 DENSE_EPSILON_MAX_POINTS = 256
 
+# Bytes of the kernel sample one block of the matrix-free eps_n product reads
+# (128 rows at 1024 points): fastest, or a tie, for one to four vectors at 512
+# and 1024 points; twice that costs 2.6x at four vectors on a 2 MiB L2 cache.
+_SAMPLE_BLOCK_BYTES = 1 << 20
 
-def estimate_epsilon(system: DiscreteSystem) -> float:
+
+def estimate_epsilon(systems):
     """Measured upper bound for the operator-level discretization error.
 
     The norm of ``D (K^T W K - G^T M G) D`` on the m-point
@@ -471,38 +477,61 @@ def estimate_epsilon(system: DiscreteSystem) -> float:
     ``K`` the kernel sampled on the rule's nodes, ``W`` and ``D`` the
     weights and their square roots, ``G`` the slice values there and ``M``
     the metric.  The weighting makes the matrix 2-norm approximate the L2
-    norm of ``T*T - T_n*T_n``; :func:`symmetric_norm` takes it by Lanczos.
+    norm of ``T*T - T_n*T_n``; Lanczos takes it from products.  ``systems``
+    is one system (a float is returned) or a group, such as a size ladder,
+    that shares one kernel and an equal reference rule (a list, in order;
+    any other group raises ``ValueError``).
 
-    Up to :data:`DENSE_EPSILON_MAX_POINTS` points the difference is formed
-    as ``d = (N - G^T M G) * outer(r, r)``, ``N`` the continuous half that
-    :meth:`Kernel.normal_gram` keeps for the last rule, and its norm is that
-    of ``0.5 (d + d^T)``.  On larger rules no m x m product is formed: the
-    operator is applied to each Lanczos vector through the sample ``K`` that
-    :meth:`Kernel.grid_sample` keeps, read once per product in blocks of 64
-    rows, and the norm agrees with the dense expression's to m u ||T||^2, u
-    the machine epsilon.  Each call measures afresh;
-    :attr:`DiscreteSystem.epsilon_n` keeps the first measurement.
+    Up to :data:`DENSE_EPSILON_MAX_POINTS` points each system's difference
+    is formed as ``d = (N - G^T M G) * outer(r, r)``, ``N`` the continuous
+    half that :meth:`Kernel.normal_gram` keeps for the last rule, and its
+    norm is that of ``0.5 (d + d^T)`` by :func:`symmetric_norm`, one system
+    after another, bit for bit as alone.  On larger rules no m x m product
+    is formed: the group's Lanczos runs advance in lockstep
+    (:func:`linalg._lanczos`), each step applying ``K^T W K`` to every
+    running vector in one pass over the sample ``K`` that
+    :meth:`Kernel.grid_sample` keeps, in blocks of ``_SAMPLE_BLOCK_BYTES``,
+    and each system subtracts its own ``G^T M G`` part; the norm agrees with
+    the dense expression's to m u ||T||^2, u the machine epsilon.  Each call
+    measures afresh; :attr:`DiscreteSystem.epsilon_n` keeps the first.
     """
-    rule = system.reference_rule
-    sqrt_rho = np.sqrt(rule.weights)
-    gv = system.slice_values(rule.nodes)
-    if rule.n_points <= DENSE_EPSILON_MAX_POINTS:
-        d = (system.kernel.normal_gram(rule) - gv.T @ system.space.apply_metric(gv)) \
-            * np.outer(sqrt_rho, sqrt_rho)
-        diff = 0.5 * (d + d.T)
-        return _EPS_SAFETY * symmetric_norm(lambda x: diff @ x, rule.n_points)
-    kmat, rho, space = system.kernel.grid_sample(rule), rule.weights, system.space
+    group = [systems] if isinstance(systems, DiscreteSystem) else list(systems)
+    # one kernel has one domain, on which rules of one size are one Gauss rule
+    if len({(id(s.kernel), s.reference_rule.n_points) for s in group}) != 1:
+        raise ValueError("a group must be non-empty and share one kernel and one reference rule")
+    kernel, rule = group[0].kernel, group[0].reference_rule
+    m, sqrt_rho = rule.n_points, np.sqrt(rule.weights)
+    halves = [(system.slice_values(rule.nodes), system.space) for system in group]
+    if m <= DENSE_EPSILON_MAX_POINTS:
+        gram = kernel.normal_gram(rule)
 
-    def apply(x):
-        # K^T W K x over blocks of 64 rows of K, each read once while in cache
-        x = sqrt_rho * x
-        y = -(gv.T @ space.apply_metric(gv @ x))
-        for lo in range(0, rule.n_points, 64):
-            rows = kmat[lo:lo + 64]
-            y += rows.T @ (rho[lo:lo + 64] * (rows @ x))
-        return sqrt_rho * y
+        def dense_norm(gv, space):
+            d = (gram - gv.T @ space.apply_metric(gv)) * np.outer(sqrt_rho, sqrt_rho)
+            diff = 0.5 * (d + d.T)
+            return symmetric_norm(lambda x: diff @ x, m)
 
-    return _EPS_SAFETY * symmetric_norm(apply, rule.n_points)
+        # no pass over a shared sample to save here: one system at a time
+        # holds one difference matrix, where a lockstep would hold them all
+        tops = [dense_norm(gv, space) for gv, space in halves]
+    else:
+        kmat, rho = kernel.grid_sample(rule), rule.weights
+        rows = max(1, _SAMPLE_BLOCK_BYTES // kmat[0].nbytes)
+
+        def apply(x, runs):
+            x = sqrt_rho * np.asarray(x)
+            y = np.empty_like(x)
+            for j, run in enumerate(runs):
+                gv, space = halves[run]
+                y[j] = -(gv.T @ space.apply_metric(gv @ x[j]))
+            # K^T W K for every row of x, each block of K read once while in cache
+            for lo in range(0, m, rows):
+                block = kmat[lo:lo + rows]
+                y += ((x @ block.T) * rho[lo:lo + rows]) @ block
+            return sqrt_rho * y
+
+        tops = _lanczos(apply, m, len(group))
+    eps = [_EPS_SAFETY * top for top in tops]
+    return eps[0] if isinstance(systems, DiscreteSystem) else eps
 
 
 def dump_matrix(matrix: np.ndarray, path) -> None:

@@ -218,55 +218,70 @@ def _start_vector(dim: int) -> np.ndarray:
     return v
 
 
-def _lanczos(apply, dim: int):
-    """Largest eigenvalue modulus of the symmetric operator ``apply``.
+def _lanczos(apply, dim: int, count: int = 1) -> list[float]:
+    """Largest eigenvalue moduli of ``count`` symmetric operators on ``R^dim``.
 
-    Lanczos with full reorthogonalization on matrix-vector products only.
-    It stops when the Ritz pair of largest modulus has residual
-    ``|beta_k s_k| <= _LANCZOS_TOL * |theta|`` (a breakdown, beta = 0, is
-    exact) or when the Krylov space fills the whole space; after
-    ``_LANCZOS_STEPS`` steps without either it returns ``None``.
+    Lanczos with full reorthogonalization, one run per operator, in
+    lockstep: ``apply(block, runs)`` takes a sequence of vectors and returns
+    one whose j-th vector is operator ``runs[j]`` applied to ``block[j]``,
+    one call for every run still going.  Each run keeps its own basis, Ritz
+    tridiagonal and arithmetic, and stops when its Ritz pair of largest
+    modulus has residual ``|beta_k s_k| <= _LANCZOS_TOL * |theta|`` (a
+    breakdown, beta = 0, is exact) or its Krylov space fills the whole
+    space; one still going after ``_LANCZOS_STEPS`` steps takes the dense
+    ``eigvalsh`` of its operator, the transpose of ``apply(I, (run,) * dim)``.
     """
     steps = min(dim, _LANCZOS_STEPS)
-    basis = np.empty((min(steps, _LANCZOS_BLOCK), dim))
-    # the Ritz tridiagonal, grown in place by one row and column per step
-    ritz = np.zeros((steps + 1, steps + 1))
-    v = _start_vector(dim)
+    bases = [np.empty((min(steps, _LANCZOS_BLOCK), dim)) for _ in range(count)]
+    # the Ritz tridiagonals, grown in place by one row and column per step
+    ritz = [np.zeros((steps + 1, steps + 1)) for _ in range(count)]
+    tops, runs, block = [None] * count, list(range(count)), [_start_vector(dim)] * count
     for k in range(steps):
-        if k == basis.shape[0]:
-            basis = np.concatenate((basis, np.empty((min(steps - k, _LANCZOS_BLOCK), dim))))
-        basis[k] = v
-        w = apply(v)
-        ritz[k, k] = v @ w
-        # classical Gram-Schmidt twice: orthogonal to rounding
-        for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        beta = np.linalg.norm(w)
-        thetas, vecs = np.linalg.eigh(ritz[: k + 1, : k + 1])
-        top = int(np.argmax(np.abs(thetas)))
-        theta = abs(thetas[top])
-        if k + 1 == dim or beta * abs(vecs[k, top]) <= _LANCZOS_TOL * theta:
-            return float(theta)
-        ritz[k, k + 1] = ritz[k + 1, k] = beta
-        v = w / beta
-    return None
+        going = []
+        for v, w, run in zip(block, apply(block, runs), runs):
+            basis = bases[run]
+            if k == basis.shape[0]:
+                basis = bases[run] = np.concatenate(
+                    (basis, np.empty((min(steps - k, _LANCZOS_BLOCK), dim))))
+            basis[k] = v
+            t = ritz[run]
+            t[k, k] = v @ w
+            # classical Gram-Schmidt twice: orthogonal to rounding
+            for _ in range(2):
+                w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+            beta = np.linalg.norm(w)
+            thetas, vecs = np.linalg.eigh(t[: k + 1, : k + 1])
+            top = int(np.argmax(np.abs(thetas)))
+            theta = abs(thetas[top])
+            if k + 1 == dim or beta * abs(vecs[k, top]) <= _LANCZOS_TOL * theta:
+                tops[run] = float(theta)
+            else:
+                t[k, k + 1] = t[k + 1, k] = beta
+                going.append(w / beta)
+        runs, block = [run for run in runs if tops[run] is None], going
+        if not runs:
+            return tops
+    for run in runs:
+        dense = apply(np.eye(dim), (run,) * dim).T
+        tops[run] = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
+    return tops
 
 
 def symmetric_norm(apply, dim: int) -> float:
     """Largest eigenvalue modulus of a symmetric operator on ``R^dim``.
 
     The operator is given by its product ``x -> apply(x)`` alone; nothing
-    checks that it is symmetric.  Lanczos stops at a relative Ritz residual
-    of 1e-8, which bounds the result's relative error (the error is of order
-    residual^2 / gap); if it has not converged after ``_LANCZOS_STEPS``
-    steps the norm is the dense ``eigvalsh`` of ``apply(I)`` instead.
+    checks that it is symmetric.  This is :func:`_lanczos` with one run:
+    Lanczos stops at a relative Ritz residual of 1e-8, which bounds the
+    result's relative error (the error is of order residual^2 / gap); if it
+    has not converged after ``_LANCZOS_STEPS`` steps the norm is the dense
+    ``eigvalsh`` of ``apply(I)`` instead.
     """
     if dim == 0:
         return 0.0
-    top = _lanczos(apply, dim)
-    if top is None:
-        top = float(np.max(np.abs(np.linalg.eigvalsh(apply(np.eye(dim))))))
-    return top
+    # a Lanczos vector goes in as a vector, the fallback's rows as columns
+    return _lanczos(lambda x, runs: [apply(x[0])] if len(runs) == 1
+                    else apply(np.ascontiguousarray(x.T)).T, dim)[0]
 
 
 def spectral_norm(a) -> float:

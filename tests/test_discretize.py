@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from illposed import analysis, discretize
+from illposed import analysis, discretize, linalg
 from illposed.analysis import (
     _special_norms,
     measure_cell,
@@ -37,6 +37,7 @@ from illposed.quadrature import (
     segment_gauss,
 )
 from illposed.regularize import NoiseSpec
+from tests.conftest import SCHEMES
 
 UNIT = Domain(0.0, 1.0)
 
@@ -458,6 +459,85 @@ def test_epsilon_holds_one_m_by_m_buffer(scheme):
     assert peak < 0.035 * m * m * 8, peak / (m * m * 8)
 
 
+# ---------------------------------------------------------------------------
+# eps_n of a group of systems
+
+
+@pytest.mark.parametrize("ref_points", [129, 256])
+def test_a_ladders_dense_epsilon_has_each_systems_bits(ref_points):
+    # up to 256 points a group is measured one system at a time, each on its
+    # own difference matrix: every bit is that of the system measured alone
+    for pid in ("rank1-sine", "green-m1"):
+        kernel = get_problem(pid).kernel
+        ladders = [[build_system(kernel, scheme, n, ref_points=ref_points) for n in (4, 8, 16, 32)]
+                   for scheme in SCHEMES]
+        for group in (*ladders, [ladder[1] for ladder in ladders]):  # and one of mixed schemes
+            assert estimate_epsilon(group) == [estimate_epsilon(s) for s in group], pid
+
+
+@pytest.mark.parametrize("ref_points", [257, 1024])
+def test_a_ladders_matrix_free_epsilon_agrees_with_each_system_alone(ref_points):
+    # one pass over the kernel sample serves every run: a group rounds
+    # differently from a system alone, within m u ||T||^2 of it and of the
+    # dense expression
+    for pid in ("rank1-sine", "green-m1"):
+        kernel = get_problem(pid).kernel
+        bound = _agreement_bound(kernel, ref_points)
+        for scheme in SCHEMES:
+            ladder = [build_system(kernel, scheme, n, ref_points=ref_points)
+                      for n in (8, 16, 32, 64)]
+            for system, eps in zip(ladder, estimate_epsilon(ladder)):
+                key = (pid, scheme, system.n)
+                assert abs(eps - estimate_epsilon(system)) <= bound, key
+                assert abs(eps - _dense_epsilon(system, ref_points)) <= bound, key
+
+
+def test_a_ladder_run_at_the_step_cap_takes_its_own_dense_fallback(monkeypatch):
+    # rank3-decay collocation at 300 points: the runs stop after different
+    # numbers of products; with the cap one below the slowest, the runs that
+    # reach it take the dense eigvalsh of their own operator and the others
+    # keep their Lanczos values bit for bit
+    kernel = get_problem("rank3-decay").kernel
+    ladder = [build_system(kernel, "collocation", n, ref_points=300) for n in (8, 16, 32, 64)]
+    seen, lanczos = [], discretize._lanczos
+    monkeypatch.setattr(discretize, "_lanczos", lambda apply, dim, count=1: lanczos(
+        lambda x, runs: seen.append(tuple(runs)) or apply(x, runs), dim, count))
+    free = estimate_epsilon(ladder)
+    steps = [sum(run in runs for runs in seen) for run in range(len(ladder))]
+    cap = max(steps) - 1
+    capped = [s > cap for s in steps]
+    assert any(capped) and not all(capped), steps
+    monkeypatch.setattr(linalg, "_LANCZOS_STEPS", cap)
+    bound = _agreement_bound(kernel, 300)
+    for system, eps, lanczos, fallback in zip(ladder, estimate_epsilon(ladder), free, capped):
+        if fallback:
+            assert abs(eps - _dense_epsilon(system, 300)) <= bound, system.n
+        else:
+            assert eps == lanczos, system.n
+
+
+def test_a_group_shares_one_kernel_and_one_reference_rule():
+    green, sine = get_problem("green-m1").kernel, get_problem("rank1-sine").kernel
+    mixed = {
+        "kernel": [build_system(green, "collocation", 8), build_system(sine, "collocation", 8)],
+        "ref_points": [build_system(green, "collocation", 8),
+                       build_system(green, "collocation", 8, ref_points=300)],
+        # equal ref_points, but 4n = 128 points exceed them
+        "4n": [build_system(green, "ortho-pc", 8, ref_points=64),
+               build_system(green, "ortho-pc", 32, ref_points=64)],
+        # an equal rule on another kernel object of the same problem
+        "kernel object": [build_system(green, "ortho-pc", 8),
+                          build_system(get_problem("green-m1").kernel, "ortho-pc", 16)],
+    }
+    for group in mixed.values():
+        with pytest.raises(ValueError, match="one kernel and one reference rule"):
+            estimate_epsilon(group)
+    with pytest.raises(ValueError, match="non-empty"):
+        estimate_epsilon([])
+    single = build_system(green, "ortho-pc", 8)
+    assert estimate_epsilon((single,)) == [estimate_epsilon(single)]
+
+
 # Green's kernel in J closed-form sines: the stored 64-term expansion is too
 # short, since 256 collocation nodes integrate 64 modes exactly
 GREEN_ORACLE_MODES = 4096
@@ -612,10 +692,10 @@ def test_ref_points_fixes_the_epsilon_rule(monkeypatch, pid):
         return original(self, s, t)
 
     dims = []
-    norm = discretize.symmetric_norm
+    lanczos = discretize._lanczos
     monkeypatch.setattr(Kernel, "__call__", counting)
-    monkeypatch.setattr(discretize, "symmetric_norm",
-                        lambda apply, dim: dims.append(dim) or norm(apply, dim))
+    monkeypatch.setattr(discretize, "_lanczos",
+                        lambda apply, dim, count=1: dims.append(dim) or lanczos(apply, dim, count))
     eps = system.epsilon_n
     estimate_epsilon(system)
     norm_t = _special_norms(system)[2]

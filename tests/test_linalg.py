@@ -177,6 +177,70 @@ def test_symmetric_norm_past_the_step_cap_is_the_dense_eigvalsh_of_apply_eye(mon
 
 
 # ---------------------------------------------------------------------------
+# _lanczos: independent runs in lockstep
+
+
+def _lockstep(products):
+    """The block product of runs given by vector products, and the rows it
+    was given per run."""
+    seen = []
+
+    def apply(block, runs):
+        seen.append(tuple(runs))
+        return np.array([products[run](v) for v, run in zip(block, runs)])
+
+    return apply, seen
+
+
+def _steps(apply, dim):
+    products = []
+
+    def counting(x):
+        products.append(x)
+        return apply(x)
+
+    return linalg.symmetric_norm(counting, dim), len(products)
+
+
+def test_lockstep_runs_stop_at_their_own_steps_with_the_bits_of_runs_alone():
+    # a separated top, a 0.1 gap over a dense spectrum, a low-rank
+    # difference: three runs that stop after different numbers of products
+    d_far = np.linspace(-1.0, 1.0, 40)
+    d_far[5] = 3.0
+    d_near = np.concatenate((np.linspace(0.0, 1.0, 39), [1.1]))
+    products = [lambda x: d_far * x, lambda x: d_near * x, _gram_difference(8)[0]]
+    alone = [_steps(apply, 40) for apply in products]
+    assert len({steps for _, steps in alone}) == 3, alone
+    apply, seen = _lockstep(products)
+    assert linalg._lanczos(apply, 40, 3) == [norm for norm, _ in alone]
+    assert [sum(run in runs for runs in seen) for run in range(3)] == [s for _, s in alone]
+    assert len(seen) == max(s for _, s in alone)  # one block product per step
+
+
+def test_a_lockstep_run_that_breaks_down_stops_while_the_others_go_on():
+    # the zero operator breaks down at once (beta = 0, an exact stop)
+    d = np.linspace(0.5, 2.0, 30)
+    apply, seen = _lockstep([lambda x: d * x, lambda x: np.zeros_like(x)])
+    assert linalg._lanczos(apply, 30, 2) == [linalg.symmetric_norm(lambda x: d * x, 30), 0.0]
+    assert seen[0] == (0, 1) and len(seen) > 2 and all(runs == (0,) for runs in seen[1:])
+
+
+def test_a_lockstep_run_at_the_step_cap_takes_its_own_dense_fallback(monkeypatch):
+    # a rank-one operator converges in two steps; the low-rank difference
+    # does not within three, and takes the eigvalsh of its own operator
+    u = random_matrix(40, 1, 3)[:, 0]
+    rank_one = lambda x: u * (u @ x)  # noqa: E731
+    difference, _ = _gram_difference(55)
+    monkeypatch.setattr(linalg, "_LANCZOS_STEPS", 3)
+    apply, seen = _lockstep([rank_one, difference])
+    tops = linalg._lanczos(apply, 40, 2)
+    assert seen[-1] == (1,) * 40  # the fallback's identity, one row per column
+    dense = np.max(np.abs(np.linalg.eigvalsh(np.array([difference(e) for e in np.eye(40)]).T)))
+    assert tops == [linalg.symmetric_norm(rank_one, 40), dense]
+    assert tops[0] == pytest.approx(u @ u, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # WeightedSpace
 
 

@@ -1,5 +1,6 @@
 """Guards against recomputing tables that depend only on their inputs."""
 
+import csv
 import json
 from collections import Counter
 
@@ -151,6 +152,58 @@ def test_study_samples_the_reference_grid_kernel_once(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(config))
     assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(square) == 1 and grams == []
+
+
+STUDY_N256 = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
+              "ref_points": 1024, "delta": 1e-4}
+
+
+def test_study_reads_the_kernel_sample_once_per_lockstep_step(tmp_path, monkeypatch):
+    # the four systems of the study-n256 ladder share one 1024-point rule:
+    # each Lanczos step applies the kernel sample to every running system's
+    # vector in one pass, so the passes are the steps of the slowest run,
+    # not the sum of every run's products
+    rows_read, steps, calls = [], [], []
+
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            part = super().__getitem__(key).view(np.ndarray)
+            if isinstance(key, slice):
+                rows_read.append(part.shape[0])
+            return part
+
+    sample, lanczos = Kernel.grid_sample, discretize._lanczos
+
+    def counting(apply, dim, count=1):
+        calls.append(count)
+        return lanczos(lambda x, runs: steps.append(runs) or apply(x, runs), dim, count)
+
+    monkeypatch.setattr(Kernel, "grid_sample", lambda self, rule: sample(self, rule).view(Reads))
+    monkeypatch.setattr(discretize, "_lanczos", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(STUDY_N256))
+    assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    products = [sum(run in runs for runs in steps) for run in range(4)]
+    assert calls == [4]  # one ladder, one call
+    assert sum(rows_read) == 1024 * len(steps)
+    assert len(steps) == max(products) < sum(products), products
+
+
+def test_a_ladder_study_reproduces_single_size_studies(tmp_path):
+    # the ladder measured in lockstep against each size studied alone
+    def study(n, out):
+        cfg = tmp_path / f"{out}.json"
+        cfg.write_text(json.dumps({**STUDY_N256, "n": n}))
+        assert main(["study", str(cfg), "--out", str(tmp_path / out)]) == EXIT_OK
+        with open(tmp_path / out / "convergence.csv", encoding="ascii") as fh:
+            return list(csv.DictReader(fh))
+
+    ladder = study(STUDY_N256["n"], "ladder")
+    for row, n in zip(ladder, STUDY_N256["n"], strict=True):
+        (alone,) = study([n], f"n{n}")
+        assert row.keys() == alone.keys()
+        for key in row:
+            assert float(row[key]) == pytest.approx(float(alone[key]), rel=1e-10, abs=0.0), (n, key)
 
 
 def test_verify_takes_four_reference_grid_eigenproblems_per_cell(tmp_path, monkeypatch):
