@@ -255,11 +255,12 @@ def _noise(config: RunConfig) -> NoiseSpec | None:
     return None if config.delta is None else NoiseSpec(delta_n=config.delta, seed=config.seed)
 
 
-def _cells(config: RunConfig):
-    """Every configured ``(problem, system)`` cell, problem-, scheme- then n-wise,
-    from the CLI's one ``build_system`` call; ``matrix_dump`` is read once.
-    Each (problem, scheme) size ladder is built whole, then its ``epsilon_n``
-    measured by one ``estimate_epsilon`` call."""
+def _cells(config: RunConfig, measure):
+    """Yield ``measure(problem, system)`` of every configured cell, problem-,
+    scheme- then n-wise, from the CLI's one ``build_system`` call;
+    ``matrix_dump`` is read once.  Each (problem, scheme) size ladder is built
+    whole, then its ``epsilon_n`` measured by one ``estimate_epsilon`` call;
+    only what ``measure`` returns outlives a ladder."""
     matrix = None
     if config.matrix_dump is not None:
         try:
@@ -273,37 +274,38 @@ def _cells(config: RunConfig):
                                    matrix=matrix) for n in config.n_list]
             for system, eps in zip(ladder, estimate_epsilon(ladder)):
                 vars(system)["epsilon_n"] = eps  # where its first read keeps it
-                yield problem, system
+            yield from [measure(problem, system) for system in ladder]
+            del system, ladder  # and with them the kernel memos, before the next ladder
 
 
 def cmd_solve(config: RunConfig) -> int:
     _require_single("solve", problem=config.problem_ids,
                     scheme=[s.value for s in config.schemes])
-    rows, solutions = [], []
-    for problem, system in _cells(config):
+
+    def measure(problem, system):
         row, rec = measure_cell(problem, system, config.alpha_rule, _noise(config))
         nodes = system.reference_rule.nodes
-        rows.append(row)
-        solutions.append((system.n, nodes, rec.function(nodes), problem.x_dagger(nodes)))
+        return row, (system.n, nodes, rec.function(nodes), problem.x_dagger(nodes))
+
+    cells = list(_cells(config, measure))
     # every cell succeeded: only now write, so a failed run leaves no files
-    for n, nodes, x_rec, x_true in solutions:
+    for _, (n, nodes, x_rec, x_true) in cells:
         lines = ["s,x_reconstructed,x_true"]
         for s, xr, xt in zip(nodes, x_rec, x_true):
             lines.append(f"{s:.17g},{xr:.17g},{xt:.17g}")
         _atomic_write(config.output_dir / f"solution_{n}.csv", "\n".join(lines) + "\n")
-    _atomic_write(config.output_dir / "summary.csv", rows_to_csv(rows))
+    _atomic_write(config.output_dir / "summary.csv", rows_to_csv([row for row, _ in cells]))
     return EXIT_OK
 
 
 def cmd_study(config: RunConfig) -> int:
     _require_single("study", problem=config.problem_ids)
-    studies = {scheme: [] for scheme in config.schemes}
-    for problem, system in _cells(config):
-        studies[system.scheme].append(
-            measure_cell(problem, system, config.alpha_rule, _noise(config))[0])
-    for scheme, rows in studies.items():
-        name = f"convergence_{scheme.value}.csv" if len(studies) > 1 else "convergence.csv"
-        _atomic_write(config.output_dir / name, rows_to_csv(rows))
+    rows = list(_cells(config, lambda problem, system: (
+        system.scheme, measure_cell(problem, system, config.alpha_rule, _noise(config))[0])))
+    for scheme in config.schemes:
+        name = f"convergence_{scheme.value}.csv" if len(config.schemes) > 1 else "convergence.csv"
+        _atomic_write(config.output_dir / name,
+                      rows_to_csv([row for kind, row in rows if kind is scheme]))
     return EXIT_OK
 
 
@@ -311,12 +313,11 @@ def cmd_verify(config: RunConfig) -> int:
     th3_deltas = VERIFY_TH3_DELTAS if config.delta is None else (config.delta,)
     th5_deltas = VERIFY_TH5_DELTAS if config.delta is None else (config.delta,)
     th5_alphas = VERIFY_TH5_ALPHAS if config.alpha_rule == "eps" else (config.alpha_rule,)
-    reports = []
-    for problem, system in _cells(config):
-        reports += (verify_th1(problem, system)
-                    + verify_th3(problem, system, th3_deltas, config.seed)
-                    + verify_th5(problem, system, th5_alphas, th5_deltas, config.seed)
-                    + verify_special(problem, system))
+    reports = [report for cell in _cells(config, lambda problem, system: (
+        verify_th1(problem, system)
+        + verify_th3(problem, system, th3_deltas, config.seed)
+        + verify_th5(problem, system, th5_alphas, th5_deltas, config.seed)
+        + verify_special(problem, system))) for report in cell]
     _atomic_write(config.output_dir / "bounds.csv", reports_to_csv(reports))
     failed = [r for r in reports if not r.skipped and not r.passed]
     return EXIT_OK if not failed else EXIT_NUMERICAL

@@ -24,7 +24,7 @@ positive semidefinite by construction.
 :func:`build_system` makes each system whole, in one construction: it fixes
 the scheme geometry (rule, metric, breakpoints), assembles ``A`` (a replayed
 dump skips this), checks that ``M A`` is self-adjoint PSD and factors it
-once, into the eigendecomposition every solve filters and the two spectra
+once, into the metric eigenvectors every solve filters and the two spectra
 the filters read.  It also fixes the size of the reference rule, on which
 ``eps_n``, ``||T||`` and every L2 error of the system are measured.
 
@@ -126,11 +126,11 @@ class DiscreteSystem:
     matrix : ndarray
         Matrix of the composed operator (the normal operator on data space)
         in the scheme basis; ``A = K M`` with ``K_ij = integral g_i g_j``.
-    eigvals, eigvecs : ndarray
-        Eigendecomposition ``Q diag(lambda) Q^T`` of the symmetric PSD
-        ``M^(1/2) A M^(-1/2)`` (``space.symmetrize(matrix)``; values
-        non-increasing), the one factorization every solve of the system
-        filters.
+    eigvals, metric_eigvecs : ndarray
+        Eigenvalues (non-increasing) of ``Q diag(lambda) Q^T``, the symmetric
+        PSD ``space.symmetrize(matrix) = M^(1/2) A M^(-1/2)``, and ``R =
+        M^(-1/2) Q``, the eigenvectors of ``A`` orthonormal in the metric:
+        the factor every solve filters, read-only and C-ordered.
     pinv_gains, pinv_peak : ndarray, float
         The minimum-norm filter: ``1 / lambda`` on the numerical rank, the
         eigenvalues above ``RANK_RTOL * max|lambda|``, and 0 elsewhere; and
@@ -160,7 +160,7 @@ class DiscreteSystem:
     knots: np.ndarray
     matrix: np.ndarray
     eigvals: np.ndarray
-    eigvecs: np.ndarray
+    metric_eigvecs: np.ndarray
     pinv_gains: np.ndarray
     pinv_peak: float
     clipped_eigvals: np.ndarray
@@ -171,6 +171,11 @@ class DiscreteSystem:
     @property
     def domain(self) -> Domain:
         return self.kernel.domain
+
+    @property
+    def eigvecs(self) -> np.ndarray:
+        """Q, formed afresh as ``M^(1/2) R`` on each read; no solve reads it."""
+        return self.space.sqrt_apply(self.metric_eigvecs)
 
     @functools.cached_property
     def reference_rule(self) -> QuadratureRule:
@@ -374,8 +379,8 @@ def build_system(kernel: Kernel, scheme, n: int, outer_rule: QuadratureRule | No
 
 def _factor(space: WeightedSpace, matrix, n: int) -> dict:
     """Check ``M A`` is self-adjoint PSD, then return the factor fields of a
-    :class:`DiscreteSystem` by name: the matrix, the eigenpairs of its
-    symmetrization, the spectra the two filters read and ``sigma_min``."""
+    :class:`DiscreteSystem` by name: the matrix, its factor ``(lambda, R)``,
+    the spectra the two filters read and ``sigma_min``."""
     matrix = as_matrix(matrix, "matrix")
     if matrix.shape != (n, n):
         raise NumericalError(
@@ -405,10 +410,11 @@ def _factor(space: WeightedSpace, matrix, n: int) -> dict:
     gains = np.zeros(n)
     gains[kept] = 1.0 / vals[kept]
     clipped = np.maximum(vals, 0.0)
-    gains.flags.writeable = clipped.flags.writeable = False
+    vecs = space._product(-0.5, vecs)  # R, in Q's place, formed before any solve
+    vecs.flags.writeable = gains.flags.writeable = clipped.flags.writeable = False
     # an all-zero spectrum is a numerically zero operator
     floor = float(mags[kept].min()) if kept.any() else 0.0
-    return dict(matrix=matrix, eigvals=vals, eigvecs=vecs, pinv_gains=gains,
+    return dict(matrix=matrix, eigvals=vals, metric_eigvecs=vecs, pinv_gains=gains,
                 clipped_eigvals=clipped, pinv_peak=1.0 / floor if floor else 0.0,
                 sigma_min=float(np.sqrt(floor)))
 
@@ -439,19 +445,15 @@ def apply_adjoint(system: DiscreteSystem, v):
     v = as_vector(v, "v")
     if v.size != system.n:
         raise ValueError(f"coordinate vector has length {v.size}, expected {system.n}")
-    return _reconstruction(system, system.space.apply_metric(v))
+    return functools.partial(_reconstruct, system, system.space.apply_metric(v))
 
 
-def _reconstruction(system: DiscreteSystem, mv: np.ndarray):
-    """The function ``s -> sum_i g_i(s) mv_i`` of :func:`apply_adjoint`,
-    for an ``M v`` the caller has already formed."""
-
-    def reconstruction(s):
-        vals = mv @ system.slice_values(s)
-        shape = np.shape(s)
-        return vals.reshape(shape) if shape else float(vals[0])
-
-    return reconstruction
+def _reconstruct(system: DiscreteSystem, mv: np.ndarray, s):
+    """``sum_i g_i(s) mv_i``, the function of :func:`apply_adjoint` bound to
+    an ``M v`` the caller has already formed."""
+    vals = mv @ system.slice_values(s)
+    shape = np.shape(s)
+    return vals.reshape(shape) if shape else float(vals[0])
 
 
 # The largest reference rule on which estimate_epsilon forms the m x m
@@ -503,12 +505,16 @@ def estimate_epsilon(systems):
     m, sqrt_rho = rule.n_points, np.sqrt(rule.weights)
     halves = [(system.slice_values(rule.nodes), system.space) for system in group]
     if m <= DENSE_EPSILON_MAX_POINTS:
-        gram = kernel.normal_gram(rule)
+        gram, scale = kernel.normal_gram(rule), np.outer(sqrt_rho, sqrt_rho)
 
         def dense_norm(gv, space):
-            d = (gram - gv.T @ space.apply_metric(gv)) * np.outer(sqrt_rho, sqrt_rho)
-            diff = 0.5 * (d + d.T)
-            return symmetric_norm(lambda x: diff @ x, m)
+            # (N - G^T M G) * scale, then 0.5 (d + d^T), in place
+            d = gv.T @ space.apply_metric(gv)
+            np.subtract(gram, d, out=d)
+            d *= scale
+            d += d.T
+            d *= 0.5
+            return symmetric_norm(lambda x: d @ x, m)
 
         # no pass over a shared sample to save here: one system at a time
         # holds one difference matrix, where a lockstep would hold them all

@@ -15,10 +15,10 @@ preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space, a diagonal or a dense SPD Gram metric, and is the only code that knows
-which: the package applies M and its square roots through its products, and
-every discrete solve is one :meth:`WeightedSpace.filter`.
+which: the package applies M and its square roots through its products.
 Systems are symmetrized through ``M^(1/2) A M^(-1/2)`` so that the numerical
-spectrum is the spectrum of the operator in that inner product.
+spectrum is the spectrum of the operator in that inner product; a solve then
+needs M alone, beside the factor the system stores.
 """
 
 from __future__ import annotations
@@ -89,10 +89,14 @@ class WeightedSpace:
         for owned in factors:
             owned.flags.writeable = False
         self._factors = dict(zip((1.0, 0.5, -0.5), factors))  # M^power by power
+        # M v of a vector, bit for bit as _product forms it, with no dispatch
+        self._metric_vec = functools.partial(np.dot if matrix is not None else np.multiply,
+                                             factors[0])
         self.dim = factors[0].shape[0]
-        # max(1, ||M^(-1/2)||) * max(1, ||M||) from the extreme eigenvalues
-        # of M: how much the products of filter after M^(1/2) y can grow
-        self._filter_growth = max(1.0, 1.0 / math.sqrt(bottom)) * max(1.0, top)
+        # max(1, ||M||) max(1, ||M^(1/2)||) max(1, ||M^(-1/2)||), from M's
+        # extreme eigenvalues: the growth of a solve's products beyond ||y|| g
+        self._filter_growth = (max(1.0, top) * max(1.0, math.sqrt(top))
+                               * max(1.0, 1.0 / math.sqrt(bottom)))
 
     def _left(self, power: float, v) -> np.ndarray:
         """``M^power v`` for a vector or a block of ``dim`` rows."""
@@ -134,35 +138,6 @@ class WeightedSpace:
     def isqrt_apply(self, v) -> np.ndarray:
         """Return ``M^(-1/2) v``."""
         return self._left(-0.5, v)
-
-    def filter(self, basis: np.ndarray, gains: np.ndarray, peak_gain: float,
-               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral filter ``v = M^(-1/2) Q diag(gains) Q^T M^(1/2) y`` and ``M v``.
-
-        ``basis`` is the orthogonal Q, ``peak_gain`` the largest ``|gains|``
-        and ``y`` a vector of ``dim`` entries; none is checked again.  The
-        products are those of :meth:`sqrt_apply`, :meth:`isqrt_apply` and
-        :meth:`apply_metric`, bit for bit.  Every product after ``M^(1/2) y``
-        is bounded by ``||M^(1/2) y|| * peak_gain * max(1, ||M^(-1/2)||) *
-        max(1, ||M||)``; when that bound is not finite (a NaN or Inf in
-        ``y`` makes it so), :class:`NumericalError` is raised before the
-        gains are applied, so none of those products overflows.
-        """
-        sy = self._product(0.5, y)
-        # vdot is silent on overflow; squares beyond the float range are
-        # summed again scaled by the largest entry
-        size = math.sqrt(np.vdot(sy, sy))
-        if size == math.inf:
-            top = float(np.abs(sy).max())
-            if top < math.inf:
-                size = top * math.sqrt(np.vdot(sy / top, sy / top))
-        # a Python product of floats gives inf (or nan), not a warning
-        if not math.isfinite(size * peak_gain * self._filter_growth):
-            raise NumericalError(
-                f"non-finite bound on the filtered solution: ||M^(1/2) y|| {size:.3e} "
-                f"x largest gain {peak_gain:.3e} x metric growth {self._filter_growth:.3e}")
-        v = self._product(-0.5, basis @ (gains * (basis.T @ sy)))
-        return v, self._product(1.0, v)
 
     def symmetrize(self, a) -> np.ndarray:
         """Return ``M^(1/2) A M^(-1/2)``, symmetric when A is self-adjoint."""

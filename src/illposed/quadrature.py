@@ -96,8 +96,8 @@ class QuadratureRule:
 
     def norm(self, f_values) -> float:
         f = np.asarray(f_values, dtype=float)
-        with np.errstate(over="ignore"):  # an overflow is inf, which callers reject
-            return float(np.sqrt(max(np.sum(self.weights * f * f), 0.0)))
+        # vdot warns of no overflow (WeightedSpace._norm): inf, which callers reject
+        return math.sqrt(max(np.vdot(f, self.weights * f), 0.0))
 
 
 # The largest rule taken from numpy's leggauss.  This is not where Newton

@@ -6,11 +6,12 @@ map coordinates back to a function through the adjoint.  Both solves are
 spectral filters of the eigendecomposition the system stores for its
 metric-symmetrized matrix, so truncation and shifts act on the singular
 values of the discretized operator in the correct inner product.  The
-factor also carries the spectra the filters read (the minimum-norm gains
-and the clipped eigenvalues), so a solve checks the shape of its data once
-and runs one :meth:`~illposed.linalg.WeightedSpace.filter`: two
-matrix-vector products with the eigenvectors, three with the metric
-factors, and the ``M v`` its reconstruction reuses.
+factor is stored as ``R = M^(-1/2) Q`` beside the spectra the filters read
+(the minimum-norm gains and the clipped eigenvalues), so a solve checks the
+shape of its data once and runs :func:`_filter`: ``z = R^T (M y)``,
+``v = R (g z)`` and the ``M v`` its reconstruction reuses, two
+matrix-vector products with R and two with the metric (elementwise for a
+diagonal one), after one bound on them all.
 
 The continuous Tikhonov solution is the yardstick the error bounds compare
 against.  Problems carrying a closed-form singular expansion use the spectral
@@ -26,12 +27,13 @@ family ``phi(t) = t^nu``; it lives on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import RANK_RTOL, DiscreteSystem, _reconstruction
+from .discretize import RANK_RTOL, DiscreteSystem, _reconstruct
 from .linalg import NumericalError, WeightedSpace, eigh_symmetric
 from .problems import REFERENCE_POINTS, TestProblem, reference_rule
 from .quadrature import QuadratureRule, aligned_rule
@@ -63,7 +65,7 @@ def choose_alpha(eps_n: float) -> float:
 # Discrete solves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Reconstruction:
     """Coordinate solution plus its function-space realization.
 
@@ -72,6 +74,12 @@ class Reconstruction:
 
     coordinates: np.ndarray
     function: object
+
+    def __init__(self, coordinates, function):
+        # one per solve: two dict stores cost less than the generated frozen
+        # __init__'s object.__setattr__ per field
+        fields = self.__dict__
+        fields["coordinates"], fields["function"] = coordinates, function
 
 
 def min_norm_solution(system: DiscreteSystem, y_n, *,
@@ -91,61 +99,71 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
     """
     if not 0.0 <= float(residual_allowance) < math.inf:
         raise ValueError(f"residual_allowance must be finite and >= 0, got {residual_allowance!r}")
-    y_n = _data(system, y_n, "y_n")
-    space = system.space
-    v, mv = _filter(system, system.pinv_gains, system.pinv_peak, y_n, "y_n")
-    residual = space._norm(system.matrix @ v - y_n)
-    threshold = RANK_RTOL * space._norm(y_n) + residual_allowance
+    y_n, v, mv = _filter(system, y_n, "y_n", system.pinv_peak, system.pinv_gains)
+    residual = system.space._norm(system.matrix @ v - y_n)
+    threshold = RANK_RTOL * system.space._norm(y_n) + residual_allowance
     if residual > threshold:
         raise InconsistentDataError(
             f"inconsistent discrete data: residual {residual:.3e} exceeds "
             f"{threshold:.3e}"
         )
-    return Reconstruction(coordinates=v, function=_reconstruction(system, mv))
+    return Reconstruction(v, functools.partial(_reconstruct, system, mv))
 
 
 def tikhonov_discrete(system: DiscreteSystem, y_tilde_n, alpha: float) -> Reconstruction:
     """Shifted solve of the discrete normal system (noise-robust path).
 
     Filters :attr:`DiscreteSystem.clipped_eigvals` by ``1 / (max(lambda,
-    0) + alpha)``: negative eigenvalues are rounding of a system already
-    certified PSD, and clipping them keeps shifts below that rounding floor
-    solvable.
+    0) + alpha)``, a division by the shifted spectrum: negative eigenvalues
+    are rounding of a system already certified PSD, and clipping them keeps
+    shifts below that rounding floor solvable.
     """
     alpha = check_positive(alpha, "alpha")
-    y_tilde_n = _data(system, y_tilde_n, "y_tilde_n")
-    clipped = system.clipped_eigvals
-    # the largest gain, in the arithmetic of the gains below (the spectrum
-    # is non-increasing); only a subnormal alpha overflows it
-    peak = 1.0 / (float(clipped[-1]) + alpha)
+    # the largest gain (the spectrum is non-increasing); a subnormal alpha overflows it
+    peak = 1.0 / (float(system.clipped_eigvals[-1]) + alpha)
     if not math.isfinite(peak):
         raise NumericalError(f"non-finite Tikhonov gain 1/alpha at alpha {alpha!r}")
-    v, mv = _filter(system, 1.0 / (clipped + alpha), peak, y_tilde_n, "y_tilde_n")
-    return Reconstruction(coordinates=v, function=_reconstruction(system, mv))
+    _, v, mv = _filter(system, y_tilde_n, "y_tilde_n", peak, None, alpha)
+    return Reconstruction(v, functools.partial(_reconstruct, system, mv))
 
 
-def _data(system: DiscreteSystem, y, name: str) -> np.ndarray:
-    """The caller's data as a float vector of the system's length; whether
-    it is finite, :func:`_filter` finds out."""
+def _filter(system: DiscreteSystem, y, name: str, peak: float, gains=None,
+            shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one solve path, ``v = M^(-1/2) Q diag(g) Q^T M^(1/2) y = R (g
+    R^T M y)`` by the stored ``R``: the caller's data as a float vector, v
+    and ``M v``.  ``g`` is ``gains``, or else a division by ``clipped_eigvals
+    + shift``, and ``peak`` its largest modulus.  Every product and partial
+    sum is bounded by ``||y|| max(1, peak) max(1, ||M||) max(1, ||M^(1/2)||)
+    max(1, ||M^(-1/2)||)``; if that is not finite no product is formed: a
+    NaN or Inf in ``y`` is the caller's ``ValueError``, else it is a
+    ``NumericalError``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {y.shape}")
     if y.size != system.n:
         raise ValueError(f"data has length {y.size}, expected {system.n}")
-    return y
-
-
-def _filter(system: DiscreteSystem, gains: np.ndarray, peak: float, y: np.ndarray,
-            name: str) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`WeightedSpace.filter` of the caller's data ``y`` by the stored
-    factor.  A NaN or Inf in ``y`` makes the filter's bound non-finite, so
-    the data is checked only when the filter refuses it: a non-finite entry
-    is the caller's ``ValueError``, anything else a ``NumericalError``."""
-    try:
-        return system.space.filter(system.eigvecs, gains, peak, y)
-    except NumericalError:
+    space, r = system.space, system.metric_eigvecs
+    # vdot is silent on overflow; squares beyond the float range are summed
+    # again scaled by the largest entry
+    size = math.sqrt(np.vdot(y, y))
+    if size == math.inf:
+        top = float(np.abs(y).max())
+        if top < math.inf:
+            size = top * math.sqrt(np.vdot(y / top, y / top))
+    # a Python product of floats gives inf (or nan), not a warning
+    if not math.isfinite(size * max(1.0, peak) * space._filter_growth):
         check_finite(y, name)
-        raise
+        raise NumericalError(
+            f"non-finite bound on the filtered solution: ||y|| {size:.3e} x largest "
+            f"gain {peak:.3e} x metric growth {space._filter_growth:.3e}")
+    metric = space._metric_vec
+    z = np.dot(metric(y), r)  # R^T (M y), as the row vector (M y)^T R
+    if gains is None:
+        z /= system.clipped_eigvals + shift
+    else:
+        z *= gains
+    v = np.dot(r, z)
+    return y, v, metric(v)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,19 @@ def test_stored_factor_reproduces_symmetrized_matrix(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_stored_factor_is_the_metric_eigenvectors(scheme):
+    # R = M^(-1/2) Q, kept read-only and C-ordered: the eigenvectors of A,
+    # orthonormal in the data metric; eigvecs reads Q back as M^(1/2) R
+    system = build_system(get_problem("green-m1").kernel, scheme, 12)
+    r, lam, space = system.metric_eigvecs, system.eigvals, system.space
+    assert r.flags.c_contiguous and not r.flags.writeable
+    assert np.max(np.abs(r.T @ space.apply_metric(r) - np.eye(12))) <= 1e-12
+    scale = np.max(np.abs(system.matrix))
+    assert np.max(np.abs(system.matrix @ r - r * lam)) <= 1e-12 * scale * np.max(np.abs(r))
+    assert np.array_equal(system.eigvecs, space.sqrt_apply(r))
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
 def test_factor_system_refactors_a_replaced_matrix(scheme):
     # a system built from a given matrix is factored like an assembled one:
     # twice the assembled matrix doubles every eigenvalue

@@ -315,36 +315,3 @@ def test_weighted_space_norm_overflows_to_inf_without_a_warning(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert space.norm(1e200 * np.ones(3)) == np.inf
-
-
-@pytest.mark.parametrize("kind", ["diagonal", "gram"])
-def test_weighted_space_filter_is_its_three_products_bit_for_bit(kind):
-    rng = np.random.default_rng(7)
-    if kind == "diagonal":
-        space = WeightedSpace(weights=rng.uniform(0.1, 1.0, 6))
-    else:
-        g = random_matrix(6, 6, 8)
-        space = WeightedSpace(matrix=g @ g.T + 6.0 * np.eye(6))
-    q, _ = np.linalg.qr(random_matrix(6, 6, 9))
-    gains, y = rng.uniform(-2.0, 2.0, 6), rng.standard_normal(6)
-    peak = float(np.max(np.abs(gains)))
-    v, mv = space.filter(q, gains, peak, y)
-    expected = space.isqrt_apply(q @ (gains * (q.T @ space.sqrt_apply(y))))
-    assert np.array_equal(v, expected)
-    assert np.array_equal(mv, space.apply_metric(expected))
-    # the growth of the products after M^(1/2) y, from operator norms
-    growth = (max(1.0, np.linalg.norm(space.isqrt_apply(np.eye(6)), 2))
-              * max(1.0, np.linalg.norm(space.apply_metric(np.eye(6)), 2)))
-    assert space._filter_growth == pytest.approx(growth, rel=1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # squares of 1e200 overflow, the filtered solution does not
-        big = 1e200 * y
-        v, _ = space.filter(q, gains, peak, big)
-        assert np.array_equal(v, space.isqrt_apply(q @ (gains * (q.T @ space.sqrt_apply(big)))))
-        # data whose bound overflows is refused before the gains are
-        # applied, without a RuntimeWarning
-        with pytest.raises(linalg.NumericalError, match="non-finite"):
-            space.filter(q, gains, 1e308, y)
-        with pytest.raises(linalg.NumericalError, match="non-finite"):
-            space.filter(q, 1e10 * gains, 1e10 * peak, 1e300 * y)

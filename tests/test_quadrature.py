@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ UNIT = Domain(0.0, 1.0)
 def test_domain_requires_order():
     with pytest.raises(ValueError):
         Domain(1.0, 1.0)
+
+
+def test_rule_norm_overflows_to_inf_without_a_warning():
+    # sum w f^2 overflows long before f does: the norm is inf, which
+    # callers reject, and no RuntimeWarning is raised
+    rule = gauss_legendre(8, UNIT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rule.norm(np.full(8, 1e200)) == math.inf
+        assert rule.norm(np.full(8, 3.0)) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_trapezoid_n3_nodes_and_weights():

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -254,11 +256,15 @@ def test_tikhonov_shift_below_rounding_floor():
         assert 0.0 < gain <= (1.0 + 1e-12) / alpha
 
 
-def written_out_filter(system, gains, y_n):
+def written_out_filter(system, gains, y_n, shifted=None):
     # today's expression for both solves, product by product through the
-    # space's public methods: M^(-1/2) Q diag(g) Q^T M^(1/2) y
-    space, q = system.space, system.eigvecs
-    return space.isqrt_apply(q @ (gains * (q.T @ space.sqrt_apply(y_n))))
+    # stored R = M^(-1/2) Q and the space's public product, with R^T x taken
+    # as the row vector x^T R: M^(-1/2) Q diag(g) Q^T M^(1/2) y =
+    # R diag(g) R^T M y; a Tikhonov solve divides by its shifted spectrum
+    # instead of multiplying by g = 1 / shifted
+    r = system.metric_eigvecs
+    z = system.space.apply_metric(y_n) @ r
+    return r @ (z * gains if shifted is None else z / shifted)
 
 
 @pytest.mark.parametrize("pid, scheme, n", [
@@ -276,12 +282,12 @@ def test_solves_have_the_bits_of_the_written_out_filter(pid, scheme, n):
     kept = np.abs(lam) > RANK_RTOL * np.abs(lam).max()
     pinv = np.zeros(n)
     pinv[kept] = 1.0 / lam[kept]
-    solves = [(min_norm_solution(system, y_n), pinv)]
+    solves = [(min_norm_solution(system, y_n), pinv, None)]
     for alpha in (system.epsilon_n, 1e-4):
-        solves.append((tikhonov_discrete(system, y_n, alpha),
-                       1.0 / (np.maximum(lam, 0.0) + alpha)))
-    for rec, gains in solves:
-        expected = written_out_filter(system, gains, y_n)
+        shifted = np.maximum(lam, 0.0) + alpha
+        solves.append((tikhonov_discrete(system, y_n, alpha), 1.0 / shifted, shifted))
+    for rec, gains, shifted in solves:
+        expected = written_out_filter(system, gains, y_n, shifted)
         assert np.array_equal(rec.coordinates, expected)
         # the reconstruction is the adjoint of those coordinates, bit for bit
         assert np.array_equal(rec.function(REF.nodes), apply_adjoint(system, expected)(REF.nodes))
@@ -330,12 +336,65 @@ def test_solves_refuse_data_whose_filter_overflows(scheme):
         tikhonov_discrete(system, y_n, alpha)
 
 
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory"])
+def test_solves_bound_every_product_and_refuse_without_warnings(scheme):
+    # a diagonal and a Gram metric, on the unit interval (||M|| < 1) and on
+    # [0, 100] (||M|| > 1): the bound's growth beyond ||y|| times the largest
+    # gain, from the operator norms of M, M^(1/2) and M^(-1/2)
+    prob = get_problem("green-m1")
+    system = build_system(prob.kernel, scheme, 8)
+    wide = build_system(Kernel(lambda s, t: np.exp(-np.abs(s - t) / 50.0), Domain(0.0, 100.0)),
+                        scheme, 8)
+    eye = np.eye(8)
+    for space in (system.space, wide.space):
+        growth = np.prod([max(1.0, np.linalg.norm(product(eye), 2)) for product in
+                          (space.apply_metric, space.sqrt_apply, space.isqrt_apply)])
+        assert space._filter_growth == pytest.approx(growth, rel=1e-12)
+    assert wide.space._filter_growth > 1.0
+    y_n = project_data(system, prob.y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # squares of 1e200 overflow, the filtered solution does not
+        big = 1e200 * y_n
+        shifted = system.clipped_eigvals + 1.0
+        v = tikhonov_discrete(system, big, 1.0).coordinates
+        assert np.array_equal(v, written_out_filter(system, 1.0 / shifted, big, shifted))
+        # data whose bound overflows is refused before any product is
+        # formed, without a RuntimeWarning: data of 1e305 against gains of
+        # 1e5 and more
+        with pytest.raises(NumericalError, match="non-finite"):
+            tikhonov_discrete(system, 1e305 * y_n, 1e-6)
+        with pytest.raises(NumericalError, match="non-finite"):
+            min_norm_solution(system, 1e305 * y_n)
+        # gains below 1 do not shrink the bound on M y, which overflows
+        # here although ||y|| is finite
+        with pytest.raises(NumericalError, match="non-finite"):
+            tikhonov_discrete(wide, np.full(8, 2e307), 1e300)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_a_solve_allocates_no_n_by_n_array(scheme):
+    # R = M^(-1/2) Q is formed with the system: a system's first solves at
+    # n = 256 allocate vectors, far below one 256 x 256 array (512 KiB)
+    prob = get_problem("green-m1")
+    system = build_system(prob.kernel, scheme, 256)
+    y_n = project_data(system, prob.y)
+    tracemalloc.start()
+    try:
+        tikhonov_discrete(system, y_n, 1e-4)
+        min_norm_solution(system, y_n, residual_allowance=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 256 * 256 * 8
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solves_reject_non_finite_data_as_the_callers_error(bad):
     # the filter's bound finds the entry; the error names the data, and no
     # RuntimeWarning (an error in this suite) is raised on the way
     prob = get_problem("green-m1")
-    for scheme in ("collocation", "interpolatory"):
+    for scheme in ("collocation", "interpolatory", "ortho-pc"):
         system = build_system(prob.kernel, scheme, 8)
         y_n = project_data(system, prob.y)
         y_n[3] = bad

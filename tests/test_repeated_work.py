@@ -2,12 +2,13 @@
 
 import csv
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from illposed import analysis, discretize, linalg, quadrature
+from illposed import analysis, cli, discretize, linalg, quadrature
 from illposed.analysis import l2_error
 from illposed.cli import EXIT_OK, main
 from illposed.discretize import build_system, estimate_epsilon, project_data
@@ -366,3 +367,36 @@ def test_verify_integrates_each_continuous_reference_once(tmp_path, monkeypatch)
     monkeypatch.setattr(analysis, "tikhonov_continuous_reference", counting)
     assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
     assert len(counts) == 33 and max(counts.values()) == 1, counts
+
+
+@pytest.mark.parametrize("command, config, ladders", [
+    ("verify", {"problem": ["rank1-sine", "green-m1"], "scheme": ["collocation", "ortho-pc"],
+                "n": [4, 8]}, 4),
+    ("study", {"scheme": "all", "n": [4, 8]}, 3),
+])
+def test_a_ladder_is_freed_before_the_next_ladders_epsilon(tmp_path, monkeypatch, command,
+                                                           config, ladders):
+    # when a ladder's eps_n is measured, every system built before it is
+    # dead, the last one of the previous problem included, and so is every
+    # other kernel with the memos eps_n left on it
+    built, seen = [], []
+
+    def build(kernel, *args, **kwargs):
+        system = build_system(kernel, *args, **kwargs)
+        built.append((weakref.ref(system), weakref.ref(kernel)))
+        return system
+
+    def measure(ladder):
+        earlier = [(s, k) for s, k in built if s() not in ladder]
+        seen.append((len(earlier), [s() for s, _ in earlier],
+                     [k() for _, k in earlier if k() is not ladder[0].kernel]))
+        return estimate_epsilon(ladder)
+
+    monkeypatch.setattr(cli, "build_system", build)
+    monkeypatch.setattr(cli, "estimate_epsilon", measure)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [count for count, _, _ in seen] == list(range(0, 2 * ladders, 2))
+    for _, systems, kernels in seen:
+        assert systems == [None] * len(systems) and kernels == [None] * len(kernels)
