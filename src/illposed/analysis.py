@@ -320,7 +320,7 @@ def verify_th5(problem: TestProblem, system: DiscreteSystem, alphas, deltas,
                                  l2_error(rec.function, rec_noisy.function, ref_rule),
                                  noise_term, ctx),
             ]
-        # repeated per level until the row layout changes (ROADMAP item 1)
+        # repeated per level; writing it once is ROADMAP item 13, after item 15
         reports.append(rate or skipped_report(
             "Th-5-rate", _context(problem, system, alpha=eps, delta=level),
             "no source representation"))

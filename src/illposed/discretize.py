@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalError, WeightedSpace, _lanczos, eigh_symmetric, symmetric_norm
+from .linalg import NumericalError, WeightedSpace, _lanczos, symmetric_norm
 from .problems import REFERENCE_POINTS, Kernel
 from .quadrature import (
     Domain,
@@ -127,10 +127,11 @@ class DiscreteSystem:
         Matrix of the composed operator (the normal operator on data space)
         in the scheme basis; ``A = K M`` with ``K_ij = integral g_i g_j``.
     eigvals, metric_eigvecs : ndarray
-        Eigenvalues (non-increasing) of ``Q diag(lambda) Q^T``, the symmetric
-        PSD ``space.symmetrize(matrix) = M^(1/2) A M^(-1/2)``, and ``R =
-        M^(-1/2) Q``, the eigenvectors of ``A`` orthonormal in the metric:
-        the factor every solve filters, read-only and C-ordered.
+        ``space.eigh(matrix)``: the eigenvalues (non-increasing) of ``Q
+        diag(lambda) Q^T``, the symmetric PSD ``space.symmetrize(matrix) =
+        M^(1/2) A M^(-1/2)``, and ``R = M^(-1/2) Q``, the eigenvectors of
+        ``A`` orthonormal in the metric: the factor every solve filters,
+        read-only and C-ordered.  Q itself is not kept.
     pinv_gains, pinv_peak : ndarray, float
         The minimum-norm filter: ``1 / lambda`` on the numerical rank, the
         eigenvalues above ``RANK_RTOL * max|lambda|``, and 0 elsewhere; and
@@ -171,11 +172,6 @@ class DiscreteSystem:
     @property
     def domain(self) -> Domain:
         return self.kernel.domain
-
-    @property
-    def eigvecs(self) -> np.ndarray:
-        """Q, formed afresh as ``M^(1/2) R`` on each read; no solve reads it."""
-        return self.space.sqrt_apply(self.metric_eigvecs)
 
     @functools.cached_property
     def reference_rule(self) -> QuadratureRule:
@@ -395,9 +391,7 @@ def _factor(space: WeightedSpace, matrix, n: int) -> dict:
             f"(asymmetry {asym:.3e} vs scale {scale:.3e})"
         )
 
-    sym = space.symmetrize(matrix)
-    sym = 0.5 * (sym + sym.T)
-    vals, vecs = eigh_symmetric(sym)
+    vals, r = space.eigh(matrix)  # R = M^(-1/2) Q, formed before any solve
     if vals[-1] < -_PSD_RTOL * np.max(np.abs(vals)):
         raise NumericalError(
             f"matrix is not PSD (min eigenvalue {vals[-1]:.3e} "
@@ -410,11 +404,10 @@ def _factor(space: WeightedSpace, matrix, n: int) -> dict:
     gains = np.zeros(n)
     gains[kept] = 1.0 / vals[kept]
     clipped = np.maximum(vals, 0.0)
-    vecs = space._product(-0.5, vecs)  # R, in Q's place, formed before any solve
-    vecs.flags.writeable = gains.flags.writeable = clipped.flags.writeable = False
+    r.flags.writeable = gains.flags.writeable = clipped.flags.writeable = False
     # an all-zero spectrum is a numerically zero operator
     floor = float(mags[kept].min()) if kept.any() else 0.0
-    return dict(matrix=matrix, eigvals=vals, metric_eigvecs=vecs, pinv_gains=gains,
+    return dict(matrix=matrix, eigvals=vals, metric_eigvecs=r, pinv_gains=gains,
                 clipped_eigvals=clipped, pinv_peak=1.0 / floor if floor else 0.0,
                 sigma_min=float(np.sqrt(floor)))
 

@@ -15,10 +15,11 @@ preconditions.
 
 A :class:`WeightedSpace` carries the inner product of the discrete data
 space, a diagonal or a dense SPD Gram metric, and is the only code that knows
-which: the package applies M and its square roots through its products.
-Systems are symmetrized through ``M^(1/2) A M^(-1/2)`` so that the numerical
-spectrum is the spectrum of the operator in that inner product; a solve then
-needs M alone, beside the factor the system stores.
+which.  It applies M, and it factors a system: :meth:`WeightedSpace.eigh`
+symmetrizes through ``M^(1/2) A M^(-1/2)``, so that the numerical spectrum is
+the spectrum of the operator in that inner product, and returns the
+eigenvectors as ``R = M^(-1/2) Q``; a solve then needs M alone, beside the
+factor the system stores.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ class WeightedSpace:
         Dense symmetric positive definite Gram metric, for bases that are
         not orthogonal.  Exactly one of ``weights``/``matrix`` must be given.
 
-    M, ``M^(1/2)`` and ``M^(-1/2)`` are one table of eagerly computed,
-    read-only factors (diagonals, or matrices for a Gram metric), so one
-    instance can be shared.  Each product takes a vector or a block of
-    ``dim`` rows and returns a C-ordered array; the dense metric is
-    ``apply_metric(np.eye(dim))``.
+    M, ``M^(1/2)`` and ``M^(-1/2)`` are computed eagerly and kept read-only
+    (diagonals, or matrices for a Gram metric), so one instance can be
+    shared.  M is applied to a vector or a block of ``dim`` rows and returns
+    a C-ordered array; the dense metric is ``apply_metric(np.eye(dim))``.
+    The roots are read only by :meth:`symmetrize` and :meth:`eigh`.
     """
 
     def __init__(self, weights=None, matrix=None):
@@ -88,8 +89,8 @@ class WeightedSpace:
             top, bottom = float(vals[0]), float(vals[-1])
         for owned in factors:
             owned.flags.writeable = False
-        self._factors = dict(zip((1.0, 0.5, -0.5), factors))  # M^power by power
-        # M v of a vector, bit for bit as _product forms it, with no dispatch
+        self._metric, self._root, self._iroot = factors
+        # M v of a vector, bit for bit as apply_metric forms it, unchecked
         self._metric_vec = functools.partial(np.dot if matrix is not None else np.multiply,
                                              factors[0])
         self.dim = factors[0].shape[0]
@@ -98,56 +99,49 @@ class WeightedSpace:
         self._filter_growth = (max(1.0, top) * max(1.0, math.sqrt(top))
                                * max(1.0, 1.0 / math.sqrt(bottom)))
 
-    def _left(self, power: float, v) -> np.ndarray:
-        """``M^power v`` for a vector or a block of ``dim`` rows."""
+    def apply_metric(self, v) -> np.ndarray:
+        """Return ``M v`` for a vector or a block of ``dim`` rows."""
         v = np.asarray(v, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows, got shape {v.shape}")
-        return self._product(power, v)
-
-    def _product(self, power: float, v: np.ndarray) -> np.ndarray:
-        """:meth:`_left` of an array the package formed, unchecked."""
-        f = self._factors[power]
-        if f.ndim == 2:
-            return f @ v
-        return f * v if v.ndim == 1 else f[:, None] * v
-
-    def _right(self, a: np.ndarray, power: float) -> np.ndarray:
-        """``A M^power`` for a block ``A`` of ``dim`` columns."""
-        f = self._factors[power]
-        return a @ f if f.ndim == 2 else a * f
-
-    def apply_metric(self, v) -> np.ndarray:
-        """Return ``M v``."""
-        return self._left(1.0, v)
+        return _left(self._metric, v)
 
     def norm(self, v) -> float:
-        return self._norm(as_vector(v, "v"))
-
-    def _norm(self, v: np.ndarray) -> float:
-        """:meth:`norm` of a finite vector the package formed, unchecked."""
+        v = as_vector(v, "v")
         # vdot is the BLAS dot of ``@``, bit for bit, but reports no overflow
-        # as a RuntimeWarning (np.errstate costs more than the product at the
-        # sizes solved here): an overflow is inf, which callers reject
+        # as a RuntimeWarning: an overflow is inf, which callers reject
         return math.sqrt(max(np.vdot(v, self.apply_metric(v)), 0.0))
-
-    def sqrt_apply(self, v) -> np.ndarray:
-        """Return ``M^(1/2) v``."""
-        return self._left(0.5, v)
-
-    def isqrt_apply(self, v) -> np.ndarray:
-        """Return ``M^(-1/2) v``."""
-        return self._left(-0.5, v)
 
     def symmetrize(self, a) -> np.ndarray:
         """Return ``M^(1/2) A M^(-1/2)``, symmetric when A is self-adjoint."""
         if np.shape(a) != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got shape {np.shape(a)}")
-        return self._right(self.sqrt_apply(as_matrix(a, "A")), -0.5)
+        a = _left(self._root, as_matrix(a, "A"))
+        return a @ self._iroot if self._iroot.ndim == 2 else a * self._iroot
+
+    def eigh(self, a) -> tuple[np.ndarray, np.ndarray]:
+        """Factor A, self-adjoint in the metric: ``(lambda, R)``.
+
+        :func:`eigh_symmetric` factors the exactly symmetric part of
+        :meth:`symmetrize`'s ``M^(1/2) A M^(-1/2) = Q diag(lambda) Q^T``, and
+        ``R = M^(-1/2) Q`` holds the eigenvectors of A, orthonormal in the
+        metric (``R^T M R = I``), C-ordered.
+        """
+        sym = self.symmetrize(a)
+        vals, vecs = eigh_symmetric(0.5 * (sym + sym.T))
+        return vals, _left(self._iroot, vecs)
 
     def __repr__(self):  # pragma: no cover
-        kind = "diag" if self._factors[1.0].ndim == 1 else "gram"
+        kind = "diag" if self._metric.ndim == 1 else "gram"
         return f"WeightedSpace(dim={self.dim}, kind={kind})"
+
+
+def _left(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``F v`` for a metric factor F kept as a matrix or as its diagonal, and
+    a vector or a block of rows."""
+    if factor.ndim == 2:
+        return factor @ v
+    return factor * v if v.ndim == 1 else factor[:, None] * v
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class QuadratureRule:
 
     def norm(self, f_values) -> float:
         f = np.asarray(f_values, dtype=float)
-        # vdot warns of no overflow (WeightedSpace._norm): inf, which callers reject
+        # vdot warns of no overflow (WeightedSpace.norm): inf, which callers reject
         return math.sqrt(max(np.vdot(f, self.weights * f), 0.0))
 
 

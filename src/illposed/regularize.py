@@ -11,7 +11,9 @@ factor is stored as ``R = M^(-1/2) Q`` beside the spectra the filters read
 shape of its data once and runs :func:`_filter`: ``z = R^T (M y)``,
 ``v = R (g z)`` and the ``M v`` its reconstruction reuses, two
 matrix-vector products with R and two with the metric (elementwise for a
-diagonal one), after one bound on them all.
+diagonal one), after one bound on them all.  The minimum-norm range test
+reads ``||y||`` and the residual off z, whose components on the cut
+eigenvalues are exactly the part of y outside the numerical range.
 
 The continuous Tikhonov solution is the yardstick the error bounds compare
 against.  Problems carrying a closed-form singular expansion use the spectral
@@ -90,18 +92,24 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
     the filter :attr:`DiscreteSystem.pinv_gains` (``1 / lambda`` on the
     eigenvalues above ``RANK_RTOL * max|lambda|``, the package's one
     truncation threshold), and reconstructs ``x = T_n* v``.
-    Raises :class:`InconsistentDataError` when the residual exceeds
-    ``RANK_RTOL * ||y_n|| + residual_allowance`` in the data norm, i.e. the
-    data is numerically outside the operator's range.  For noisy data pass
-    the noise level as the allowance: components outside the range up to
+    Raises :class:`InconsistentDataError` when the residual ``||A v - y_n||``
+    exceeds ``RANK_RTOL * ||y_n|| + residual_allowance`` in the data norm,
+    i.e. the data is numerically outside the operator's range.  Both norms
+    are read off the solve's own ``z = R^T M y_n``, the data in the
+    metric-orthonormal eigenvectors of A: ``||y_n|| = ||z||``, and the
+    residual is z on the cut eigenvalues, free of the solve's rounding.
+    For noisy data pass the noise level as the allowance: components outside the range up to
     that size are expected and are simply not seen by the reconstruction.
     The allowance must be finite and non-negative.
     """
     if not 0.0 <= float(residual_allowance) < math.inf:
         raise ValueError(f"residual_allowance must be finite and >= 0, got {residual_allowance!r}")
-    y_n, v, mv = _filter(system, y_n, "y_n", system.pinv_peak, system.pinv_gains)
-    residual = system.space._norm(system.matrix @ v - y_n)
-    threshold = RANK_RTOL * system.space._norm(y_n) + residual_allowance
+    z, v, mv = _filter(system, y_n, "y_n", system.pinv_peak, system.pinv_gains)
+    # vdot is silent on overflow: squares of z beyond the float range make
+    # the threshold inf, which accepts
+    cut = z[system.pinv_gains == 0.0]
+    residual = math.sqrt(np.vdot(cut, cut))
+    threshold = RANK_RTOL * math.sqrt(np.vdot(z, z)) + residual_allowance
     if residual > threshold:
         raise InconsistentDataError(
             f"inconsistent discrete data: residual {residual:.3e} exceeds "
@@ -130,13 +138,13 @@ def tikhonov_discrete(system: DiscreteSystem, y_tilde_n, alpha: float) -> Recons
 def _filter(system: DiscreteSystem, y, name: str, peak: float, gains=None,
             shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one solve path, ``v = M^(-1/2) Q diag(g) Q^T M^(1/2) y = R (g
-    R^T M y)`` by the stored ``R``: the caller's data as a float vector, v
-    and ``M v``.  ``g`` is ``gains``, or else a division by ``clipped_eigvals
-    + shift``, and ``peak`` its largest modulus.  Every product and partial
-    sum is bounded by ``||y|| max(1, peak) max(1, ||M||) max(1, ||M^(1/2)||)
-    max(1, ||M^(-1/2)||)``; if that is not finite no product is formed: a
-    NaN or Inf in ``y`` is the caller's ``ValueError``, else it is a
-    ``NumericalError``."""
+    R^T M y)`` by the stored ``R``: ``z = R^T M y``, v and ``M v``.  ``g``
+    is ``gains``, which leaves z as it is, or else an in-place division of z
+    by ``clipped_eigvals + shift``; ``peak`` is its largest modulus.  Every
+    product and partial sum is bounded by ``||y|| max(1, peak) max(1, ||M||)
+    max(1, ||M^(1/2)||) max(1, ||M^(-1/2)||)``; if that is not finite no
+    product is formed: a NaN or Inf in ``y`` is the caller's ``ValueError``,
+    else it is a ``NumericalError``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {y.shape}")
@@ -160,10 +168,10 @@ def _filter(system: DiscreteSystem, y, name: str, peak: float, gains=None,
     z = np.dot(metric(y), r)  # R^T (M y), as the row vector (M y)^T R
     if gains is None:
         z /= system.clipped_eigvals + shift
+        v = np.dot(r, z)
     else:
-        z *= gains
-    v = np.dot(r, z)
-    return y, v, metric(v)
+        v = np.dot(r, z * gains)
+    return z, v, metric(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -11,6 +12,14 @@ SCHEMES = ("collocation", "interpolatory", "ortho-pc")
 # per-test settings(max_examples=...) still apply on top of this profile.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+
+
+def metric_roots(space):
+    """Dense ``M^(1/2)`` and ``M^(-1/2)`` of a WeightedSpace, by numpy's
+    eigensolver on the dense metric: an oracle independent of the roots the
+    space keeps."""
+    vals, vecs = np.linalg.eigh(space.apply_metric(np.eye(space.dim)))
+    return (vecs * np.sqrt(vals)) @ vecs.T, (vecs / np.sqrt(vals)) @ vecs.T
 
 
 @pytest.fixture(scope="session")

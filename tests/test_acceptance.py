@@ -21,7 +21,7 @@ from illposed.cli import EXIT_OK, main
 from illposed.discretize import RANK_RTOL, apply_adjoint, build_system
 from illposed.problems import get_problem, reference_rule
 from illposed.quadrature import aligned_rule
-from tests.conftest import GRID_N, SCHEMES
+from tests.conftest import GRID_N, SCHEMES, metric_roots
 
 REF = reference_rule(get_problem("rank1-sine").kernel.domain)
 
@@ -178,7 +178,7 @@ def test_criterion_8_structural_identities(catalog, grid_systems):
             failures.append(("adjoint", pid, scheme, n, abs(lhs - rhs)))
         # the one factorization every solve filters: orthonormal eigenvectors
         # that reproduce the symmetrized matrix
-        q = system.eigvecs
+        q = metric_roots(system.space)[0] @ system.metric_eigvecs
         if np.max(np.abs(q.T @ q - np.eye(n))) > 1e-10:
             failures.append(("factor-orthonormal", pid, scheme, n))
         if np.max(np.abs((q * system.eigvals) @ q.T - sym)) > 1e-12 * np.max(np.abs(sym)):

@@ -5,6 +5,7 @@ import pytest
 
 from illposed import linalg
 from illposed.linalg import WeightedSpace, eigh_symmetric, spectral_norm
+from tests.conftest import metric_roots
 
 
 def random_matrix(rows, cols, seed):
@@ -260,12 +261,12 @@ def test_weighted_space_gram_metric_roundtrip():
     space = WeightedSpace(matrix=g)
     v = np.array([1.0, -2.0])
     assert v @ space.apply_metric(v) == pytest.approx(v @ g @ v)
-    assert space.isqrt_apply(space.sqrt_apply(v)) == pytest.approx(v)
+    root, iroot = metric_roots(space)
+    assert iroot @ (root @ v) == pytest.approx(v)
     a = np.array([[1.0, 0.2], [0.4, 3.0]])
     sym = space.symmetrize(a)
-    back = space.isqrt_apply((space.sqrt_apply(a.T)).T)  # M^(-1/2) A M^(1/2)
+    back = iroot @ a @ root  # M^(-1/2) A M^(1/2)
     assert np.allclose(space.symmetrize(np.eye(2)), np.eye(2))
-    root, iroot = space.sqrt_apply(np.eye(2)), space.isqrt_apply(np.eye(2))
     assert sym == pytest.approx(root @ a @ iroot)
     assert back is not None
 
@@ -280,7 +281,8 @@ def _dense_powers(metric):
 @pytest.mark.parametrize("cols", [1, 3, 5])
 def test_weighted_space_products_act_on_the_rows_of_a_block(kind, cols):
     # a block of column vectors is multiplied from the left, as M @ block,
-    # also when it is square (cols = dim = 5)
+    # also when it is square (cols = dim = 5); the roots are applied from
+    # both sides by symmetrize, and M^(-1/2) from the left by eigh
     rng = np.random.default_rng(3)
     if kind == "diagonal":
         weights = rng.uniform(0.1, 1.0, 5)
@@ -291,15 +293,23 @@ def test_weighted_space_products_act_on_the_rows_of_a_block(kind, cols):
         space = WeightedSpace(matrix=metric)
     dense = _dense_powers(metric)
     block = rng.standard_normal((5, cols))
-    for power, product in ((1.0, space.apply_metric), (0.5, space.sqrt_apply),
-                           (-0.5, space.isqrt_apply)):
-        got = product(block)
-        assert got.shape == block.shape and got.flags.c_contiguous
-        assert got == pytest.approx(dense[power] @ block, rel=1e-12, abs=1e-12), power
-        for j in range(cols):
-            assert got[:, j] == pytest.approx(product(block[:, j]), rel=1e-13, abs=1e-13)
+    got = space.apply_metric(block)
+    assert got.shape == block.shape and got.flags.c_contiguous
+    assert got == pytest.approx(dense[1.0] @ block, rel=1e-12, abs=1e-12)
+    for j in range(cols):
+        assert got[:, j] == pytest.approx(space.apply_metric(block[:, j]), rel=1e-13, abs=1e-13)
     assert space.symmetrize(block @ block.T) == pytest.approx(
         dense[0.5] @ block @ block.T @ dense[-0.5], rel=1e-12, abs=1e-12)
+    # A = B B^T M is self-adjoint in the metric: R = M^(-1/2) Q holds its
+    # eigenvectors, orthonormal in the metric
+    a = block @ block.T @ metric
+    vals, r = space.eigh(a)
+    scale = np.max(np.abs(a))
+    assert r.flags.c_contiguous and np.all(np.diff(vals) <= 0.0)
+    assert vals == pytest.approx(np.linalg.eigvalsh(dense[0.5] @ a @ dense[-0.5])[::-1],
+                                 rel=1e-12, abs=1e-12 * scale)
+    assert r.T @ metric @ r == pytest.approx(np.eye(5), abs=1e-12)
+    assert np.max(np.abs(a @ r - r * vals)) <= 1e-12 * scale * np.max(np.abs(r))
     with pytest.raises(ValueError, match="rows"):
         space.apply_metric(block.T if cols != 5 else block[:4])
     with pytest.raises(ValueError, match="5x5"):

@@ -36,6 +36,7 @@ from illposed.regularize import (
     tikhonov_discrete,
     tikhonov_spectral_reference,
 )
+from tests.conftest import metric_roots
 
 UNIT = Domain(0.0, 1.0)
 REF = reference_rule(UNIT)
@@ -87,6 +88,56 @@ def test_min_norm_rejects_out_of_range_data():
     allowance = system.space.norm(bad) * 2.0
     rec = min_norm_solution(system, bad, residual_allowance=allowance)
     assert np.all(np.isfinite(rec.coordinates))
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_min_norm_range_test_decides_at_its_threshold(scheme):
+    # data y = R z with z = 1 on rank1-sine's one kept eigenvalue and a cut
+    # part of size s, set so that residual / threshold = s / (RANK_RTOL ||z||
+    # + allowance) is 0.99 or 1.01: the solve rejects exactly above 1, as
+    # the explicit residual test in the data norm does
+    system = build_system(get_problem("rank1-sine").kernel, scheme, 8)
+    space, r, gains = system.space, system.metric_eigvecs, system.pinv_gains
+    cut = gains == 0.0
+    assert np.count_nonzero(~cut) == 1
+    direction = np.where(cut, np.random.default_rng(5).standard_normal(8), 0.0)
+    direction /= np.linalg.norm(direction)
+    for allowance in (0.0, 1e-10):
+        for ratio in (0.99, 1.01):
+            s = 0.0
+            for _ in range(5):  # a contraction by about ratio * RANK_RTOL
+                s = ratio * (RANK_RTOL * np.sqrt(1.0 + s**2) + allowance)
+            y = r @ (np.where(cut, 0.0, 1.0) + s * direction)
+            v = r @ ((space.apply_metric(y) @ r) * gains)
+            explicit = (space.norm(system.matrix @ v - y)
+                        > RANK_RTOL * space.norm(y) + allowance)
+            assert explicit == (ratio > 1.0)
+            if ratio > 1.0:
+                with pytest.raises(InconsistentDataError, match="exceeds"):
+                    min_norm_solution(system, y, residual_allowance=allowance)
+            else:
+                rec = min_norm_solution(system, y, residual_allowance=allowance)
+                assert np.array_equal(rec.coordinates, v)
+
+
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_a_solve_applies_the_metric_twice(scheme, monkeypatch):
+    # M y for z = R^T M y and M v for the reconstruction, once each: the
+    # range test reads its norms off z and forms no metric product
+    prob = get_problem("green-m1")
+    system = build_system(prob.kernel, scheme, 8)
+    y_n = project_data(system, prob.y)
+    space, seen, checked = system.space, [], []
+    metric_vec, apply_metric = space._metric_vec, WeightedSpace.apply_metric
+    monkeypatch.setattr(space, "_metric_vec", lambda v: seen.append(v.copy()) or metric_vec(v))
+    monkeypatch.setattr(WeightedSpace, "apply_metric",
+                        lambda self, v: checked.append(v) or apply_metric(self, v))
+    for solve in (min_norm_solution, lambda s, y: tikhonov_discrete(s, y, 1e-4)):
+        seen.clear()
+        v = solve(system, y_n).coordinates
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], y_n) and np.array_equal(seen[1], v)
+    assert checked == []
 
 
 @pytest.mark.parametrize("allowance", [np.nan, np.inf, -1e-3])
@@ -167,9 +218,9 @@ def relative_gap(system, rec, coordinates):
 def min_norm_oracle(system, y_n):
     # numpy's SVD pseudo-inverse of the symmetrized matrix; it keeps the
     # singular values above RANK_RTOL * s_max, the systems' truncation rule
-    space = system.space
-    pinv = np.linalg.pinv(space.symmetrize(system.matrix), rcond=RANK_RTOL)
-    return space.isqrt_apply(pinv @ space.sqrt_apply(y_n))
+    root, iroot = metric_roots(system.space)
+    pinv = np.linalg.pinv(system.space.symmetrize(system.matrix), rcond=RANK_RTOL)
+    return iroot @ (pinv @ (root @ y_n))
 
 
 def tikhonov_oracle(system, y_n, alpha):
@@ -250,8 +301,7 @@ def test_tikhonov_shift_below_rounding_floor():
     rec = tikhonov_discrete(system, project_data(system, prob.y), alpha)
     assert np.all(np.isfinite(rec.coordinates))
     space = system.space
-    for q in system.eigvecs.T:
-        y = space.isqrt_apply(q)
+    for y in system.metric_eigvecs.T:  # M^(-1/2) q for each eigenvector q
         gain = y @ space.apply_metric(tikhonov_discrete(system, y, alpha).coordinates)
         assert 0.0 < gain <= (1.0 + 1e-12) / alpha
 
@@ -340,15 +390,16 @@ def test_solves_refuse_data_whose_filter_overflows(scheme):
 def test_solves_bound_every_product_and_refuse_without_warnings(scheme):
     # a diagonal and a Gram metric, on the unit interval (||M|| < 1) and on
     # [0, 100] (||M|| > 1): the bound's growth beyond ||y|| times the largest
-    # gain, from the operator norms of M, M^(1/2) and M^(-1/2)
+    # gain, from the operator norms of M, M^(1/2) and M^(-1/2), the roots
+    # taken from numpy's eigensolver
     prob = get_problem("green-m1")
     system = build_system(prob.kernel, scheme, 8)
     wide = build_system(Kernel(lambda s, t: np.exp(-np.abs(s - t) / 50.0), Domain(0.0, 100.0)),
                         scheme, 8)
     eye = np.eye(8)
     for space in (system.space, wide.space):
-        growth = np.prod([max(1.0, np.linalg.norm(product(eye), 2)) for product in
-                          (space.apply_metric, space.sqrt_apply, space.isqrt_apply)])
+        growth = np.prod([max(1.0, np.linalg.norm(power, 2)) for power in
+                          (space.apply_metric(eye), *metric_roots(space))])
         assert space._filter_growth == pytest.approx(growth, rel=1e-12)
     assert wide.space._filter_growth > 1.0
     y_n = project_data(system, prob.y)
