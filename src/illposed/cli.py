@@ -272,10 +272,9 @@ def _cells(config: RunConfig, measure):
         for scheme in config.schemes:
             ladder = [build_system(problem.kernel, scheme, n, ref_points=config.ref_points,
                                    matrix=matrix) for n in config.n_list]
-            for system, eps in zip(ladder, estimate_epsilon(ladder)):
-                vars(system)["epsilon_n"] = eps  # where its first read keeps it
+            estimate_epsilon(ladder)  # kept where each system's epsilon_n reads it
             yield from [measure(problem, system) for system in ladder]
-            del system, ladder  # and with them the kernel memos, before the next ladder
+            del ladder  # and with it the kernel memos, before the next ladder
 
 
 def cmd_solve(config: RunConfig) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .quadrature import (
     composite_trapezoid,
     gauss_legendre,
     gauss_nodes,
+    kept,
     segment_gauss,
 )
 from .validation import as_matrix, as_vector, check_integer
@@ -147,10 +148,9 @@ class DiscreteSystem:
         on a rule of this size aligned with the scheme grid.
 
     Three caches, the only writes after construction, sit beside the fields:
-    :attr:`reference_rule` and :attr:`epsilon_n`, formed on their first read,
-    and the last grid that :meth:`slice_values` sampled with the slice values
-    there, one read-only ``(grid, values)`` tuple replaced by a single store;
-    concurrent readers see either the old or the new pair and at worst recompute.
+    :attr:`reference_rule` and :attr:`epsilon_n`, kept on their first read
+    (``eps_n`` also by :func:`estimate_epsilon`), and the slice values on the
+    last grid :meth:`slice_values` sampled (:func:`~illposed.quadrature.kept`).
     """
 
     scheme: SchemeKind
@@ -167,7 +167,6 @@ class DiscreteSystem:
     clipped_eigvals: np.ndarray
     sigma_min: float
     ref_points: int
-    _slices: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def domain(self) -> Domain:
@@ -182,8 +181,8 @@ class DiscreteSystem:
     @functools.cached_property
     def epsilon_n(self) -> float:
         """Operator-level discretization error bound, measured by
-        :func:`estimate_epsilon` on the first read and kept; the CLI stores
-        its size ladder's one measurement here before that read."""
+        :func:`estimate_epsilon` on the first read and kept, unless an
+        earlier :func:`estimate_epsilon` call (a size ladder's) kept it."""
         return estimate_epsilon(self)
 
     # -- slice and basis evaluation ------------------------------------------
@@ -194,24 +193,13 @@ class DiscreteSystem:
 
         The points must lie in the domain, up to the 1e-12 slack of
         :class:`QuadratureRule`; the slices are not extrapolated.  The
-        values on the last grid are kept (read-only) and returned again for
-        an equal grid, so every reconstruction measured on one reference
-        rule samples the slices once and checks its points once.
+        values on the last grid are kept and returned again for an equal
+        grid, so every reconstruction measured on one reference rule samples
+        the slices once and checks its points once.
         """
         t = np.asarray(t_points, dtype=float).ravel()
-        memo = self._slices
-        if memo is not None and np.array_equal(memo[0], t):
-            return memo[1]
-        a, b = self.domain.a, self.domain.b
-        if t.size and not (t.min() >= a - 1e-12 and t.max() <= b + 1e-12):
-            raise ValueError(
-                f"points must lie in the domain [{a}, {b}]; got values in "
-                f"[{t.min()!r}, {t.max()!r}]"
-            )
-        values = _slice_values(self.scheme, self.kernel, self.rule, self.knots, t)
-        values.flags.writeable = False
-        object.__setattr__(self, "_slices", (t.copy(), values))
-        return values
+        return kept(self, "_slices", t, _slice_values, self.scheme, self.kernel, self.rule,
+                    self.knots, t)
 
     def basis_values(self, s_points) -> np.ndarray:
         """Values of the data-space basis as functions, shape (len(s), n).
@@ -256,7 +244,14 @@ def _hat_space(n: int, h: float) -> WeightedSpace:
 
 def _slice_values(scheme, kernel, rule, knots, t) -> np.ndarray:
     """Values ``g_i(t)`` of the scheme slices at the points ``t``, shape
-    (n, t.size): kernel sections at the nodes, or their cell averages."""
+    (n, t.size): kernel sections at the nodes, or their cell averages.
+    Points off the kernel's domain raise ``ValueError``."""
+    a, b = kernel.domain.a, kernel.domain.b
+    if t.size and not (t.min() >= a - 1e-12 and t.max() <= b + 1e-12):
+        raise ValueError(
+            f"points must lie in the domain [{a}, {b}]; got values in "
+            f"[{t.min()!r}, {t.max()!r}]"
+        )
     if scheme is SchemeKind.ORTHO_PC:
         return _cell_average_slices(kernel, knots, t)
     return kernel(rule.nodes[:, None], t[None, :])
@@ -454,8 +449,8 @@ def _reconstruct(system: DiscreteSystem, mv: np.ndarray, s):
 # it keeps the difference matrix's arithmetic (not Lanczos's last bits) for
 # eps_n of the finite-rank collocation cells on the 256-point default rule,
 # rounding noise that, taken matrix-free, fails 16 ops per repetition of the
-# benchmark's recorded verify reference.  The dense branch and normal_gram go
-# when that reference is re-recorded with a floor on eps_n (ROADMAP item 1).
+# benchmark's recorded verify reference.  The dense branch goes when that
+# reference is re-recorded with a floor on eps_n (ROADMAP item 1).
 DENSE_EPSILON_MAX_POINTS = 256
 
 # Bytes of the kernel sample one block of the matrix-free eps_n product reads
@@ -477,15 +472,14 @@ def estimate_epsilon(systems):
     that shares one kernel and an equal reference rule (a list, in order;
     any other group raises ``ValueError``).
 
-    Up to :data:`DENSE_EPSILON_MAX_POINTS` points each system's difference
-    is formed as ``d = (N - G^T M G) * outer(r, r)``, ``N`` the continuous
-    half that :meth:`Kernel.normal_gram` keeps for the last rule, and its
-    norm is that of ``0.5 (d + d^T)`` by :func:`symmetric_norm`, one system
-    after another, bit for bit as alone.  On larger rules no m x m product
-    is formed: the group's Lanczos runs advance in lockstep
+    ``K`` is the sample :meth:`Kernel.grid_sample` keeps.  Up to
+    :data:`DENSE_EPSILON_MAX_POINTS` points a call forms ``N = K^T W K``
+    once, each system's difference as ``d = (N - G^T M G) * outer(r, r)``
+    and its norm as that of ``0.5 (d + d^T)`` by :func:`symmetric_norm`, one
+    system after another, bit for bit as alone.  On larger rules no m x m
+    product is formed: the group's Lanczos runs advance in lockstep
     (:func:`linalg._lanczos`), each step applying ``K^T W K`` to every
-    running vector in one pass over the sample ``K`` that
-    :meth:`Kernel.grid_sample` keeps, in blocks of ``_SAMPLE_BLOCK_BYTES``,
+    running vector in one pass over K, in blocks of ``_SAMPLE_BLOCK_BYTES``,
     and each system subtracts its own ``G^T M G`` part; the norm agrees with
     the dense expression's to m u ||T||^2, u the machine epsilon.  Each call
     measures afresh; :attr:`DiscreteSystem.epsilon_n` keeps the first.
@@ -494,11 +488,12 @@ def estimate_epsilon(systems):
     # one kernel has one domain, on which rules of one size are one Gauss rule
     if len({(id(s.kernel), s.reference_rule.n_points) for s in group}) != 1:
         raise ValueError("a group must be non-empty and share one kernel and one reference rule")
-    kernel, rule = group[0].kernel, group[0].reference_rule
-    m, sqrt_rho = rule.n_points, np.sqrt(rule.weights)
+    rule = group[0].reference_rule
+    kmat, rho = group[0].kernel.grid_sample(rule), rule.weights
+    m, sqrt_rho = rule.n_points, np.sqrt(rho)
     halves = [(system.slice_values(rule.nodes), system.space) for system in group]
     if m <= DENSE_EPSILON_MAX_POINTS:
-        gram, scale = kernel.normal_gram(rule), np.outer(sqrt_rho, sqrt_rho)
+        gram, scale = kmat.T @ (rho[:, None] * kmat), np.outer(sqrt_rho, sqrt_rho)
 
         def dense_norm(gv, space):
             # (N - G^T M G) * scale, then 0.5 (d + d^T), in place
@@ -513,7 +508,6 @@ def estimate_epsilon(systems):
         # holds one difference matrix, where a lockstep would hold them all
         tops = [dense_norm(gv, space) for gv, space in halves]
     else:
-        kmat, rho = kernel.grid_sample(rule), rule.weights
         rows = max(1, _SAMPLE_BLOCK_BYTES // kmat[0].nbytes)
 
         def apply(x, runs):
@@ -530,6 +524,8 @@ def estimate_epsilon(systems):
 
         tops = _lanczos(apply, m, len(group))
     eps = [_EPS_SAFETY * top for top in tops]
+    for system, value in zip(group, eps):
+        vars(system).setdefault("epsilon_n", value)  # the cached property's slot
     return eps[0] if isinstance(systems, DiscreteSystem) else eps
 
 

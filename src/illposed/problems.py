@@ -12,10 +12,10 @@ A discrete system measures its L2 quantities on its own
 :func:`apply_operator_split`, which splits the integral at the diagonal:
 kernels that are continuous but kinked there (Green's functions) are then
 integrated to machine accuracy, where a single global rule stalls near 1e-6.
-For ``eps_n`` a :class:`Kernel` keeps, for the last rule of each kind, the
-continuous half ``T*T`` sampled on a rule of at most 256 points and the
-kernel sample on a larger one; operator norms are measured where they are
-used, so this module needs nothing from ``linalg``.
+For ``eps_n`` a :class:`Kernel` keeps its sample on the last reference rule,
+and a :class:`SeparableExpansion` its mode tables on the last grid, each by
+:func:`~illposed.quadrature.kept`; operator norms are measured where they
+are used, so this module needs nothing from ``linalg``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Domain, QuadratureRule, gauss_legendre, segment_gauss
+from .quadrature import Domain, QuadratureRule, gauss_legendre, kept, segment_gauss
 from .validation import check_integer, check_positive
 
 __all__ = [
@@ -74,11 +74,6 @@ class Kernel:
     construction.  A call on a 2-D grid of more than ``2**16`` entries
     evaluates it in row blocks of about ``2**15`` entries, each entry with
     the evaluator's own arithmetic, into one output array.
-
-    :meth:`normal_gram` and :meth:`grid_sample` each keep the matrix of the
-    last rule they formed as one read-only tuple of the rule's arrays and
-    the matrix, replaced by a single attribute store; concurrent readers
-    therefore see either the old or the new tuple and at worst recompute.
     """
 
     def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False):
@@ -89,8 +84,6 @@ class Kernel:
         sample = np.asarray(evaluator(grid[:, None], grid[None, :]), dtype=float)
         if sample.shape != (32, 32) or not np.all(np.isfinite(sample)):
             raise ValueError("kernel evaluator must be finite and broadcastable on the domain")
-        self._normal_gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._grid_sample: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, s, t):
         # the broadcast has at most size(s) size(t) entries, a cheaper test
@@ -108,41 +101,13 @@ class Kernel:
                 *(x[lo:lo + rows] if x.ndim == 2 and x.shape[0] > 1 else x for x in (s, t)))
         return out
 
-    def normal_gram(self, rule: QuadratureRule) -> np.ndarray:
-        """``K^T diag(w) K`` with ``K = k(nodes, nodes)`` on ``rule``.
-
-        This is the normal operator ``T*T`` sampled on the rule's grid, the
-        continuous half of the difference that ``estimate_epsilon``
-        measures.  The matrix of the last rule is kept (read-only) and
-        returned again for an equal rule, so the systems of one kernel
-        measured on one reference rule sample the kernel there once.
-        """
-        nodes, rho = rule.nodes, rule.weights
-        memo = self._normal_gram
-        if memo is not None and np.array_equal(memo[0], nodes) and np.array_equal(memo[1], rho):
-            return memo[2]
-        # the kept matrix is allocated before the two m x m temporaries, so
-        # their release leaves no hole below it for the heap to retain
-        gram = np.empty((nodes.size, nodes.size))
-        kmat = self(nodes[:, None], nodes[None, :])
-        np.matmul(kmat.T, rho[:, None] * kmat, out=gram)
-        gram.flags.writeable = False
-        self._normal_gram = (nodes.copy(), rho.copy(), gram)
-        return gram
-
     def grid_sample(self, rule: QuadratureRule) -> np.ndarray:
-        """``K = k(nodes, nodes)`` on ``rule``, the operator ``estimate_epsilon``
-        applies matrix-free on rules of more than 256 points.  The sample of
-        the last rule is kept (read-only) and returned again for equal
-        nodes, so the systems of one kernel sample it once per rule."""
+        """``K = k(nodes, nodes)`` on ``rule``, from which ``estimate_epsilon``
+        measures the continuous half ``T*T``.  The sample of the last rule
+        is kept (:func:`~illposed.quadrature.kept`) and returned again for
+        equal nodes, so the systems of one kernel sample it once per rule."""
         nodes = rule.nodes
-        memo = self._grid_sample
-        if memo is not None and np.array_equal(memo[0], nodes):
-            return memo[1]
-        kmat = self(nodes[:, None], nodes[None, :])
-        kmat.flags.writeable = False
-        self._grid_sample = (nodes.copy(), kmat)
-        return kmat
+        return kept(self, "_grid_sample", nodes, self, nodes[:, None], nodes[None, :])
 
 
 @dataclass(frozen=True)
@@ -176,7 +141,7 @@ class SeparableExpansion:
 
     Coefficients and syntheses go through one ``(rank, m)`` table of mode
     values per side; the table of the last grid of each side is kept
-    (read-only) and reused for an equal grid.
+    (:func:`~illposed.quadrature.kept`) and reused for an equal grid.
     """
 
     def __init__(self, sigmas, u_funcs, v_funcs, domain: Domain):
@@ -191,7 +156,6 @@ class SeparableExpansion:
         self.u_funcs = tuple(u_funcs)
         self.v_funcs = tuple(v_funcs)
         self.domain = domain
-        self._tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._check_orthonormal()
 
     @property
@@ -206,13 +170,7 @@ class SeparableExpansion:
         """
         funcs = self._modes(side)
         t = np.asarray(t, dtype=float).ravel()
-        memo = self._tables.get(side)
-        if memo is not None and np.array_equal(memo[0], t):
-            return memo[1]
-        table = np.stack([np.asarray(g(t), dtype=float) for g in funcs])
-        table.flags.writeable = False
-        self._tables[side] = (t.copy(), table)
-        return table
+        return kept(self, f"_{side}_table", t, _mode_values, funcs, t)
 
     def _modes(self, side: str) -> tuple:
         if side == "u":
@@ -255,6 +213,10 @@ class SeparableExpansion:
             return (coeffs @ self.mode_table(t, side)).reshape(t.shape)
 
         return combination
+
+
+def _mode_values(funcs, t) -> np.ndarray:
+    return np.stack([np.asarray(g(t), dtype=float) for g in funcs])
 
 
 @dataclass

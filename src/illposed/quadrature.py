@@ -16,7 +16,8 @@ and hands out read-only arrays: numpy's ``leggauss`` (an O(q^3) eigenvalue
 problem) up to :data:`LEGGAUSS_MAX_POINTS` points, Newton's method on the
 Legendre three-term recurrence (O(q^2) time, O(q) memory) above.
 :func:`segment_gauss` maps them onto one segment per row; it is the single
-primitive behind every "Gauss on [lo, hi], split at the diagonal" integral.
+primitive behind every "Gauss on [lo, hi], split at the diagonal" integral,
+as :func:`kept` is behind every memo of values sampled on a grid.
 """
 
 from __future__ import annotations
@@ -169,6 +170,24 @@ def gauss_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+# Not in __all__: perfbench's per-layer trace would time every call as quadrature
+def kept(owner, name: str, grid: np.ndarray, compute, *args):
+    """The value kept on ``owner`` under ``name`` if ``grid`` equals its
+    points, else ``compute(*args)``, made read-only and kept for ``grid``.
+
+    One ``(grid copy, value)`` tuple per name, replaced by one attribute
+    store (a frozen dataclass's too), so concurrent readers see the old or
+    the new tuple and at worst recompute; a raising ``compute`` stores none.
+    """
+    memo = getattr(owner, name, None)
+    if memo is not None and np.array_equal(memo[0], grid):
+        return memo[1]
+    value = compute(*args)
+    value.flags.writeable = False
+    object.__setattr__(owner, name, (grid.copy(), value))
+    return value
 
 
 def segment_gauss(lo, hi, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -105,11 +105,8 @@ def min_norm_solution(system: DiscreteSystem, y_n, *,
     if not 0.0 <= float(residual_allowance) < math.inf:
         raise ValueError(f"residual_allowance must be finite and >= 0, got {residual_allowance!r}")
     z, v, mv = _filter(system, y_n, "y_n", system.pinv_peak, system.pinv_gains)
-    # vdot is silent on overflow: squares of z beyond the float range make
-    # the threshold inf, which accepts
-    cut = z[system.pinv_gains == 0.0]
-    residual = math.sqrt(np.vdot(cut, cut))
-    threshold = RANK_RTOL * math.sqrt(np.vdot(z, z)) + residual_allowance
+    residual = _norm2(z[system.pinv_gains == 0.0])
+    threshold = RANK_RTOL * _norm2(z) + residual_allowance
     if residual > threshold:
         raise InconsistentDataError(
             f"inconsistent discrete data: residual {residual:.3e} exceeds "
@@ -140,24 +137,24 @@ def _filter(system: DiscreteSystem, y, name: str, peak: float, gains=None,
     """The one solve path, ``v = M^(-1/2) Q diag(g) Q^T M^(1/2) y = R (g
     R^T M y)`` by the stored ``R``: ``z = R^T M y``, v and ``M v``.  ``g``
     is ``gains``, which leaves z as it is, or else an in-place division of z
-    by ``clipped_eigvals + shift``; ``peak`` is its largest modulus.  Every
-    product and partial sum is bounded by ``||y|| max(1, peak) max(1, ||M||)
-    max(1, ||M^(1/2)||) max(1, ||M^(-1/2)||)``; if that is not finite no
-    product is formed: a NaN or Inf in ``y`` is the caller's ``ValueError``,
-    else it is a ``NumericalError``."""
+    by ``clipped_eigvals + shift``; ``peak`` is its largest modulus.
+
+    In 2-norms, with ``||R|| = ||M^(-1/2)||`` (Q is orthogonal) and ``z =
+    Q^T M^(1/2) y``, each product and its partial sums are bounded: ``M y``
+    by ``||M|| ||y||``, ``(M y)^T R`` by ``||M|| ||M^(-1/2)|| ||y||``, ``g
+    z`` by ``peak ||M^(1/2)|| ||y||``, ``R (g z)`` by ``||M^(-1/2)||`` times
+    that and ``M v`` by ``||M||`` times that again: each by ``||y|| max(1,
+    peak)`` times the metric's ``_filter_growth``, the product of ``max(1,
+    .)`` over the three norms.  If that is not finite no product is formed:
+    a NaN or Inf in ``y`` is the caller's ``ValueError``, else a
+    ``NumericalError``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {y.shape}")
     if y.size != system.n:
         raise ValueError(f"data has length {y.size}, expected {system.n}")
     space, r = system.space, system.metric_eigvecs
-    # vdot is silent on overflow; squares beyond the float range are summed
-    # again scaled by the largest entry
-    size = math.sqrt(np.vdot(y, y))
-    if size == math.inf:
-        top = float(np.abs(y).max())
-        if top < math.inf:
-            size = top * math.sqrt(np.vdot(y / top, y / top))
+    size = _norm2(y)
     # a Python product of floats gives inf (or nan), not a warning
     if not math.isfinite(size * max(1.0, peak) * space._filter_growth):
         check_finite(y, name)
@@ -172,6 +169,17 @@ def _filter(system: DiscreteSystem, y, name: str, peak: float, gains=None,
     else:
         v = np.dot(r, z * gains)
     return z, v, metric(v)
+
+
+def _norm2(x: np.ndarray) -> float:
+    """``||x||_2`` by ``vdot``, silent on overflow: squares beyond the float
+    range are summed again scaled by the largest entry, else vdot's bits."""
+    size = math.sqrt(np.vdot(x, x))
+    if size == math.inf:
+        top = float(np.abs(x).max())
+        if top < math.inf:
+            size = top * math.sqrt(np.vdot(x / top, x / top))
+    return size
 
 
 # ---------------------------------------------------------------------------

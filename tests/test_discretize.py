@@ -797,6 +797,17 @@ def test_slice_memo_survives_caller_mutation():
                           _fresh_slices("ortho-pc", reference_rule(UNIT, 64).nodes))
 
 
+@pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
+def test_slice_memo_survives_a_point_off_the_domain(scheme):
+    # the refused grid replaces nothing: the kept slices serve the next equal grid
+    grid = reference_rule(UNIT, 64).nodes
+    system = build_system(get_problem("green-m1").kernel, scheme, 8)
+    first = system.slice_values(grid)
+    with pytest.raises(ValueError, match="domain"):
+        system.slice_values(np.append(grid[:-1], 1.5))
+    assert system.slice_values(grid.copy()) is first
+
+
 # ---------------------------------------------------------------------------
 # basis values
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from illposed.quadrature import (
     composite_trapezoid,
     gauss_legendre,
     gauss_nodes,
+    kept,
     segment_gauss,
 )
 
@@ -204,3 +206,34 @@ def test_segment_gauss_rule_per_row():
     assert np.all((nodes > lo[:, None]) & (nodes < hi[:, None]))
     values = np.einsum("ij,ij->i", nodes**5, weights)
     assert values == pytest.approx((hi**6 - lo**6) / 6.0, abs=1e-14)
+
+
+@dataclass(frozen=True)
+class _Owner:
+    """A frozen owner, like the systems that keep slice values."""
+
+
+def test_kept_hit_is_the_same_read_only_value():
+    owner, calls = _Owner(), []
+
+    def compute(grid):
+        calls.append(grid)
+        return 2.0 * grid
+
+    grid = np.linspace(0.0, 1.0, 5)
+    first = kept(owner, "_memo", grid, compute, grid)
+    hit = kept(owner, "_memo", grid.copy(), compute, grid)  # an equal grid built afresh
+    assert hit is first and len(calls) == 1
+    with pytest.raises(ValueError):
+        hit[0] = 1.0
+
+
+def test_kept_value_follows_the_grid():
+    # A, then B of the same shape, then A again: never a stale value; each
+    # name keeps its own value
+    owner = _Owner()
+    grid_a, grid_b = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+    other = kept(owner, "_other", grid_b, np.negative, grid_b)
+    for grid in (grid_a, grid_b, grid_a):
+        assert np.array_equal(kept(owner, "_memo", grid, np.square, grid), grid**2)
+    assert kept(owner, "_other", grid_b.copy(), np.negative, grid_a) is other

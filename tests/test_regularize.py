@@ -120,6 +120,19 @@ def test_min_norm_range_test_decides_at_its_threshold(scheme):
                 assert np.array_equal(rec.coordinates, v)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200])
+def test_min_norm_range_test_rejects_data_whose_squares_overflow(scale):
+    # a standard-normal y lies far outside rank1-sine's one-dimensional
+    # range at any scale; from 1e160 on the squares of z overflow, and the
+    # test must not read an inf threshold that accepts everything
+    system = build_system(get_problem("rank1-sine").kernel, "collocation", 8)
+    y = scale * np.random.default_rng(0).standard_normal(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InconsistentDataError, match="exceeds"):
+            min_norm_solution(system, y)
+
+
 @pytest.mark.parametrize("scheme", ["collocation", "interpolatory", "ortho-pc"])
 def test_a_solve_applies_the_metric_twice(scheme, monkeypatch):
     # M y for z = R^T M y and M v for the reconstruction, once each: the

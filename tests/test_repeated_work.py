@@ -114,32 +114,31 @@ def test_verify_takes_no_svd(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_verify_forms_normal_gram_once_per_kernel(tmp_path, monkeypatch):
+def test_verify_samples_each_kernel_once_per_rule(tmp_path, monkeypatch):
     # every cell of the grid measures eps_n on the same 256-point rule, so
-    # each problem's kernel forms its continuous half once
-    formed = {}
-    original = Kernel.normal_gram
+    # each problem's kernel takes its m x m sample there once, for every ladder
+    squares = Counter()
+    nodes = reference_rule(get_problem("green-m1").kernel.domain).nodes  # every catalog domain
+    original = Kernel.__call__
 
-    def recording(self, rule):
-        gram = original(self, rule)
-        seen = formed.setdefault(self, [])  # keyed by the kernel itself, kept alive
-        if not any(gram is g for g in seen):
-            seen.append(gram)
-        return gram
+    def counting(self, s, t):
+        if all(np.array_equal(np.ravel(x), nodes) for x in (s, t)):
+            squares[self] += 1  # keyed by the kernel itself, kept alive
+        return original(self, s, t)
 
-    monkeypatch.setattr(Kernel, "normal_gram", recording)
+    monkeypatch.setattr(Kernel, "__call__", counting)
     assert main(["verify", "--n", "4,8", "--out", str(tmp_path)]) == EXIT_OK
-    assert len(formed) == len(problem_catalog())
-    assert all(len(seen) == 1 for seen in formed.values()), formed
+    assert len(squares) == len(problem_catalog())
+    assert set(squares.values()) == {1}, squares
 
 
 def test_study_samples_the_reference_grid_kernel_once(tmp_path, monkeypatch):
     # the benchmark's study-n256 config: four systems on one 1024-point
     # reference rule, past the dense boundary, so eps_n applies the kernel's
-    # one m x m sample to vectors and forms no normal_gram product
+    # one m x m sample to vectors and forms no m x m difference
     config = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
               "ref_points": 1024, "delta": 1e-4}
-    square, grams = [], []
+    square, dense = [], []
     original = Kernel.__call__
 
     def counting(self, s, t):
@@ -148,11 +147,11 @@ def test_study_samples_the_reference_grid_kernel_once(tmp_path, monkeypatch):
         return original(self, s, t)
 
     monkeypatch.setattr(Kernel, "__call__", counting)
-    monkeypatch.setattr(Kernel, "normal_gram", lambda self, rule: grams.append(rule))
+    monkeypatch.setattr(discretize, "symmetric_norm", lambda apply, dim: dense.append(dim))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert len(square) == 1 and grams == []
+    assert len(square) == 1 and dense == []
 
 
 STUDY_N256 = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
@@ -231,29 +230,6 @@ def test_verify_takes_four_reference_grid_eigenproblems_per_cell(tmp_path, monke
     assert [m for m in dense if m >= REFERENCE_POINTS] == []
 
 
-def _fresh_normal_gram(kernel, rule):
-    kmat = kernel(rule.nodes[:, None], rule.nodes[None, :])
-    return kmat.T @ (rule.weights[:, None] * kmat)
-
-
-def test_normal_gram_memo_hit_is_the_same_read_only_matrix():
-    kernel = get_problem("green-m1").kernel
-    first = kernel.normal_gram(reference_rule(kernel.domain, 64))
-    hit = kernel.normal_gram(reference_rule(kernel.domain, 64))  # an equal rule built afresh
-    assert hit is first
-    with pytest.raises(ValueError):
-        hit[0, 0] = 1.0
-
-
-def test_normal_gram_memo_follows_the_rule():
-    # A, then B, then A again: never a stale matrix
-    kernel = get_problem("green-m1").kernel
-    rule_a = reference_rule(kernel.domain, 48)
-    rule_b = reference_rule(kernel.domain, 64)
-    for rule in (rule_a, rule_b, rule_a):
-        assert np.array_equal(kernel.normal_gram(rule), _fresh_normal_gram(kernel, rule))
-
-
 def test_grid_sample_memo_is_read_only_and_follows_the_rule():
     # A, an equal A built afresh, B, then A again: never a stale sample
     kernel = get_problem("green-m1").kernel
@@ -273,9 +249,9 @@ def test_epsilon_from_a_memo_hit_matches_a_fresh_kernel(scheme):
     # outputs must not depend on which cell of a kernel was measured first
     warm = get_problem("green-m1")
     estimate_epsilon(build_system(warm.kernel, "collocation", 8))
-    memo = warm.kernel.normal_gram(reference_rule(warm.kernel.domain))
+    memo = warm.kernel.grid_sample(reference_rule(warm.kernel.domain))
     hit = estimate_epsilon(build_system(warm.kernel, scheme, 16))
-    assert warm.kernel.normal_gram(reference_rule(warm.kernel.domain)) is memo
+    assert warm.kernel.grid_sample(reference_rule(warm.kernel.domain)) is memo
 
     fresh = estimate_epsilon(build_system(get_problem("green-m1").kernel, scheme, 16))
     assert hit == fresh
