@@ -32,6 +32,7 @@ count; the pass/fail verdicts are identical across BLAS thread counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -65,8 +66,9 @@ VERIFY_TH3_DELTAS = (1e-6, 1e-4)
 VERIFY_TH5_ALPHAS = (1e-2, 1e-4)
 VERIFY_TH5_DELTAS = (1e-2, 1e-4)
 
-# The largest reference rule a run may ask for: one m x m float64 kernel
-# sample at this size is 2 GiB.
+# The largest reference rule a run may ask for: one m x m float64 array at
+# this size is 2 GiB, and eps_n forms one for a kernel without a product,
+# verify's defect norms one for any kernel.
 MAX_REF_POINTS = 2 ** 14
 
 
@@ -322,7 +324,10 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_NUMERICAL
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import (which set-up time counts), and
+    # shared by every later one
     parser = argparse.ArgumentParser(
         prog="illposed",
         description="Discrete regularization experiments for first-kind integral equations",

@@ -453,46 +453,43 @@ def _reconstruct(system: DiscreteSystem, mv: np.ndarray, s):
 # reference is re-recorded with a floor on eps_n (ROADMAP item 1).
 DENSE_EPSILON_MAX_POINTS = 256
 
-# Bytes of the kernel sample one block of the matrix-free eps_n product reads
-# (128 rows at 1024 points): fastest, or a tie, for one to four vectors at 512
-# and 1024 points; twice that costs 2.6x at four vectors on a 2 MiB L2 cache.
-_SAMPLE_BLOCK_BYTES = 1 << 20
-
 
 def estimate_epsilon(systems):
     """Measured upper bound for the operator-level discretization error.
 
     The norm of ``D (K^T W K - G^T M G) D`` on the m-point
     :attr:`DiscreteSystem.reference_rule`, times a safety factor of 1.1:
-    ``K`` the kernel sampled on the rule's nodes, ``W`` and ``D`` the
-    weights and their square roots, ``G`` the slice values there and ``M``
-    the metric.  The weighting makes the matrix 2-norm approximate the L2
-    norm of ``T*T - T_n*T_n``; Lanczos takes it from products.  ``systems``
-    is one system (a float is returned) or a group, such as a size ladder,
-    that shares one kernel and an equal reference rule (a list, in order;
-    any other group raises ``ValueError``).
+    ``K`` the kernel on the rule's nodes, ``W`` and ``D`` the weights and
+    their square roots, ``G`` the slice values there and ``M`` the metric.
+    The weighting makes the matrix 2-norm approximate the L2 norm of ``T*T -
+    T_n*T_n``; Lanczos takes it from products.  ``systems`` is one system (a
+    float is returned) or a group, such as a size ladder, that shares one
+    kernel and an equal reference rule (a list, in order; any other group
+    raises ``ValueError``).
 
-    ``K`` is the sample :meth:`Kernel.grid_sample` keeps.  Up to
-    :data:`DENSE_EPSILON_MAX_POINTS` points a call forms ``N = K^T W K``
-    once, each system's difference as ``d = (N - G^T M G) * outer(r, r)``
-    and its norm as that of ``0.5 (d + d^T)`` by :func:`symmetric_norm`, one
-    system after another, bit for bit as alone.  On larger rules no m x m
-    product is formed: the group's Lanczos runs advance in lockstep
+    Up to :data:`DENSE_EPSILON_MAX_POINTS` points a call forms ``N = K^T W
+    K`` once from the sample :meth:`Kernel.grid_sample` keeps, each
+    system's difference as ``d = (N - G^T M G) * outer(r, r)`` and its norm
+    as that of ``0.5 (d + d^T)`` by :func:`symmetric_norm`, one system after
+    another, bit for bit as alone.  On larger rules no m x m product is
+    formed: the group's Lanczos runs advance in lockstep
     (:func:`linalg._lanczos`), each step applying ``K^T W K`` to every
-    running vector in one pass over K, in blocks of ``_SAMPLE_BLOCK_BYTES``,
-    and each system subtracts its own ``G^T M G`` part; the norm agrees with
-    the dense expression's to m u ||T||^2, u the machine epsilon.  Each call
-    measures afresh; :attr:`DiscreteSystem.epsilon_n` keeps the first.
+    running vector at once by :meth:`Kernel.add_normal` (the kernel's own
+    product, or one pass over its sample), and each system subtracts its
+    own ``G^T M G`` part; the norm agrees with the dense expression's to m u
+    ||T||^2, u the machine epsilon.  Each call measures afresh;
+    :attr:`DiscreteSystem.epsilon_n` keeps the first.
     """
     group = [systems] if isinstance(systems, DiscreteSystem) else list(systems)
     # one kernel has one domain, on which rules of one size are one Gauss rule
     if len({(id(s.kernel), s.reference_rule.n_points) for s in group}) != 1:
         raise ValueError("a group must be non-empty and share one kernel and one reference rule")
-    rule = group[0].reference_rule
-    kmat, rho = group[0].kernel.grid_sample(rule), rule.weights
-    m, sqrt_rho = rule.n_points, np.sqrt(rho)
+    rule, kernel = group[0].reference_rule, group[0].kernel
+    m, rho = rule.n_points, rule.weights
+    sqrt_rho = np.sqrt(rho)
     halves = [(system.slice_values(rule.nodes), system.space) for system in group]
     if m <= DENSE_EPSILON_MAX_POINTS:
+        kmat = kernel.grid_sample(rule)
         gram, scale = kmat.T @ (rho[:, None] * kmat), np.outer(sqrt_rho, sqrt_rho)
 
         def dense_norm(gv, space):
@@ -508,19 +505,13 @@ def estimate_epsilon(systems):
         # holds one difference matrix, where a lockstep would hold them all
         tops = [dense_norm(gv, space) for gv, space in halves]
     else:
-        rows = max(1, _SAMPLE_BLOCK_BYTES // kmat[0].nbytes)
-
         def apply(x, runs):
             x = sqrt_rho * np.asarray(x)
             y = np.empty_like(x)
             for j, run in enumerate(runs):
                 gv, space = halves[run]
                 y[j] = -(gv.T @ space.apply_metric(gv @ x[j]))
-            # K^T W K for every row of x, each block of K read once while in cache
-            for lo in range(0, m, rows):
-                block = kmat[lo:lo + rows]
-                y += ((x @ block.T) * rho[lo:lo + rows]) @ block
-            return sqrt_rho * y
+            return sqrt_rho * kernel.add_normal(rule, x, y)
 
         tops = _lanczos(apply, m, len(group))
     eps = [_EPS_SAFETY * top for top in tops]

@@ -12,10 +12,12 @@ A discrete system measures its L2 quantities on its own
 :func:`apply_operator_split`, which splits the integral at the diagonal:
 kernels that are continuous but kinked there (Green's functions) are then
 integrated to machine accuracy, where a single global rule stalls near 1e-6.
-For ``eps_n`` a :class:`Kernel` keeps its sample on the last reference rule,
-and a :class:`SeparableExpansion` its mode tables on the last grid, each by
-:func:`~illposed.quadrature.kept`; operator norms are measured where they
-are used, so this module needs nothing from ``linalg``.
+For ``eps_n`` a :class:`Kernel` applies ``K^T W K`` on a reference rule,
+:meth:`Kernel.add_normal`: through its own product where it has one (Green's
+kernel, two cumulative sums, no m x m array), else through its sample on
+the last reference rule, kept like a :class:`SeparableExpansion`'s mode
+tables by :func:`~illposed.quadrature.kept`; operator norms are measured
+where they are used, so this module needs nothing from ``linalg``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ REFERENCE_POINTS = 256
 # Entries of a kernel sample evaluated per call of the evaluator
 _KERNEL_BLOCK = 1 << 15
 
+# Bytes of the kernel sample one block of a sampled ``add_normal`` reads (128
+# rows at 1024 points): fastest, or a tie, for one to four vectors at 512 and
+# 1024 points; twice that costs 2.6x at four vectors on a 2 MiB L2 cache.
+# A kernel with a product reads no sample.
+_SAMPLE_BLOCK_BYTES = 1 << 20
+
 # Number of terms retained in the Green kernel's singular expansion.  The
 # L2(Omega^2) truncation tail (sum of the dropped squared singular values)
 # is below 2e-8, i.e. a kernel reconstruction error below 1.2e-4.
@@ -69,21 +77,36 @@ class Kernel:
         True when ``k`` is continuous but not differentiable across ``s = t``
         (Green-type kernels); quadrature paths then split panels at the
         diagonal to keep entry integrals at machine accuracy.
+    product : callable, optional
+        ``product(nodes, x)``: ``K = k(nodes, nodes)`` on increasing
+        ``nodes`` applied to each row of ``x`` (shape ``(m,)`` or ``(k,
+        m)``), without forming K.  It serves as K and as K^T, so it must
+        agree with both.
 
     The evaluator is spot-checked for finiteness on a 32 x 32 grid at
-    construction.  A call on a 2-D grid of more than ``2**16`` entries
+    construction, and a product against that sample and its transpose on
+    two vectors, to 1e-12 of ``||K||_inf ||x||_inf``; either failure is a
+    ``ValueError``.  A call on a 2-D grid of more than ``2**16`` entries
     evaluates it in row blocks of about ``2**15`` entries, each entry with
     the evaluator's own arithmetic, into one output array.
     """
 
-    def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False):
+    def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False, product=None):
         self.evaluator = evaluator
         self.domain = domain
         self.diagonal_kink = bool(diagonal_kink)
+        self.product = product
         grid = np.linspace(domain.a, domain.b, 32)
         sample = np.asarray(evaluator(grid[:, None], grid[None, :]), dtype=float)
         if sample.shape != (32, 32) or not np.all(np.isfinite(sample)):
             raise ValueError("kernel evaluator must be finite and broadcastable on the domain")
+        if product is not None:
+            x = np.cos(np.outer([1.0, 2.0], np.arange(32.0)))
+            got = np.asarray(product(grid, x), dtype=float)
+            tol = 1e-12 * np.abs(sample).sum(axis=1).max()
+            if got.shape != x.shape or not all(
+                    np.abs(got - x @ k).max() <= tol for k in (sample, sample.T)):
+                raise ValueError("kernel product must agree with the evaluator and its transpose")
 
     def __call__(self, s, t):
         # the broadcast has at most size(s) size(t) entries, a cheaper test
@@ -108,6 +131,25 @@ class Kernel:
         equal nodes, so the systems of one kernel sample it once per rule."""
         nodes = rule.nodes
         return kept(self, "_grid_sample", nodes, self, nodes[:, None], nodes[None, :])
+
+    def add_normal(self, rule: QuadratureRule, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add ``K^T W K x`` to ``out`` for each row of the ``(k, m)`` block
+        ``x``, K the kernel and W the weights on ``rule``; returns ``out``.
+
+        With a product this is two products and no m x m array; without
+        one, a single pass over :meth:`grid_sample` in blocks of
+        ``_SAMPLE_BLOCK_BYTES``, each block read once for every row.
+        """
+        nodes, rho = rule.nodes, rule.weights
+        if self.product is not None:
+            out += self.product(nodes, rho * self.product(nodes, x))
+            return out
+        kmat = self.grid_sample(rule)
+        rows = max(1, _SAMPLE_BLOCK_BYTES // kmat[0].nbytes)
+        for lo in range(0, nodes.size, rows):
+            block = kmat[lo:lo + rows]
+            out += ((x @ block.T) * rho[lo:lo + rows]) @ block
+        return out
 
 
 @dataclass(frozen=True)
@@ -301,6 +343,18 @@ def _sine_mode(j: int):
     return mode
 
 
+def _green_product(nodes, x):
+    """Green's kernel on increasing ``nodes`` applied to each row of ``x``,
+    by two cumulative sums: ``(K x)_i = (1 - s_i) sum_{j <= i} s_j x_j +
+    s_i sum_{j > i} (1 - s_j) x_j``, the kernel being semiseparable of
+    rank 1."""
+    c = 1.0 - nodes
+    out = c * np.cumsum(nodes * x, axis=-1)
+    tail = np.cumsum((c * x)[..., :0:-1], axis=-1)[..., ::-1]  # sums over j > i, i < m - 1
+    out[..., :-1] += nodes[:-1] * tail
+    return out
+
+
 def green_problem(m: int = 1) -> TestProblem:
     """Green's-function test problem on [0, 1].
 
@@ -329,7 +383,7 @@ def green_problem(m: int = 1) -> TestProblem:
         k *= np.minimum(s, t)
         return k
 
-    kernel = Kernel(green, dom, diagonal_kink=True)
+    kernel = Kernel(green, dom, diagonal_kink=True, product=_green_product)
     js = np.arange(1, GREEN_EXPANSION_TERMS + 1)
     sigmas = (js * np.pi) ** -2.0
     modes = [_sine_mode(int(j)) for j in js]

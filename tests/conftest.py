@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from illposed.discretize import build_system
-from illposed.problems import get_problem, problem_catalog
+from illposed.problems import Kernel, get_problem, problem_catalog
 
 GRID_N = (8, 16, 32)
 SCHEMES = ("collocation", "interpolatory", "ortho-pc")
@@ -20,6 +20,12 @@ def metric_roots(space):
     space keeps."""
     vals, vecs = np.linalg.eigh(space.apply_metric(np.eye(space.dim)))
     return (vecs * np.sqrt(vals)) @ vecs.T, (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def sampled(kernel):
+    """``kernel`` without its product: eps_n then reads its sample, the path
+    of every kernel that has no product."""
+    return Kernel(kernel.evaluator, kernel.domain, diagonal_kink=kernel.diagonal_kink)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from illposed.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, MAX_REF_POINTS, RunConfig,
-                          main)
+                          _make_parser, main)
 from illposed.discretize import SchemeKind, build_system, dump_matrix
 from illposed.problems import get_problem
 
@@ -42,6 +42,16 @@ def test_invalid_json_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert main(["solve", str(path)]) == EXIT_CONFIG
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # built on the first call, not at import; a rejected argv leaves nothing
+    # behind for the next call
+    assert main(["solve", "--n"]) == EXIT_CONFIG
+    assert main(["solve", "--n", "4", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: illposed")
+    assert _make_parser() is _make_parser()
 
 
 @pytest.mark.parametrize("fault", ["undecodable", "unreadable"])

@@ -37,7 +37,7 @@ from illposed.quadrature import (
     segment_gauss,
 )
 from illposed.regularize import NoiseSpec
-from tests.conftest import SCHEMES, metric_roots
+from tests.conftest import SCHEMES, metric_roots, sampled
 
 UNIT = Domain(0.0, 1.0)
 
@@ -505,6 +505,23 @@ def test_a_ladders_matrix_free_epsilon_agrees_with_each_system_alone(ref_points)
                 assert abs(eps - _dense_epsilon(system, ref_points)) <= bound, key
 
 
+@pytest.mark.parametrize("ref_points", [257, 1024])
+def test_epsilon_through_the_green_product_agrees_with_the_sample(ref_points):
+    # Green's kernel applies K^T W K by its product, the same kernel without
+    # one through its sample: within m u ||T||^2, alone and in lockstep
+    green = get_problem("green-m1").kernel
+    kernels = (green, sampled(green))
+    assert [k.product is not None for k in kernels] == [True, False]
+    bound, sizes = _agreement_bound(green, ref_points), [8, 16, 32, 64]
+    for scheme in SCHEMES:
+        fast, slow = ([build_system(k, scheme, n, ref_points=ref_points) for n in sizes]
+                      for k in kernels)
+        lockstep = zip(estimate_epsilon(fast), estimate_epsilon(slow), strict=True)
+        alone = [(estimate_epsilon(f), estimate_epsilon(s)) for f, s in zip(fast, slow)]
+        for n, (eps, want) in zip(sizes * 2, [*lockstep, *alone]):
+            assert abs(eps - want) <= bound, (scheme, n)
+
+
 def test_a_ladder_run_at_the_step_cap_takes_its_own_dense_fallback(monkeypatch):
     # rank3-decay collocation at 300 points: the runs stop after different
     # numbers of products; with the cap one below the slowest, the runs that
@@ -712,10 +729,11 @@ def test_ref_points_fixes_the_epsilon_rule(monkeypatch, pid):
     eps = system.epsilon_n
     estimate_epsilon(system)
     norm_t = _special_norms(system)[2]
-    # eps_n and a second measurement share one kernel sample and take a
-    # norm on R^512 each; ||T|| is measured on the cell's aligned rule and
-    # samples no kernel there
-    assert formed == [(1, 512)] and dims == [512, 512]
+    # eps_n and a second measurement share one kernel sample (Green's
+    # kernel, through its product, takes none) and take a norm on R^512
+    # each; ||T|| is measured on the cell's aligned rule and samples no
+    # kernel there
+    assert formed == ([] if pid == "green-m1" else [(1, 512)]) and dims == [512, 512]
     monkeypatch.undo()
     assert system.reference_rule.n_points == 512
     bound = _agreement_bound(problem.kernel, 512)

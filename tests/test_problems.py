@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from illposed.analysis import l2_error
+from illposed.linalg import spectral_norm
 from illposed.problems import (
     Domain,
     Kernel,
@@ -276,3 +277,37 @@ def test_a_large_kernel_sample_holds_one_output_array(pid):
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * m * m * 8, peak / (m * m * 8)
+
+
+# ---------------------------------------------------------------------------
+# kernel products
+
+
+@pytest.mark.parametrize("m", [257, 1024, 4096])
+def test_green_product_agrees_with_its_sample(m):
+    # two cumulative sums round differently from a GEMV on the sample: to
+    # m u ||K|| ||x|| for each vector (the ratio measured is below 1e-4)
+    kernel = get_problem("green-m1").kernel
+    nodes = gauss_legendre(m, kernel.domain).nodes
+    kmat = kernel(nodes[:, None], nodes[None, :])
+    bound = m * np.finfo(float).eps * spectral_norm(kmat)
+    x = np.random.default_rng(m).standard_normal((4, m))
+    for block in (x[0], x):
+        got = kernel.product(nodes, block)
+        assert got.shape == block.shape
+        err = np.abs(got - block @ kmat.T).max(axis=-1)
+        assert np.all(err <= bound * np.linalg.norm(block, axis=-1)), err
+
+
+def test_a_product_that_disagrees_with_its_evaluator_is_rejected():
+    green = get_problem("green-m1").kernel
+    with pytest.raises(ValueError, match="product"):
+        Kernel(green.evaluator, UNIT, diagonal_kink=True,
+               product=lambda nodes, x: 1.001 * green.product(nodes, x))
+    with pytest.raises(ValueError, match="product"):
+        Kernel(green.evaluator, UNIT, diagonal_kink=True, product=lambda nodes, x: x[..., :-1])
+    # exact as K x, but the kernel is not symmetric, so it cannot serve as K^T
+    with pytest.raises(ValueError, match="product"):
+        Kernel(lambda s, t: s * t**2, UNIT,
+               product=lambda nodes, x: nodes * ((nodes**2 * x).sum(axis=-1, keepdims=True)))
+    assert Kernel(green.evaluator, UNIT, product=green.product).product is green.product

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -22,6 +23,7 @@ from illposed.problems import (
 )
 from illposed.quadrature import LEGGAUSS_MAX_POINTS, gauss_nodes
 from illposed.regularize import min_norm_solution, tikhonov_discrete
+from tests.conftest import sampled
 
 
 def test_verify_computes_each_gauss_rule_once(tmp_path, monkeypatch):
@@ -132,12 +134,28 @@ def test_verify_samples_each_kernel_once_per_rule(tmp_path, monkeypatch):
     assert set(squares.values()) == {1}, squares
 
 
+def _sampled_catalog(monkeypatch):
+    # every problem the CLI builds gets its kernel without a product
+    build = cli.get_problem
+
+    def get(problem_id):
+        problem = build(problem_id)
+        problem.kernel = sampled(problem.kernel)
+        return problem
+
+    monkeypatch.setattr(cli, "get_problem", get)
+
+
+STUDY_N256 = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
+              "ref_points": 1024, "delta": 1e-4}
+
+
 def test_study_samples_the_reference_grid_kernel_once(tmp_path, monkeypatch):
     # the benchmark's study-n256 config: four systems on one 1024-point
-    # reference rule, past the dense boundary, so eps_n applies the kernel's
-    # one m x m sample to vectors and forms no m x m difference
-    config = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
-              "ref_points": 1024, "delta": 1e-4}
+    # reference rule, past the dense boundary, so eps_n applies K^T W K to
+    # vectors and forms no m x m difference; a kernel without a product
+    # samples the 1024-point grid once, Green's kernel through its product
+    # not at all
     square, dense = [], []
     original = Kernel.__call__
 
@@ -149,20 +167,20 @@ def test_study_samples_the_reference_grid_kernel_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Kernel, "__call__", counting)
     monkeypatch.setattr(discretize, "symmetric_norm", lambda apply, dim: dense.append(dim))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(STUDY_N256))
     assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert square == [] and dense == []
+    _sampled_catalog(monkeypatch)
+    assert main(["study", str(cfg), "--out", str(tmp_path / "sampled")]) == EXIT_OK
     assert len(square) == 1 and dense == []
-
-
-STUDY_N256 = {"problem": "green-m1", "scheme": "collocation", "n": [32, 64, 128, 256],
-              "ref_points": 1024, "delta": 1e-4}
 
 
 def test_study_reads_the_kernel_sample_once_per_lockstep_step(tmp_path, monkeypatch):
     # the four systems of the study-n256 ladder share one 1024-point rule:
-    # each Lanczos step applies the kernel sample to every running system's
-    # vector in one pass, so the passes are the steps of the slowest run,
-    # not the sum of every run's products
+    # each Lanczos step applies K^T W K to every running system's vector at
+    # once, so a kernel without a product reads its sample in as many passes
+    # as the slowest run takes steps, not the sum of every run's products;
+    # Green's kernel, through its product, reads no sample
     rows_read, steps, calls = [], [], []
 
     class Reads(np.ndarray):
@@ -183,10 +201,29 @@ def test_study_reads_the_kernel_sample_once_per_lockstep_step(tmp_path, monkeypa
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(STUDY_N256))
     assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert calls == [4] and steps and rows_read == []
+    del calls[:], steps[:]
+    _sampled_catalog(monkeypatch)
+    assert main(["study", str(cfg), "--out", str(tmp_path / "sampled")]) == EXIT_OK
     products = [sum(run in runs for runs in steps) for run in range(4)]
     assert calls == [4]  # one ladder, one call
     assert sum(rows_read) == 1024 * len(steps)
     assert len(steps) == max(products) < sum(products), products
+
+
+def test_a_green_study_on_4096_points_holds_no_m_by_m_array(tmp_path):
+    # eps_n through Green's product samples no kernel on the reference
+    # rule; the largest arrays are the ladder's slice values, 480 rows of
+    # m (0.20 of one m x m array measured, with every scheme)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**STUDY_N256, "scheme": "all", "ref_points": 4096}))
+    tracemalloc.start()
+    try:
+        assert main(["study", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 4096 * 4096 * 8, peak / (4096 * 4096 * 8)
 
 
 def test_a_ladder_study_reproduces_single_size_studies(tmp_path):
