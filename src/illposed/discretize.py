@@ -73,6 +73,9 @@ __all__ = [
 # Gauss points per panel/side used for cell averages and split evaluations.
 _CELL_GAUSS = 24
 
+# Entries per row block of cell averages through generators (no n x T mask)
+_CELL_BLOCK = 1 << 17
+
 _SYMMETRY_RTOL = 1e-8
 _PSD_RTOL = 1e-8
 _EPS_SAFETY = 1.1
@@ -260,11 +263,15 @@ def _slice_values(scheme, kernel, rule, knots, t) -> np.ndarray:
 def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Cell averages ``(1/h) integral_{cell_i} k(s, t) ds`` for all cells/t.
 
-    The s-integral is split at ``s = t`` whenever ``t`` falls strictly
-    inside the cell, so diagonally kinked kernels are integrated to machine
-    accuracy.  Points on a cell edge or off ``[a, b]`` take no split.  The
-    split is done for every such point at once, one kernel call per side,
-    with the same per-point arithmetic as a cell-by-cell split.
+    A 24-point Gauss pass per cell, one kernel call each; with generators
+    ``(p, q)`` a cell wholly left of ``t`` gives ``a_i q(t)`` and one wholly
+    right of it ``b_i p(t)``, ``a_i``, ``b_i`` the cell's Gauss averages of
+    ``p`` and ``q``.  For a kinked kernel, or one with generators, the
+    s-integral is split at ``s = t`` whenever ``t`` falls strictly inside
+    the cell, to machine accuracy.  Points on a cell edge or off ``[a, b]``
+    take no split.  The split is done for every such point at once, one
+    kernel call per side, with the same per-point arithmetic as a
+    cell-by-cell split.
     """
     n = edges.size - 1
     h = edges[1] - edges[0]
@@ -272,11 +279,22 @@ def _cell_average_slices(kernel: Kernel, edges: np.ndarray, t: np.ndarray) -> np
     s_nodes, _ = segment_gauss(edges[:-1], edges[1:], _CELL_GAUSS)
     half = 0.5 * (edges[1:] - edges[:-1])
     out = np.empty((n, t.size))
-    for i in range(n):
-        out[i] = (kernel(s_nodes[i][:, None], t[None, :]).T @ gw) * half[i] / h
-    if not kernel.diagonal_kink:
-        return out
-    cell = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, n - 1)
+    left = np.searchsorted(edges, t, side="right") - 1  # cells i < left lie left of t
+    if kernel.generators is not None:
+        p, q = kernel.generators
+        a, b = ((f(s_nodes) @ gw) * half / h for f in (p, q))
+        pt, qt = p(t), q(t)
+        rows = max(1, _CELL_BLOCK // max(t.size, 1))
+        for lo in range(0, n, rows):
+            i, block = np.arange(lo, min(lo + rows, n))[:, None], out[lo:lo + rows]
+            np.multiply(b[i], pt, out=block)
+            np.multiply(a[i], qt, out=block, where=i < left)
+    else:
+        for i in range(n):
+            out[i] = (kernel(s_nodes[i][:, None], t[None, :]).T @ gw) * half[i] / h
+        if not kernel.diagonal_kink:
+            return out
+    cell = np.clip(left, 0, n - 1)
     idx = np.flatnonzero((t > edges[cell]) & (t < edges[cell + 1]))
     if idx.size == 0:
         return out

@@ -13,16 +13,17 @@ A discrete system measures its L2 quantities on its own
 kernels that are continuous but kinked there (Green's functions) are then
 integrated to machine accuracy, where a single global rule stalls near 1e-6.
 For ``eps_n`` a :class:`Kernel` applies ``K^T W K`` on a reference rule,
-:meth:`Kernel.add_normal`: through its own product where it has one (Green's
-kernel, two cumulative sums, no m x m array), else through its sample on
-the last reference rule, kept like a :class:`SeparableExpansion`'s mode
-tables by :func:`~illposed.quadrature.kept`; operator norms are measured
-where they are used, so this module needs nothing from ``linalg``.
+:meth:`Kernel.add_normal`: through the product its generators give where
+it has them (Green's kernel, two cumulative sums, no m x m array), else
+through its sample on the last reference rule, kept like a :class:`SeparableExpansion`'s mode tables by
+:func:`~illposed.quadrature.kept`; operator norms are measured where they
+are used, so this module needs nothing from ``linalg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +52,7 @@ _KERNEL_BLOCK = 1 << 15
 # Bytes of the kernel sample one block of a sampled ``add_normal`` reads (128
 # rows at 1024 points): fastest, or a tie, for one to four vectors at 512 and
 # 1024 points; twice that costs 2.6x at four vectors on a 2 MiB L2 cache.
-# A kernel with a product reads no sample.
+# A kernel with generators reads no sample.
 _SAMPLE_BLOCK_BYTES = 1 << 20
 
 # Number of terms retained in the Green kernel's singular expansion.  The
@@ -77,36 +78,37 @@ class Kernel:
         True when ``k`` is continuous but not differentiable across ``s = t``
         (Green-type kernels); quadrature paths then split panels at the
         diagonal to keep entry integrals at machine accuracy.
-    product : callable, optional
-        ``product(nodes, x)``: ``K = k(nodes, nodes)`` on increasing
-        ``nodes`` applied to each row of ``x`` (shape ``(m,)`` or ``(k,
-        m)``), without forming K.  It serves as K and as K^T, so it must
-        agree with both.
+    generators : (callable, callable), optional
+        Elementwise ``p``, ``q`` with ``k(s, t) = p(min(s, t)) q(max(s,
+        t))``, semiseparable of rank 1.  They give ortho-pc's cell averages
+        in closed form and the attribute ``product(nodes, x)`` (else None):
+        ``K = k(nodes, nodes)`` on increasing ``nodes`` applied to each row
+        of ``x``, shape ``(m,)`` or ``(k, m)``, without forming K.
 
     The evaluator is spot-checked for finiteness on a 32 x 32 grid at
-    construction, and a product against that sample and its transpose on
-    two vectors, to 1e-12 of ``||K||_inf ||x||_inf``; either failure is a
-    ``ValueError``.  A call on a 2-D grid of more than ``2**16`` entries
-    evaluates it in row blocks of about ``2**15`` entries, each entry with
-    the evaluator's own arithmetic, into one output array.
+    construction, and generators against that sample to 1e-12 of its
+    largest entry; either failure is a ``ValueError``.  A call on a 2-D
+    grid of more than ``2**16`` entries evaluates it in row blocks of about
+    ``2**15`` entries, each entry with the evaluator's own arithmetic, into
+    one output array.
     """
 
-    def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False, product=None):
+    def __init__(self, evaluator, domain: Domain, diagonal_kink: bool = False, generators=None):
         self.evaluator = evaluator
         self.domain = domain
         self.diagonal_kink = bool(diagonal_kink)
-        self.product = product
+        self.generators = generators
+        self.product = None if generators is None else partial(_semiseparable_product, *generators)
         grid = np.linspace(domain.a, domain.b, 32)
         sample = np.asarray(evaluator(grid[:, None], grid[None, :]), dtype=float)
         if sample.shape != (32, 32) or not np.all(np.isfinite(sample)):
             raise ValueError("kernel evaluator must be finite and broadcastable on the domain")
-        if product is not None:
-            x = np.cos(np.outer([1.0, 2.0], np.arange(32.0)))
-            got = np.asarray(product(grid, x), dtype=float)
-            tol = 1e-12 * np.abs(sample).sum(axis=1).max()
-            if got.shape != x.shape or not all(
-                    np.abs(got - x @ k).max() <= tol for k in (sample, sample.T)):
-                raise ValueError("kernel product must agree with the evaluator and its transpose")
+        if generators is not None:
+            lo, hi = np.minimum(grid[:, None], grid), np.maximum(grid[:, None], grid)
+            pv, qv = (np.asarray(f(x), dtype=float) for f, x in zip(generators, (lo, hi)))
+            if pv.shape != sample.shape or qv.shape != sample.shape or not np.all(
+                    np.abs(pv * qv - sample) <= 1e-12 * np.abs(sample).max()):
+                raise ValueError("kernel generators must give the evaluator's values")
 
     def __call__(self, s, t):
         # the broadcast has at most size(s) size(t) entries, a cheaper test
@@ -136,8 +138,8 @@ class Kernel:
         """Add ``K^T W K x`` to ``out`` for each row of the ``(k, m)`` block
         ``x``, K the kernel and W the weights on ``rule``; returns ``out``.
 
-        With a product this is two products and no m x m array; without
-        one, a single pass over :meth:`grid_sample` in blocks of
+        With generators this is two products and no m x m array; without
+        them, a single pass over :meth:`grid_sample` in blocks of
         ``_SAMPLE_BLOCK_BYTES``, each block read once for every row.
         """
         nodes, rho = rule.nodes, rule.weights
@@ -257,6 +259,17 @@ class SeparableExpansion:
         return combination
 
 
+def _semiseparable_product(p, q, nodes, x):
+    """``k(s, t) = p(min(s, t)) q(max(s, t))`` on increasing ``nodes``
+    applied to each row of ``x``, by two cumulative sums: ``(K x)_i = q(s_i)
+    sum_{j <= i} p(s_j) x_j + p(s_i) sum_{j > i} q(s_j) x_j``."""
+    ps, qs = p(nodes), q(nodes)
+    out = qs * np.cumsum(ps * x, axis=-1)
+    tail = np.cumsum((qs * x)[..., :0:-1], axis=-1)[..., ::-1]  # sums over j > i, i < m - 1
+    out[..., :-1] += ps[:-1] * tail
+    return out
+
+
 def _mode_values(funcs, t) -> np.ndarray:
     return np.stack([np.asarray(g(t), dtype=float) for g in funcs])
 
@@ -343,23 +356,12 @@ def _sine_mode(j: int):
     return mode
 
 
-def _green_product(nodes, x):
-    """Green's kernel on increasing ``nodes`` applied to each row of ``x``,
-    by two cumulative sums: ``(K x)_i = (1 - s_i) sum_{j <= i} s_j x_j +
-    s_i sum_{j > i} (1 - s_j) x_j``, the kernel being semiseparable of
-    rank 1."""
-    c = 1.0 - nodes
-    out = c * np.cumsum(nodes * x, axis=-1)
-    tail = np.cumsum((c * x)[..., :0:-1], axis=-1)[..., ::-1]  # sums over j > i, i < m - 1
-    out[..., :-1] += nodes[:-1] * tail
-    return out
-
-
 def green_problem(m: int = 1) -> TestProblem:
     """Green's-function test problem on [0, 1].
 
-    Kernel ``k(s, t) = s (1 - t)`` for ``s <= t`` and ``t (1 - s)`` otherwise;
-    singular system ``sigma_j = (j pi)^-2`` with ``u_j = v_j = sqrt(2)
+    Kernel ``k(s, t) = s (1 - t)`` for ``s <= t`` and ``t (1 - s)`` otherwise,
+    declared by its generators ``p(s) = s`` and ``q(s) = 1 - s``; singular
+    system ``sigma_j = (j pi)^-2`` with ``u_j = v_j = sqrt(2)
     sin(j pi .)``.  The true solution is the m-th singular function, so the
     data has the closed form ``y = (m pi)^-2 sqrt(2) sin(m pi .)``.
     """
@@ -383,7 +385,7 @@ def green_problem(m: int = 1) -> TestProblem:
         k *= np.minimum(s, t)
         return k
 
-    kernel = Kernel(green, dom, diagonal_kink=True, product=_green_product)
+    kernel = Kernel(green, dom, diagonal_kink=True, generators=(lambda s: s, lambda s: 1.0 - s))
     js = np.arange(1, GREEN_EXPANSION_TERMS + 1)
     sigmas = (js * np.pi) ** -2.0
     modes = [_sine_mode(int(j)) for j in js]

@@ -23,8 +23,9 @@ def metric_roots(space):
 
 
 def sampled(kernel):
-    """``kernel`` without its product: eps_n then reads its sample, the path
-    of every kernel that has no product."""
+    """``kernel`` without its generators: eps_n then reads its sample and
+    ortho-pc takes a Gauss pass per cell, the paths of every kernel that
+    has no generators."""
     return Kernel(kernel.evaluator, kernel.domain, diagonal_kink=kernel.diagonal_kink)
 
 

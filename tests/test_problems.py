@@ -285,8 +285,9 @@ def test_a_large_kernel_sample_holds_one_output_array(pid):
 
 @pytest.mark.parametrize("m", [257, 1024, 4096])
 def test_green_product_agrees_with_its_sample(m):
-    # two cumulative sums round differently from a GEMV on the sample: to
-    # m u ||K|| ||x|| for each vector (the ratio measured is below 1e-4)
+    # two cumulative sums, the product Green's generators give, round
+    # differently from a GEMV on the sample: to m u ||K|| ||x|| for each
+    # vector (the ratio measured is below 1e-4)
     kernel = get_problem("green-m1").kernel
     nodes = gauss_legendre(m, kernel.domain).nodes
     kmat = kernel(nodes[:, None], nodes[None, :])
@@ -299,15 +300,36 @@ def test_green_product_agrees_with_its_sample(m):
         assert np.all(err <= bound * np.linalg.norm(block, axis=-1)), err
 
 
-def test_a_product_that_disagrees_with_its_evaluator_is_rejected():
+@pytest.mark.parametrize("m", [257, 1024, 4096])
+def test_green_product_has_the_bits_of_the_two_cumsum_formula(m):
+    # (K x)_i = (1 - s_i) sum_{j <= i} s_j x_j + s_i sum_{j > i} (1 - s_j)
+    # x_j in this operation order: every Green eps_n keeps its bits
+    def two_cumsums(nodes, x):
+        c = 1.0 - nodes
+        out = c * np.cumsum(nodes * x, axis=-1)
+        tail = np.cumsum((c * x)[..., :0:-1], axis=-1)[..., ::-1]
+        out[..., :-1] += nodes[:-1] * tail
+        return out
+
+    kernel = get_problem("green-m1").kernel
+    nodes = gauss_legendre(m, kernel.domain).nodes
+    x = np.random.default_rng(m).standard_normal((4, m))
+    for block in (x[0], x):
+        assert np.array_equal(kernel.product(nodes, block), two_cumsums(nodes, block))
+
+
+def test_generators_that_disagree_with_their_evaluator_are_rejected():
     green = get_problem("green-m1").kernel
-    with pytest.raises(ValueError, match="product"):
+    p, q = green.generators
+    with pytest.raises(ValueError, match="generators"):
         Kernel(green.evaluator, UNIT, diagonal_kink=True,
-               product=lambda nodes, x: 1.001 * green.product(nodes, x))
-    with pytest.raises(ValueError, match="product"):
-        Kernel(green.evaluator, UNIT, diagonal_kink=True, product=lambda nodes, x: x[..., :-1])
-    # exact as K x, but the kernel is not symmetric, so it cannot serve as K^T
-    with pytest.raises(ValueError, match="product"):
-        Kernel(lambda s, t: s * t**2, UNIT,
-               product=lambda nodes, x: nodes * ((nodes**2 * x).sum(axis=-1, keepdims=True)))
-    assert Kernel(green.evaluator, UNIT, product=green.product).product is green.product
+               generators=(lambda s: 1.001 * p(s), q))
+    with pytest.raises(ValueError, match="generators"):
+        Kernel(green.evaluator, UNIT, diagonal_kink=True,
+               generators=(p, lambda s: q(s)[..., :-1]))
+    # p(s) q(t) = s t^2 for s <= t, but the kernel is not symmetric
+    with pytest.raises(ValueError, match="generators"):
+        Kernel(lambda s, t: s * t**2, UNIT, generators=(lambda s: s, lambda s: s**2))
+    kernel = Kernel(green.evaluator, UNIT, generators=green.generators)
+    assert kernel.generators is green.generators and kernel.product is not None
+    assert Kernel(green.evaluator, UNIT).product is None

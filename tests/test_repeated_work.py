@@ -297,8 +297,8 @@ def test_epsilon_from_a_memo_hit_matches_a_fresh_kernel(scheme):
 @pytest.mark.parametrize("n", [1, 8, 32])
 def test_an_ortho_pc_sampling_of_a_kinked_kernel_makes_n_plus_two_kernel_calls(monkeypatch, n):
     # one regular pass per cell, then one call per side of the s = t split
-    # for every point inside a cell at once
-    system = build_system(get_problem("green-m1").kernel, "ortho-pc", n)
+    # for every point inside a cell at once; with generators the regular
+    # passes are closed forms in p and q, and only the split's two remain
     calls = []
     original = Kernel.__call__
 
@@ -306,9 +306,14 @@ def test_an_ortho_pc_sampling_of_a_kinked_kernel_makes_n_plus_two_kernel_calls(m
         calls.append(np.size(s))
         return original(self, s, t)
 
-    monkeypatch.setattr(Kernel, "__call__", counting)
-    system.slice_values(reference_rule(system.domain, 64).nodes)
-    assert len(calls) == n + 2
+    green = get_problem("green-m1").kernel
+    for kernel, want in ((green, 2), (sampled(green), n + 2)):
+        system = build_system(kernel, "ortho-pc", n)
+        monkeypatch.setattr(Kernel, "__call__", counting)
+        system.slice_values(reference_rule(system.domain, 64).nodes)
+        monkeypatch.undo()
+        assert len(calls) == want, kernel.generators
+        del calls[:]
 
 
 def _counting(monkeypatch, module, *names):
